@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import models as M
@@ -47,7 +46,12 @@ from .relcore import (
     relation_from_json,
     relation_to_json,
 )
-from .suite import DEFAULT_CLOSURE_ROUNDS, run_suite, spek_generator_symbols
+from .suite import (
+    DEFAULT_CLOSURE_ROUNDS,
+    closure_arity_default,
+    run_suite,
+    spek_generator_symbols,
+)
 from .terms import assert_equal, eval_term, parse_term
 
 EXIT_OK = 0
@@ -154,8 +158,7 @@ def _closure_generators(args) -> dict[str, Relation]:
 
 def cmd_close(args) -> int:
     gens = _closure_generators(args)
-    env_arity = os.environ.get("TOYCAT_MAX_ARITY")
-    max_arity = args.max_arity if args.max_arity else (int(env_arity) if env_arity else 3)
+    max_arity = args.max_arity if args.max_arity else closure_arity_default()
     config = ClosureConfig(
         max_arity=max_arity,
         max_morphisms=args.max_morphisms,
@@ -388,7 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="word-length bound; unbounded runs on the standard generators "
         "exceed desk scale at arity 2 and above",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="must be >= 1; the build runs in one process, so the value "
+        "does not change the result and adds no parallelism",
+    )
     p.add_argument("--out")
 
     p = add("contains", cmd_contains, help="membership query against a store")

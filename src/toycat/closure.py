@@ -29,7 +29,9 @@ answering "unknown" on such a store.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -51,6 +53,7 @@ from . import terms
 __all__ = [
     "ClosureConfig",
     "GeneratorOutsideCapError",
+    "STORE_FORMAT",
     "StoredMorphism",
     "MorphismStore",
     "ContainsResult",
@@ -64,6 +67,11 @@ __all__ = [
     "store_to_json_str",
     "evaluate_word",
 ]
+
+
+# A store file lists its morphisms in `Relation.key` order (shape, then
+# rows); the version changes whenever that order does.
+STORE_FORMAT = "toycat-store/2"
 
 
 class GeneratorOutsideCapError(ValueError):
@@ -165,11 +173,6 @@ def _dagger_word(word: str, atomic: bool) -> str:
     return f"{word}^" if atomic else f"({word})^"
 
 
-def _dagger_key(key: tuple) -> tuple:
-    dom_f, cod_f, pairs = key
-    return (cod_f, dom_f, tuple(sorted((i, j) for j, i in pairs)))
-
-
 def generate_closure(
     generators: Mapping[str, Relation],
     config: ClosureConfig = ClosureConfig(),
@@ -177,9 +180,8 @@ def generate_closure(
 ) -> MorphismStore:
     """Saturate the generators under compose, tensor, and dagger.
 
-    The result is independent of `workers`: the pair enumeration of each
-    round is partitioned across worker buckets, but candidate merging is a
-    key-sorted, order-insensitive reduction.
+    `workers` must be >= 1. The build runs in this process whatever its
+    value: it does not change the result and adds no parallelism.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -207,14 +209,15 @@ def generate_closure(
         and is flagged non-fixpoint.
         """
         batch = {k: wlr for k, wlr in candidates.items() if k not in store.items}
-        for key, (word, length, rel) in list(batch.items()):
-            dkey = _dagger_key(key)
+        for word, length, rel in list(batch.values()):
+            drel = dagger(rel)
+            dkey = drel.key
             if dkey in store.items:
                 continue
             dword = _dagger_word(word, atomic=word.isidentifier())
             prev = batch.get(dkey)
             if prev is None or (length, dword) < (prev[1], prev[0]):
-                batch[dkey] = (dword, length, dagger(rel))
+                batch[dkey] = (dword, length, drel)
         added = 0
         for key in sorted(batch):
             if len(store.items) >= config.max_morphisms:
@@ -248,8 +251,7 @@ def generate_closure(
         if length > 2 * max_len:
             store.fixpoint = True
             break
-        pools: list[dict[tuple, tuple]] = [{} for _ in range(workers)]
-        counter = 0
+        pool: dict[tuple, tuple] = {}
         for la in range(1, length):
             lb = length - la
             left = by_length.get(la, ())
@@ -263,8 +265,6 @@ def generate_closure(
             for e1 in left:
                 partners = right_by_cod.get(e1.relation.dom.factors, ())
                 for e2 in partners:
-                    pool = pools[counter % workers]
-                    counter += 1
                     rel = compose(e1.relation, e2.relation)
                     word = f"({e1.word}) ; ({e2.word})"
                     offer(pool, rel, word, length)
@@ -278,18 +278,10 @@ def generate_closure(
                         or r1.cod.arity + r2.cod.arity > cap
                     ):
                         continue
-                    pool = pools[counter % workers]
-                    counter += 1
                     rel = tensor(r1, r2)
                     word = f"({e1.word}) x ({e2.word})"
                     offer(pool, rel, word, length)
-        merged: dict[tuple, tuple] = {}
-        for pool in pools:
-            for key, (word, ln, rel) in pool.items():
-                prev = merged.get(key)
-                if prev is None or (ln, word) < (prev[1], prev[0]):
-                    merged[key] = (word, ln, rel)
-        added = insert_batch(merged)
+        added = insert_batch(pool)
         if added < 0:
             overflow = True
             added = -added - 1
@@ -365,9 +357,33 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
 
 # -- serialization -------------------------------------------------------------
 
+@contextmanager
+def _collector_paused():
+    """Hold the cyclic garbage collector off while a store file is built or read.
+
+    A cap-3 store file is a tree of about a million small lists and dicts.
+    Each allocation counts toward the collector's thresholds, so building
+    or reading one with the collector running triggers seven or eight full
+    collections, each walking the whole heap: most of the time of
+    `store_to_json`, and a full collection more or less in `store_from_json`
+    from one call to the next.
+    The tree holds no cycles, so reference counting still frees all of it;
+    `store_to_json_str` frees it before the collector resumes.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def store_to_json(store: MorphismStore) -> dict:
+    """The store file: morphisms in key order (shape, then bit-packed rows)."""
     return {
-        "format": "toycat-store/1",
+        "format": STORE_FORMAT,
         "config": {
             "max_arity": store.config.max_arity,
             "max_morphisms": store.config.max_morphisms,
@@ -387,13 +403,18 @@ def store_to_json(store: MorphismStore) -> dict:
     }
 
 
+@_collector_paused()
 def store_to_json_str(store: MorphismStore) -> str:
     return json.dumps(store_to_json(store), sort_keys=True, separators=(",", ":"))
 
 
+@_collector_paused()
 def store_from_json(data: Mapping) -> MorphismStore:
-    if data.get("format") != "toycat-store/1":
-        raise ValueError("not a toycat store file")
+    found = data.get("format")
+    if found != STORE_FORMAT:
+        raise ValueError(
+            f"unsupported store format {found!r}; expected {STORE_FORMAT!r}"
+        )
     cfg = data["config"]
     config = ClosureConfig(
         max_arity=cfg["max_arity"],

@@ -184,7 +184,11 @@ class Relation:
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (domain index, codomain index) pairs; the canonical form."""
+        """Sorted (domain index, codomain index) pairs.
+
+        This is the JSON and display form, built on first use and cached;
+        the bit-packed rows are the canonical form (see `key`).
+        """
         out = []
         for i, row in enumerate(self.rows):
             m = row
@@ -197,8 +201,12 @@ class Relation:
 
     @property
     def key(self) -> tuple:
-        """Canonical hashable key (dom factors, cod factors, sorted pairs)."""
-        return (self.dom.factors, self.cod.factors, self.pairs)
+        """Canonical hashable key (dom factors, cod factors, rows).
+
+        The bit-packed rows are already canonical, so the key costs no
+        conversion; keys order relations by shape, then by rows.
+        """
+        return (self.dom.factors, self.cod.factors, self.rows)
 
     def related(self, j: int, i: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -232,21 +240,26 @@ def compose(g: Relation, f: Relation) -> Relation:
 
 
 def tensor(f: Relation, g: Relation) -> Relation:
-    """Cartesian product of relations; first factor is most significant."""
-    dom = f.dom * g.dom
-    cod = f.cod * g.cod
+    """Cartesian product of relations; first factor is most significant.
+
+    Output row (i, k) is the OR of grow << (j * gw) over the set bits j of
+    frow, where frow = f.rows[i], grow = g.rows[k] and gw is the width of
+    g's domain. Since grow < 2^gw those copies never overlap, so the OR is
+    the single product grow * spread(frow), where spread puts bit j of frow
+    at bit j * gw.
+    """
     gw = g.dom.cardinality
-    rows = []
+    spreads = []
     for frow in f.rows:
-        for grow in g.rows:
-            acc = 0
-            m = frow
-            while m:
-                b = m & -m
-                acc |= grow << ((b.bit_length() - 1) * gw)
-                m ^= b
-            rows.append(acc)
-    return Relation._raw(dom, cod, tuple(rows))
+        spread = 0
+        while frow:
+            b = frow & -frow
+            spread |= 1 << ((b.bit_length() - 1) * gw)
+            frow ^= b
+        spreads.append(spread)
+    grows = g.rows
+    rows = tuple([grow * spread for spread in spreads for grow in grows])
+    return Relation._raw(f.dom * g.dom, f.cod * g.cod, rows)
 
 
 def dagger(f: Relation) -> Relation:

@@ -116,8 +116,14 @@ def bounded_spek_store(max_arity: int, max_rounds: int) -> MorphismStore:
 
 
 def closure_arity_default() -> int:
+    """The closure arity cap: TOYCAT_MAX_ARITY if set, else 3."""
     env = os.environ.get("TOYCAT_MAX_ARITY")
-    return int(env) if env else 3
+    if not env:
+        return 3
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"TOYCAT_MAX_ARITY must be an integer, got {env!r}") from None
 
 
 # -- ambient category spot checks ---------------------------------------------------

@@ -31,6 +31,7 @@ a fixpoint: `closure.contains` still answers "no" only on a fixpoint store.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .relcore import FinObject, Relation
@@ -53,54 +54,118 @@ class CertificateRefused(ValueError):
 
 
 def _systems(obj: FinObject) -> int:
-    if any(f != 4 for f in obj.factors):
+    if obj.factors.count(4) != len(obj.factors):
         raise ValueError(f"{obj} is not a product of IV")
     return obj.arity
 
 
+def _swap_halves(u: int) -> int:
+    """Swap the two bits of every system of u."""
+    return (u >> 1 & _LOW_BITS) | (u & _LOW_BITS) << 1
+
+
 def symplectic_form(u: int, v: int) -> int:
     """omega(u, v) for two flat vectors of F2^(2n), summed over systems."""
-    return (((u >> 1) & v ^ (v >> 1) & u) & _LOW_BITS).bit_count() & 1
+    return (_swap_halves(u) & v).bit_count() & 1
+
+
+@lru_cache(maxsize=1 << 16)
+def _differences(mask: int) -> int:
+    """The set {v ^ v0 : v in mask}, v0 the least element, as a bitmask.
+
+    A set of vectors is given as a bitmask: bit v is set iff v is in it.
+    """
+    low = (mask & -mask).bit_length() - 1
+    diffs = 0
+    while mask:
+        b = mask & -mask
+        diffs |= 1 << ((b.bit_length() - 1) ^ low)
+        mask ^= b
+    return diffs
+
+
+@lru_cache(maxsize=1 << 12)
+def _affine_set(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(basis, points) if the vectors in `mask` form an affine set, else None.
+
+    `mask` is nonempty. The points are listed in doubling order: starting
+    from [least point], each basis vector v appends [p ^ v for p in the
+    list so far], so point 2^t is the least point plus basis vector t.
+    """
+    low = (mask & -mask).bit_length() - 1
+    basis: list[int] = []
+    points = [low]
+    covered = 1 << low
+    while mask != covered:
+        rest = mask & ~covered
+        v = ((rest & -rest).bit_length() - 1) ^ low
+        grown = [p ^ v for p in points]
+        for p in grown:
+            if not mask >> p & 1:
+                return None
+            covered |= 1 << p
+        basis.append(v)
+        points += grown
+    return tuple(basis), tuple(points)
+
+
+@lru_cache(maxsize=1 << 12)
+def _occupied_set(occupancy: bytes) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """`_affine_set` of the indices i with occupancy[i] nonzero."""
+    return _affine_set(sum(1 << i for i, on in enumerate(occupancy) if on))
 
 
 def lagrangian_defect(rel: Relation) -> str | None:
     """None if `rel` is empty or affine Lagrangian, else why it is not.
 
     Raises ValueError if a factor of the domain or codomain is not IV.
+
+    The graph is checked row by row, never point by point. Row i holds
+    the points (j, i). A graph a + L is affine iff its nonempty rows are
+    cosets of one linear kernel K = {u : (u, 0) in L}, its nonempty row
+    indices form an affine set, and the greatest element of row i is an
+    affine function of i on that set (the greatest element of a coset of
+    K is an affine function of the coset).
     """
     k = _systems(rel.cod)
     n = _systems(rel.dom) + k
     shift = 2 * k
-    points = []
-    for i, row in enumerate(rel.rows):
-        while row:
-            b = row & -row
-            points.append((b.bit_length() - 1) << shift | i)
-            row ^= b
-    if not points:
+    rows = rel.rows
+    count = sum(map(int.bit_count, rows))
+    if not count:
         return None
-    if len(points) != 1 << n:
-        return (
-            f"{len(points)} points; an affine Lagrangian graph on {n} systems "
-            f"has {1 << n}"
-        )
-    # Span the differences from one base point; with 2^n distinct points
-    # the graph is affine iff that span needs no more than n vectors.
-    base = points[0]
-    span = {0}
-    basis: list[int] = []
-    for p in points:
-        v = p ^ base
-        if v in span:
-            continue
-        if len(basis) == n:
-            return f"{len(points)} points on {n} systems do not form an affine subspace"
-        basis.append(v)
-        span |= {s ^ v for s in span}
-    for idx, u in enumerate(basis):
-        for v in basis[idx + 1:]:
-            if symplectic_form(u, v):
-                return f"affine subspace of dimension {n} on {n} systems is not isotropic"
+    if count != 1 << n:
+        return f"{count} points; an affine Lagrangian graph on {n} systems has {1 << n}"
+    not_affine = f"{count} points on {n} systems do not form an affine subspace"
+    # With one point per nonempty row, K = {0}.
+    if count == len(rows) - rows.count(0):
+        kernels = {1}
+    else:
+        kernels = set(map(_differences, filter(None, rows)))
+    if len(kernels) != 1:
+        return not_affine
+    kernel = _affine_set(kernels.pop())
+    index = _occupied_set(bytes(map(bool, rows)))
+    if kernel is None or index is None:
+        return not_affine
+    kernel_basis, _ = kernel
+    index_basis, positions = index
+    # The greatest elements of the rows, in doubling order, must be what an
+    # affine map predicts from the rows at the least index plus each basis
+    # vector.
+    highs = [rows[i].bit_length() - 1 for i in positions]
+    base = highs[0]
+    steps = [highs[1 << t] ^ base for t in range(len(index_basis))]
+    predicted = [base]
+    for step in steps:
+        predicted += [p ^ step for p in predicted]
+    if predicted != highs:
+        return not_affine
+    basis = [v << shift for v in kernel_basis]
+    basis += [step << shift | e for step, e in zip(steps, index_basis)]
+    swapped = [_swap_halves(u) for u in basis]
+    if any((ju & v).bit_count() & 1 for idx, ju in enumerate(swapped) for v in basis[idx + 1:]):
+        return f"affine subspace of dimension {n} on {n} systems is not isotropic"
     return None
 
 

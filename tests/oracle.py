@@ -179,3 +179,20 @@ def affine_lagrangian_oracle(rel: Relation) -> bool:
         return False
     diffs = [_add(p, base) for p in points]
     return all(_omega(u, v) == 0 for u in diffs for v in diffs)
+
+
+def lagrangian_defect_oracle(rel: Relation) -> str | None:
+    """The message `lagrangian_defect` gives, found point by point."""
+    points = symplectic_points(rel)
+    if not points:
+        return None
+    n = rel.dom.arity + rel.cod.arity
+    if len(points) != 2 ** n:
+        return f"{len(points)} points; an affine Lagrangian graph on {n} systems has {2 ** n}"
+    base = min(points)
+    if {_add(_add(p, q), base) for p in points for q in points} != points:
+        return f"{len(points)} points on {n} systems do not form an affine subspace"
+    diffs = [_add(p, base) for p in points]
+    if any(_omega(u, v) for u in diffs for v in diffs):
+        return f"affine subspace of dimension {n} on {n} systems is not isotropic"
+    return None

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -274,6 +275,36 @@ def test_store_json_round_trip(arity1_store):
     assert store_to_json_str(restored) == store_to_json_str(arity1_store)
     assert restored.fixpoint == arity1_store.fixpoint
     assert len(restored) == len(arity1_store)
+
+
+def test_store_lists_morphisms_in_rows_key_order(qubit_store):
+    blob = store_to_json(qubit_store)
+    assert blob["format"] == "toycat-store/2"
+    keys = [relation_from_json(rec).key for rec in blob["morphisms"]]
+    assert keys == sorted(keys)
+
+
+def test_store_from_json_rejects_version_1(arity1_store):
+    blob = store_to_json(arity1_store)
+    blob["format"] = "toycat-store/1"
+    with pytest.raises(ValueError, match=r"'toycat-store/1'.*'toycat-store/2'"):
+        store_from_json(blob)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_store_io_leaves_the_collector_as_it_found_it(arity1_store, enabled):
+    bad = store_to_json(arity1_store)
+    bad["format"] = "toycat-store/1"
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        store_from_json(json.loads(store_to_json_str(arity1_store)))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            store_from_json(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_user_generator_file_round_trip(tmp_path):

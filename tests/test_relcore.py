@@ -147,6 +147,37 @@ def test_tensor_matches_oracle_random():
         assert tensor(f, g) == tensor_oracle(f, g)
 
 
+# Composite and odd shapes: g's domain width gw is 1, 6, 16 and 12, so the
+# spread of a row of f puts its bits at strides other than a power of two.
+COMPOSITE = [UNIT, II * FinObject(3), IV * IV, FinObject(3) * II * II]
+
+
+def with_empty_rows(rng, r):
+    """r with about a third of its rows cleared."""
+    rows = tuple(0 if rng.random() < 0.3 else row for row in r.rows)
+    return Relation(r.dom, r.cod, rows)
+
+
+def test_tensor_matches_oracle_on_composite_shapes():
+    rng = random.Random(13)
+    for f_dom in COMPOSITE:
+        for g_dom in COMPOSITE:
+            f = with_empty_rows(rng, random_relation(rng, f_dom, rng.choice(COMPOSITE), 0.2))
+            g = with_empty_rows(rng, random_relation(rng, g_dom, rng.choice(COMPOSITE), 0.2))
+            assert tensor(f, g) == tensor_oracle(f, g)
+            assert tensor(g, f) == tensor_oracle(g, f)
+
+
+def test_tensor_with_empty_and_full_relations():
+    rng = random.Random(17)
+    for a in COMPOSITE:
+        for b in COMPOSITE:
+            f = random_relation(rng, a, b)
+            for g in (Relation.empty(b, a), random_relation(rng, b, a, 1.0)):
+                assert tensor(f, g) == tensor_oracle(f, g)
+                assert tensor(g, f) == tensor_oracle(g, f)
+
+
 def test_tensor_unit_is_identity_on_morphisms():
     rng = random.Random(11)
     f = random_relation(rng, IV, II)
@@ -180,6 +211,33 @@ def test_dagger_matches_oracle(f):
 @given(relations(), relations())
 def test_dagger_distributes_over_tensor(f, g):
     assert tensor(dagger(f), dagger(g)) == dagger(tensor(f, g))
+
+
+@given(relations(), relations())
+def test_key_equal_iff_relations_equal(f, g):
+    assert (f.key == g.key) == (f == g)
+    copy = Relation(f.dom, f.cod, f.rows)
+    assert copy.key == f.key and hash(copy.key) == hash(f.key)
+
+
+def test_key_separates_shapes_with_equal_rows():
+    # same cardinality and rows, different factors
+    a = Relation(IV, IV, (1, 2, 4, 8))
+    b = Relation(II * II, IV, (1, 2, 4, 8))
+    assert a.key != b.key and a != b
+
+
+@given(relations())
+def test_dagger_key_matches_oracle(f):
+    assert dagger(f).key == dagger_oracle(f).key
+
+
+def test_dagger_key_matches_oracle_on_composite_shapes():
+    rng = random.Random(19)
+    for a in COMPOSITE:
+        for b in COMPOSITE:
+            f = with_empty_rows(rng, random_relation(rng, a, b, 0.3))
+            assert dagger(f).key == dagger_oracle(f).key
 
 
 def test_dagger_contravariant_over_compose():

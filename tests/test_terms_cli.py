@@ -260,6 +260,32 @@ def test_env_var_overrides_closure_arity(tmp_path, capsys, monkeypatch):
     assert "arity cap 1" in err
 
 
+def test_env_var_non_integer_arity_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("TOYCAT_MAX_ARITY", "three")
+    code, out, err = run_cli(capsys, "close", "--max-rounds", "1")
+    assert code == 2 and out == ""
+    assert "TOYCAT_MAX_ARITY" in err and "'three'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
+    store_path = tmp_path / "old.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    blob = json.loads(store_path.read_text())
+    assert blob["format"] == "toycat-store/2"
+    blob["format"] = "toycat-store/1"
+    store_path.write_text(json.dumps(blob))
+    code, out, err = run_cli(
+        capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
+    )
+    assert code == 2 and out == ""
+    assert "'toycat-store/1'" in err and "'toycat-store/2'" in err
+    assert "Traceback" not in err
+
+
 def test_cli_suite_negative_control_with_injected_diagonal(tmp_path, capsys):
     # a store seeded with the diagonal copy map must fail the exclusion check
     import toycat.models as M
