@@ -11,8 +11,8 @@ counit daggers classical crosswise) and by the Hopf-style algebraic laws
 (bialgebra plus trivial antipode, in both orientations). In this model
 the scalar monoid has only the empty and identity scalars and conjunction
 is idempotent, so the "scaled" versions of the Hopf laws collapse to
-exact boolean equality; `HOPF_SCALED_EQUALITY` is the hook to revisit for
-models with a richer scalar monoid.
+exact boolean equality; a model with a richer scalar monoid would need
+them scaled.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ __all__ = [
     "snake_check",
     "all_states",
 ]
-
-# Exact equality stands in for "scaled" equality; see module docstring.
-HOPF_SCALED_EQUALITY = True
 
 LAW_NAMES = (
     "coassociativity",

@@ -27,8 +27,8 @@ from .closure import (
     census,
     contains,
     generate_closure,
+    load_store,
     state_census,
-    store_from_json,
     store_to_json,
 )
 from .protocols import (
@@ -36,12 +36,11 @@ from .protocols import (
     check_dense_coding,
     check_teleportation,
     find_branch_unitaries,
-    phase_unitaries,
+    phase_pool,
 )
 from .relcore import (
     FinObject,
     Relation,
-    compose,
     format_relation,
     relation_from_json,
     relation_to_json,
@@ -164,7 +163,7 @@ def cmd_close(args) -> int:
         max_morphisms=args.max_morphisms,
         max_rounds=args.max_rounds,
     )
-    store = generate_closure(gens, config, workers=args.workers)
+    store = generate_closure(gens, config)
     blob = store_to_json(store)
     if args.out:
         with open(args.out, "w") as fh:
@@ -182,8 +181,7 @@ def cmd_close(args) -> int:
 
 
 def cmd_contains(args) -> int:
-    with open(args.store) as fh:
-        store = store_from_json(json.load(fh))
+    store = load_store(args.store)
     if args.rel:
         with open(args.rel) as fh:
             rel = relation_from_json(json.load(fh))
@@ -199,8 +197,7 @@ def cmd_contains(args) -> int:
 
 
 def cmd_census(args) -> int:
-    with open(args.store) as fh:
-        store = store_from_json(json.load(fh))
+    store = load_store(args.store)
     if args.object:
         obj = _parse_object(args.object)
         sc = state_census(store, obj)
@@ -249,18 +246,7 @@ def _protocol_pool(model: M.Model, which: str):
         bz = model.observables["Z"].representative
     else:
         bx, bz = model.structures["X"], model.structures["Z"]
-    pool = {u.key: u for u in phase_unitaries(bz).closed}
-    pool.update({u.key: u for u in phase_unitaries(bx).closed})
-    changed = True
-    while changed:
-        changed = False
-        for u in list(pool.values()):
-            for v in list(pool.values()):
-                w = compose(u, v)
-                if w.key not in pool:
-                    pool[w.key] = w
-                    changed = True
-    return [pool[k] for k in sorted(pool)]
+    return phase_pool(bz, bx)
 
 
 def cmd_protocol(args) -> int:
@@ -322,10 +308,7 @@ def cmd_bloch(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    store = None
-    if args.store:
-        with open(args.store) as fh:
-            store = store_from_json(json.load(fh))
+    store = load_store(args.store) if args.store else None
     code, report = run_suite(args.name, closure_rounds=args.closure_rounds, store=store)
     if args.text:
         for chk in report["checks"]:
@@ -390,13 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="word-length bound; unbounded runs on the standard generators "
         "exceed desk scale at arity 2 and above",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="must be >= 1; the build runs in one process, so the value "
-        "does not change the result and adds no parallelism",
     )
     p.add_argument("--out")
 

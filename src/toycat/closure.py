@@ -4,8 +4,16 @@ The engine saturates a morphism store under relational composition,
 cartesian product, and converse, starting from the generators plus the
 identities and symmetries on every object within the arity cap. Work is
 stratified by generator-word length: round L combines members whose word
-lengths sum to L, so the first word recorded for a morphism is a shortest
-one, and the traversal (hence the store file) is fully deterministic.
+lengths sum to L, so every recorded word is a shortest one.
+
+Within a round the first candidate found for a key wins. The scan runs over
+(left length, compose before tensor, left entry, right entry), and each
+length's entries sit in key order, so the tie-break is numeric and the
+store file is fully deterministic; only the winners' words are formatted.
+Converses are made in round 1 only (each seed's `name^`): the dagger
+reverses composition and preserves the tensor, so from a converse-closed
+store every later round's candidates are converse-closed already, and a
+morphism and its converse share a length.
 
 Objects are capped per side: every domain and codomain in the store has
 at most `max_arity` base factors, and composition never routes through an
@@ -64,6 +72,7 @@ __all__ = [
     "StateCensus",
     "store_to_json",
     "store_from_json",
+    "load_store",
     "store_to_json_str",
     "evaluate_word",
 ]
@@ -169,22 +178,11 @@ def _seed_symbols(
     return symbols
 
 
-def _dagger_word(word: str, atomic: bool) -> str:
-    return f"{word}^" if atomic else f"({word})^"
-
-
 def generate_closure(
     generators: Mapping[str, Relation],
     config: ClosureConfig = ClosureConfig(),
-    workers: int = 1,
 ) -> MorphismStore:
-    """Saturate the generators under compose, tensor, and dagger.
-
-    `workers` must be >= 1. The build runs in this process whatever its
-    value: it does not change the result and adds no parallelism.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    """Saturate the generators under compose, tensor, and dagger."""
     cap = config.max_arity
     for name, rel in generators.items():
         if rel.dom.arity > cap or rel.cod.arity > cap:
@@ -194,55 +192,48 @@ def generate_closure(
             )
     symbols = _seed_symbols(generators, cap)
     store = MorphismStore(config=config, symbols=symbols)
+    items = store.items
 
-    # by_length[L] = entries with word length L; per-round compatibility
-    # indexes keep the pair scan near-linear in the compatible pairs.
+    # by_length[L] = entries with word length L, in key order; per-round
+    # compatibility indexes keep the pair scan near-linear in the
+    # compatible pairs.
     by_length: dict[int, list[StoredMorphism]] = {}
 
-    def insert_batch(candidates: dict[tuple, tuple]) -> int:
-        """Insert new keys in canonical order; returns how many were added.
+    def insert_batch(pool: dict[tuple, tuple], length: int) -> int:
+        """Insert the pool's new keys in sorted key order; returns how many.
 
-        The batch is first closed under dagger (a converse word has the
-        same length, so completed rounds keep the store converse-closed),
-        then inserted in sorted key order so truncation at the morphism
-        cap is deterministic; a truncated store may lose converse-closure
-        and is flagged non-fixpoint.
+        A pool value is `(relation, op, left, right)`: the word is
+        `(left) op (right)` over the two entries' words, formatted here for
+        the inserted keys only; a round-1 value has op None and its word as
+        `left`. Sorted insertion makes truncation at the morphism cap
+        deterministic; a truncated store may lose converse-closure and is
+        flagged non-fixpoint.
         """
-        batch = {k: wlr for k, wlr in candidates.items() if k not in store.items}
-        for word, length, rel in list(batch.values()):
-            drel = dagger(rel)
-            dkey = drel.key
-            if dkey in store.items:
-                continue
-            dword = _dagger_word(word, atomic=word.isidentifier())
-            prev = batch.get(dkey)
-            if prev is None or (length, dword) < (prev[1], prev[0]):
-                batch[dkey] = (dword, length, drel)
         added = 0
-        for key in sorted(batch):
-            if len(store.items) >= config.max_morphisms:
+        for key in sorted(pool):
+            if len(items) >= config.max_morphisms:
                 return -added - 1  # sentinel: cap hit
-            word, length, rel = batch[key]
+            rel, op, left, right = pool[key]
+            word = left if op is None else f"({left.word}) {op} ({right.word})"
             entry = StoredMorphism(rel, word, length)
-            store.items[key] = entry
+            items[key] = entry
             by_length.setdefault(length, []).append(entry)
             added += 1
         return added
 
-    def offer(pool: dict[tuple, tuple], rel: Relation, word: str, length: int) -> None:
-        key = rel.key
-        prev = pool.get(key)
-        if prev is None or (length, word) < (prev[1], prev[0]):
-            pool[key] = (word, length, rel)
-
-    # Round 1: the seeds and their daggers.
+    # Round 1: the seeds, then the converse of each seed not already there;
+    # later rounds need no converse step (see the module docstring).
     seed_pool: dict[tuple, tuple] = {}
     for name in sorted(symbols):
-        offer(seed_pool, symbols[name], name, 1)
-    overflow = insert_batch(seed_pool) < 0
-    store.growth.append((1, len(store.items)))
+        seed_pool.setdefault(symbols[name].key, (symbols[name], None, name, None))
+    for name in sorted(symbols):
+        drel = dagger(symbols[name])
+        seed_pool.setdefault(drel.key, (drel, None, f"{name}^", None))
+    overflow = insert_batch(seed_pool, 1) < 0
+    store.growth.append((1, len(items)))
     store.rounds_run = 1
 
+    # Later rounds: the first candidate found for a key wins.
     max_len = 1
     length = 2
     while not overflow:
@@ -253,9 +244,8 @@ def generate_closure(
             break
         pool: dict[tuple, tuple] = {}
         for la in range(1, length):
-            lb = length - la
             left = by_length.get(la, ())
-            right = by_length.get(lb, ())
+            right = by_length.get(length - la, ())
             if not left or not right:
                 continue
             # compose: e1 after e2 when shapes meet in the middle
@@ -263,11 +253,11 @@ def generate_closure(
             for e2 in right:
                 right_by_cod.setdefault(e2.relation.cod.factors, []).append(e2)
             for e1 in left:
-                partners = right_by_cod.get(e1.relation.dom.factors, ())
-                for e2 in partners:
+                for e2 in right_by_cod.get(e1.relation.dom.factors, ()):
                     rel = compose(e1.relation, e2.relation)
-                    word = f"({e1.word}) ; ({e2.word})"
-                    offer(pool, rel, word, length)
+                    key = rel.key
+                    if key not in pool and key not in items:
+                        pool[key] = (rel, ";", e1, e2)
             # tensor: any pair whose product stays within the cap
             for e1 in left:
                 r1 = e1.relation
@@ -279,9 +269,10 @@ def generate_closure(
                     ):
                         continue
                     rel = tensor(r1, r2)
-                    word = f"({e1.word}) x ({e2.word})"
-                    offer(pool, rel, word, length)
-        added = insert_batch(pool)
+                    key = rel.key
+                    if key not in pool and key not in items:
+                        pool[key] = (rel, "x", e1, e2)
+        added = insert_batch(pool, length)
         if added < 0:
             overflow = True
             added = -added - 1
@@ -410,31 +401,42 @@ def store_to_json_str(store: MorphismStore) -> str:
 
 @_collector_paused()
 def store_from_json(data: Mapping) -> MorphismStore:
+    if not isinstance(data, dict):
+        raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
     found = data.get("format")
     if found != STORE_FORMAT:
         raise ValueError(
             f"unsupported store format {found!r}; expected {STORE_FORMAT!r}"
         )
-    cfg = data["config"]
-    config = ClosureConfig(
-        max_arity=cfg["max_arity"],
-        max_morphisms=cfg["max_morphisms"],
-        max_rounds=cfg["max_rounds"],
-    )
-    symbols = {
-        name: relation_from_json(rec) for name, rec in data["symbols"].items()
-    }
-    store = MorphismStore(
-        config=config,
-        symbols=symbols,
-        fixpoint=bool(data["fixpoint"]),
-        rounds_run=int(data["rounds_run"]),
-        growth=[(r, n) for r, n in data.get("growth", [])],
-    )
-    for rec in data["morphisms"]:
-        rel = relation_from_json(rec)
-        store.items[rel.key] = StoredMorphism(rel, rec["word"], int(rec["length"]))
+    try:
+        cfg = data["config"]
+        config = ClosureConfig(
+            max_arity=cfg["max_arity"],
+            max_morphisms=cfg["max_morphisms"],
+            max_rounds=cfg["max_rounds"],
+        )
+        symbols = {
+            name: relation_from_json(rec) for name, rec in data["symbols"].items()
+        }
+        store = MorphismStore(
+            config=config,
+            symbols=symbols,
+            fixpoint=bool(data["fixpoint"]),
+            rounds_run=int(data["rounds_run"]),
+            growth=[(r, n) for r, n in data.get("growth", [])],
+        )
+        for rec in data["morphisms"]:
+            rel = relation_from_json(rec)
+            store.items[rel.key] = StoredMorphism(rel, rec["word"], int(rec["length"]))
+    except KeyError as exc:
+        raise ValueError(f"store file lacks the field {exc.args[0]!r}") from None
     return store
+
+
+def load_store(path) -> MorphismStore:
+    """Read, parse and build the store file at `path` under one collector pause."""
+    with _collector_paused(), open(path) as fh:
+        return store_from_json(json.load(fh))
 
 
 def evaluate_word(store: MorphismStore, word: str) -> Relation:

@@ -36,6 +36,7 @@ __all__ = [
     "bell_basis",
     "PhaseGroup",
     "phase_unitaries",
+    "phase_pool",
     "BranchSearchResult",
     "find_branch_unitaries",
     "Branch",
@@ -103,21 +104,38 @@ def phase_unitaries(b: BasisStructure) -> PhaseGroup:
     for psi in report.unbiased:
         u = lambda_map(b, psi)
         phases[u.key] = u
-    closed = dict(phases)
+    return PhaseGroup(
+        tuple(phases[k] for k in sorted(phases)),
+        _composition_closure(phases.values()),
+    )
+
+
+def phase_pool(*structures: BasisStructure) -> tuple[Relation, ...]:
+    """The phase unitaries of all the structures, closed under composition."""
+    return _composition_closure(
+        u for b in structures for u in phase_unitaries(b).closed
+    )
+
+
+def _composition_closure(gens) -> tuple[Relation, ...]:
+    """Every composite of `gens`, in canonical order.
+
+    Each composite is some generator after a shorter one, so new members
+    need composing only with the generators.
+    """
+    gens = {u.key: u for u in gens}
+    closed = dict(gens)
     frontier = list(closed.values())
     while frontier:
         fresh = []
         for u in frontier:
-            for v in list(closed.values()):
-                for w in (compose(u, v), compose(v, u)):
-                    if w.key not in closed:
-                        closed[w.key] = w
-                        fresh.append(w)
+            for g in gens.values():
+                w = compose(g, u)
+                if w.key not in closed:
+                    closed[w.key] = w
+                    fresh.append(w)
         frontier = fresh
-    return PhaseGroup(
-        tuple(phases[k] for k in sorted(phases)),
-        tuple(closed[k] for k in sorted(closed)),
-    )
+    return tuple(closed[k] for k in sorted(closed))
 
 
 def all_unitary_permutations(obj: FinObject) -> tuple[Relation, ...]:

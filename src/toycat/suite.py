@@ -48,6 +48,7 @@ from .protocols import (
     check_teleportation,
     find_branch_unitaries,
     measurement_projector,
+    phase_pool,
     phase_unitaries,
 )
 from .relcore import (
@@ -458,21 +459,10 @@ def spek_checks(
     ))
 
     def teleport_iv():
-        pool: dict = {}
-        for ob in (Z, X):
-            for u in phase_unitaries(ob.representative).closed:
-                pool[u.key] = u
-        changed = True
-        while changed:
-            changed = False
-            for u in list(pool.values()):
-                for v in list(pool.values()):
-                    w = compose(u, v)
-                    if w.key not in pool:
-                        pool[w.key] = w
-                        changed = True
         eta_iv = basis_eta(Z.representative)
-        found = find_branch_unitaries(eta_iv, list(pool.values()))
+        found = find_branch_unitaries(
+            eta_iv, phase_pool(Z.representative, X.representative)
+        )
         if not found.ok:
             return False, "no branch system found"
         names = sorted(M.perm_name(u) for u in found.unitaries)

@@ -196,3 +196,51 @@ def lagrangian_defect_oracle(rel: Relation) -> str | None:
     if any(_omega(u, v) for u in diffs for v in diffs):
         return f"affine subspace of dimension {n} on {n} systems is not isotropic"
     return None
+
+
+# -- the closure, round by round -----------------------------------------------
+#
+# A member is (dom factors, cod factors, frozenset of flat (j, i) pairs).
+# Round 1 holds the symbols and their converses; round L holds every
+# composite and product of two members whose lengths sum to L, and the
+# converse of each, that no earlier round holds. Every pair is visited: no
+# index narrows the scan.
+
+def closure_member(rel: Relation) -> tuple:
+    return (rel.dom.factors, rel.cod.factors, frozenset(rel.pairs))
+
+
+def _converse(m: tuple) -> tuple:
+    dom, cod, pairs = m
+    return (cod, dom, frozenset((i, j) for j, i in pairs))
+
+
+def _after(g: tuple, f: tuple) -> tuple:
+    return (f[0], g[1], frozenset((a, c) for a, b in f[2] for b2, c in g[2] if b == b2))
+
+
+def _product(f: tuple, g: tuple) -> tuple:
+    nd = FinObject(*g[0]).cardinality
+    nc = FinObject(*g[1]).cardinality
+    pairs = frozenset((a * nd + c, b * nc + d) for a, b in f[2] for c, d in g[2])
+    return (f[0] + g[0], f[1] + g[1], pairs)
+
+
+def closure_rounds_oracle(symbols: dict[str, Relation], cap: int, rounds: int) -> list[set]:
+    """The members first reached in each of rounds 1..rounds."""
+    first = {closure_member(rel) for rel in symbols.values()}
+    out = [first | {_converse(m) for m in first}]
+    seen = set(out[0])
+    for length in range(2, rounds + 1):
+        found = set()
+        for la in range(1, length):
+            for f in out[la - 1]:
+                for g in out[length - la - 1]:
+                    if f[0] == g[1]:
+                        found.add(_after(f, g))
+                    if len(f[0]) + len(g[0]) <= cap and len(f[1]) + len(g[1]) <= cap:
+                        found.add(_product(f, g))
+        found |= {_converse(m) for m in found}
+        out.append(found - seen)
+        seen |= found
+    return out

@@ -426,22 +426,18 @@ def test_criterion_10_closure_determinism():
     perms, _, eps_z = spek_generators()
     reduced = {perm_name(p): p for p in perms if perm_name(p) != "id_IV"}
     reduced["eps_Z"] = eps_z
-    fix_blobs = {
-        w: store_to_json_str(
-            generate_closure(reduced, ClosureConfig(max_arity=1), workers=w)
-        )
-        for w in (1, 2)
-    }
-    bounded_blobs = {
-        w: store_to_json_str(
+    fix_blobs = [
+        store_to_json_str(generate_closure(reduced, ClosureConfig(max_arity=1)))
+        for _ in range(2)
+    ]
+    bounded_blobs = [
+        store_to_json_str(
             generate_closure(
-                spek_generator_symbols(),
-                ClosureConfig(max_arity=3, max_rounds=3),
-                workers=w,
+                spek_generator_symbols(), ClosureConfig(max_arity=3, max_rounds=3)
             )
         )
-        for w in (1, 3)
-    }
-    ok = fix_blobs[1] == fix_blobs[2] and bounded_blobs[1] == bounded_blobs[3]
-    report("10", ok, "stores are byte-identical across worker counts (fixpoint and bounded)")
+        for _ in range(2)
+    ]
+    ok = fix_blobs[0] == fix_blobs[1] and bounded_blobs[0] == bounded_blobs[1]
+    report("10", ok, "two builds write byte-identical stores (fixpoint and bounded)")
     assert ok

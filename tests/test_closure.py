@@ -11,6 +11,7 @@ from toycat.closure import (
     contains,
     evaluate_word,
     generate_closure,
+    load_store,
     state_census,
     store_from_json,
     store_to_json,
@@ -31,6 +32,9 @@ from toycat.relcore import (
     tensor,
 )
 from toycat.suite import spek_generator_symbols
+from toycat.terms import Atom, Compose, Dagger, parse_term
+
+from oracle import closure_member, closure_rounds_oracle
 
 
 @pytest.fixture(scope="module")
@@ -165,14 +169,12 @@ def test_morphism_cap_flags_non_fixpoint(arity1_gens):
 
 # -- determinism -------------------------------------------------------------------------
 
-def test_worker_counts_produce_byte_identical_stores(arity1_gens):
-    blobs = {
-        workers: store_to_json_str(
-            generate_closure(arity1_gens, ClosureConfig(max_arity=1), workers=workers)
-        )
-        for workers in (1, 2, 5)
-    }
-    assert blobs[1] == blobs[2] == blobs[5]
+def test_two_builds_produce_byte_identical_stores(arity1_gens):
+    a, b = (
+        store_to_json_str(generate_closure(arity1_gens, ClosureConfig(max_arity=1)))
+        for _ in range(2)
+    )
+    assert a == b
 
 
 def test_two_runs_identical(qubit_gens):
@@ -201,23 +203,56 @@ def test_spek_bounded_contains_eta_and_cross(spek_bounded):
     assert contains(spek_bounded, compose(x0, dagger(z0))).status == "yes"
 
 
-def test_delta_oplus_not_found_at_caps_2_and_3(spek_bounded):
+@pytest.fixture(scope="module")
+def spek_cap2_r3():
+    return generate_closure(
+        spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=3)
+    )
+
+
+def test_delta_oplus_not_found_at_caps_2_and_3(spek_bounded, spek_cap2_r3):
     d_oplus = Relation.from_pairs(IV, IV * IV, [(i, i * 4 + i) for i in range(4)])
     assert contains(spek_bounded, d_oplus).status != "yes"
-    cap2 = generate_closure(
-        spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=3)
-    )
-    assert contains(cap2, d_oplus).status != "yes"
+    assert contains(spek_cap2_r3, d_oplus).status != "yes"
 
 
-def test_bounded_monotonicity_cap2_within_cap3(spek_bounded):
-    cap2 = generate_closure(
-        spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=3)
-    )
+def test_bounded_monotonicity_cap2_within_cap3(spek_bounded, spek_cap2_r3):
     restricted = {
         k for k in spek_bounded.items if len(k[0]) <= 2 and len(k[1]) <= 2
     }
-    assert set(cap2.items) <= restricted
+    assert set(spek_cap2_r3.items) <= restricted
+
+
+# -- the rounds against a reference closure ------------------------------------------------
+
+@pytest.mark.parametrize("fixture", ["arity1_store", "qubit_store", "spek_cap2_r3"])
+def test_rounds_match_the_reference_closure(fixture, request):
+    store = request.getfixturevalue(fixture)
+    reference = closure_rounds_oracle(
+        store.symbols, store.config.max_arity, store.rounds_run
+    )
+    rounds = [set() for _ in reference]
+    for entry in store.items.values():
+        rounds[entry.length - 1].add(closure_member(entry.relation))
+    assert rounds == reference
+    assert [n for _, n in store.growth] == [len(r) for r in reference]
+
+
+def _atoms(term) -> int:
+    if isinstance(term, Atom):
+        return 1
+    if isinstance(term, Dagger):
+        return _atoms(term.arg)
+    if isinstance(term, Compose):
+        return _atoms(term.outer) + _atoms(term.inner)
+    return _atoms(term.left) + _atoms(term.right)
+
+
+def test_bounded_store_is_converse_closed_and_lengths_count_atoms(spek_cap2_r3):
+    for entry in spek_cap2_r3.items.values():
+        converse = spek_cap2_r3.get(dagger(entry.relation))
+        assert converse is not None and converse.length == entry.length
+        assert _atoms(parse_term(entry.word)) == entry.length, entry.word
 
 
 def test_bell_map_expands_two_system_unitaries_to_11520():
@@ -292,9 +327,12 @@ def test_store_from_json_rejects_version_1(arity1_store):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_store_io_leaves_the_collector_as_it_found_it(arity1_store, enabled):
+def test_store_io_leaves_the_collector_as_it_found_it(arity1_store, enabled, tmp_path):
     bad = store_to_json(arity1_store)
     bad["format"] = "toycat-store/1"
+    good_path, bad_path = tmp_path / "good.json", tmp_path / "bad.json"
+    good_path.write_text(store_to_json_str(arity1_store))
+    bad_path.write_text(json.dumps(bad))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -302,6 +340,11 @@ def test_store_io_leaves_the_collector_as_it_found_it(arity1_store, enabled):
         assert gc.isenabled() is enabled
         with pytest.raises(ValueError):
             store_from_json(bad)
+        assert gc.isenabled() is enabled
+        assert len(load_store(good_path)) == len(arity1_store)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            load_store(bad_path)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -286,6 +286,29 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda blob: [], "JSON object, not list"),
+        (lambda blob: {k: v for k, v in blob.items() if k != "config"}, "lacks the field 'config'"),
+    ],
+    ids=["list", "no-config"],
+)
+def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    store_path.write_text(json.dumps(mangle(json.loads(store_path.read_text()))))
+    code, out, err = run_cli(
+        capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
+    )
+    assert code == 2 and out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_cli_suite_negative_control_with_injected_diagonal(tmp_path, capsys):
     # a store seeded with the diagonal copy map must fail the exclusion check
     import toycat.models as M
