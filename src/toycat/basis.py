@@ -5,9 +5,11 @@ A basis structure on an object A is a cocommutative comonoid
 the Frobenius identity. Verification evaluates each law by explicit
 matrix composition and reports the least violating entry on failure.
 
-Complementarity of two structures on the same object is checked both by
-point classification (each one's classical points unbiased for the other,
-counit daggers classical crosswise) and by the Hopf-style algebraic laws
+Each structure classifies the nonempty states of its object once, on first
+use, and keeps the result as `points` (classical / unbiased / other).
+Complementarity of two structures on the same object is checked both from
+those classes (each one's classical points unbiased for the other, counit
+daggers classical crosswise) and by the Hopf-style algebraic laws
 (bialgebra plus trivial antipode, in both orientations). In this model
 the scalar monoid has only the empty and identity scalars and conjunction
 is idempotent, so the "scaled" versions of the Hopf laws collapse to
@@ -33,7 +35,6 @@ from .relcore import (
     is_unitary,
     least_diff_cell,
     scalar_identity,
-    snake_holds,
     swap,
     tensor,
 )
@@ -55,7 +56,6 @@ __all__ = [
     "check_complementary",
     "check_hopf",
     "eta",
-    "snake_check",
     "all_states",
 ]
 
@@ -147,6 +147,26 @@ class BasisStructure:
     def all_laws_hold(self) -> bool:
         return all(r.holds for r in self.verified)
 
+    @cached_property
+    def points(self) -> PointReport:
+        """Every nonempty state of the object, classified exhaustively."""
+        classical: list[Relation] = []
+        unbiased: list[Relation] = []
+        other: list[Relation] = []
+        overlap: list[Relation] = []
+        for psi in all_states(self.obj):
+            c = is_classical(self, psi)
+            u = is_unbiased(self, psi)
+            if c and u:
+                overlap.append(psi)
+            if c:
+                classical.append(psi)
+            elif u:
+                unbiased.append(psi)
+            else:
+                other.append(psi)
+        return PointReport(tuple(classical), tuple(unbiased), tuple(other), tuple(overlap))
+
     def __repr__(self) -> str:
         label = self.name or "BasisStructure"
         return f"<{label} on {self.obj}>"
@@ -218,29 +238,14 @@ class PointReport:
 
 
 def enumerate_points(b: BasisStructure, max_elements: int = POINT_ENUMERATION_CAP) -> PointReport:
-    """Classify every nonempty state of the object, exhaustively."""
+    """The point classes of `b`, refusing objects above the enumeration cap."""
     n = b.obj.cardinality
     if n > max_elements:
         raise EnumerationCapExceeded(
             f"object has {n} elements; enumeration is capped at {max_elements} "
             f"(2^{max_elements} - 1 states); pass max_elements explicitly to override"
         )
-    classical: list[Relation] = []
-    unbiased: list[Relation] = []
-    other: list[Relation] = []
-    overlap: list[Relation] = []
-    for psi in all_states(b.obj):
-        c = is_classical(b, psi)
-        u = is_unbiased(b, psi)
-        if c and u:
-            overlap.append(psi)
-        if c:
-            classical.append(psi)
-        elif u:
-            unbiased.append(psi)
-        else:
-            other.append(psi)
-    return PointReport(tuple(classical), tuple(unbiased), tuple(other), tuple(overlap))
+    return b.points
 
 
 @dataclass(frozen=True)
@@ -264,28 +269,29 @@ class ComplementarityReport:
         }
 
 
+def _first_biased_classical(a: BasisStructure, b: BasisStructure) -> Relation | None:
+    """The first classical point of `a` that is not unbiased for `b`, if any."""
+    unbiased = set(b.points.unbiased) | set(b.points.overlap)
+    return next((phi for phi in a.points.classical if phi not in unbiased), None)
+
+
 def check_complementary(a: BasisStructure, b: BasisStructure) -> ComplementarityReport:
-    """Definitional complementarity, by exhaustive point enumeration."""
+    """Definitional complementarity, from both structures' point classes.
+
+    The witness violates the first failing bullet: the first classical
+    point of one structure that is biased for the other, else a counit
+    dagger that is not classical for the other structure.
+    """
     if a.obj != b.obj:
         raise ShapeMismatchError(f"structures live on {a.obj} and {b.obj}")
-    witness: Relation | None = None
-
-    ab = True
-    for phi in all_states(a.obj):
-        if is_classical(a, phi) and not is_unbiased(b, phi):
-            ab = False
-            witness = witness or phi
-            break
-    ba = True
-    for phi in all_states(a.obj):
-        if is_classical(b, phi) and not is_unbiased(a, phi):
-            ba = False
-            witness = witness or phi
-            break
-    counits = is_classical(b, dagger(a.epsilon)) and is_classical(a, dagger(b.epsilon))
-    if not counits and witness is None:
-        witness = dagger(a.epsilon) if not is_classical(b, dagger(a.epsilon)) else dagger(b.epsilon)
-    return ComplementarityReport(ab and ba and counits, ab, ba, counits, witness)
+    ab = _first_biased_classical(a, b)
+    ba = _first_biased_classical(b, a)
+    ua, ub = dagger(a.epsilon), dagger(b.epsilon)
+    counit = next((u for u, s in ((ua, b), (ub, a)) if not is_classical(s, u)), None)
+    witness = next((w for w in (ab, ba, counit) if w is not None), None)
+    return ComplementarityReport(
+        witness is None, ab is None, ba is None, counit is None, witness
+    )
 
 
 @dataclass(frozen=True)
@@ -341,7 +347,3 @@ def eta(b: BasisStructure) -> Relation:
         )
     return compose(b.delta, dagger(b.epsilon))
 
-
-def snake_check(eta_rel: Relation) -> bool:
-    """Both compact-closure snake equations for a candidate cup I -> A x A."""
-    return snake_holds(eta_rel)

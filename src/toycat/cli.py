@@ -30,6 +30,7 @@ from .closure import (
     load_store,
     state_census,
     store_to_json,
+    store_to_json_str,
 )
 from .protocols import (
     all_unitary_permutations,
@@ -83,11 +84,8 @@ def _structure(model: M.Model, label: str):
 
 
 def _state_names(model: M.Model, rels) -> list[str]:
-    names = []
-    lookup = {rel.pairs: name for name, rel in model.states.items()}
-    for r in rels:
-        names.append(lookup.get(r.pairs) or format_relation(r))
-    return sorted(names)
+    lookup = {rel: name for name, rel in model.states.items()}
+    return sorted(lookup.get(r) or format_relation(r) for r in rels)
 
 
 def cmd_verify(args) -> int:
@@ -164,10 +162,9 @@ def cmd_close(args) -> int:
         max_rounds=args.max_rounds,
     )
     store = generate_closure(gens, config)
-    blob = store_to_json(store)
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(blob, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(store_to_json_str(store))
         summary = {
             "out": args.out,
             "morphisms": len(store),
@@ -176,7 +173,7 @@ def cmd_close(args) -> int:
         }
         _emit(summary, None, False)
     else:
-        _emit(blob, None, False)
+        _emit(store_to_json(store), None, False)
     return EXIT_OK
 
 
@@ -241,21 +238,12 @@ def _parse_object(spec: str) -> FinObject:
 def _protocol_pool(model: M.Model, which: str):
     if which == "perms":
         return list(all_unitary_permutations(model.obj))
-    if model.name == "spek":
-        bx = model.observables["X"].representative
-        bz = model.observables["Z"].representative
-    else:
-        bx, bz = model.structures["X"], model.structures["Z"]
-    return phase_pool(bz, bx)
+    return phase_pool(model.structures["Z"], model.structures["X"])
 
 
 def cmd_protocol(args) -> int:
     model = _model(args.model)
-    if model.name == "spek":
-        bz = model.observables["Z"].representative
-    else:
-        bz = model.structures["Z"]
-    eta = basis_eta(bz)
+    eta = basis_eta(model.structures["Z"])
     pool = _protocol_pool(model, args.pool)
     found = find_branch_unitaries(eta, pool)
     if not found.ok:
@@ -390,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["teleport", "densecode"])
     p.add_argument("--model", default="spek")
     p.add_argument("--pool", choices=["phases", "perms"], default="phases")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p = add("eval", cmd_eval, help="evaluate a term against a model")
     p.add_argument("term")

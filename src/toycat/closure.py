@@ -178,6 +178,14 @@ def _seed_symbols(
     return symbols
 
 
+def _is_identifier(name: str) -> bool:
+    """True iff `name` parses as a single atom of the term language."""
+    try:
+        return terms.parse_term(name) == terms.Atom(name)
+    except terms.TermSyntaxError:
+        return False
+
+
 def generate_closure(
     generators: Mapping[str, Relation],
     config: ClosureConfig = ClosureConfig(),
@@ -185,6 +193,11 @@ def generate_closure(
     """Saturate the generators under compose, tensor, and dagger."""
     cap = config.max_arity
     for name, rel in generators.items():
+        if not _is_identifier(name):
+            raise ValueError(
+                f"generator name {name!r} is not a term identifier, "
+                "so words over it could not be re-evaluated"
+            )
         if rel.dom.arity > cap or rel.cod.arity > cap:
             raise GeneratorOutsideCapError(
                 f"generator {name!r} has shape {rel.dom} -> {rel.cod}, "
@@ -399,6 +412,16 @@ def store_to_json_str(store: MorphismStore) -> str:
     return json.dumps(store_to_json(store), sort_keys=True, separators=(",", ":"))
 
 
+def _typed(data: Mapping, name: str, kind):
+    """`data[name]`, or a ValueError naming the field when it has the wrong type."""
+    value = data[name]
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"store file field {name!r} has the wrong type {type(value).__name__}"
+        )
+    return value
+
+
 @_collector_paused()
 def store_from_json(data: Mapping) -> MorphismStore:
     if not isinstance(data, dict):
@@ -409,25 +432,28 @@ def store_from_json(data: Mapping) -> MorphismStore:
             f"unsupported store format {found!r}; expected {STORE_FORMAT!r}"
         )
     try:
-        cfg = data["config"]
+        cfg = _typed(data, "config", dict)
         config = ClosureConfig(
-            max_arity=cfg["max_arity"],
-            max_morphisms=cfg["max_morphisms"],
-            max_rounds=cfg["max_rounds"],
+            max_arity=_typed(cfg, "max_arity", int),
+            max_morphisms=_typed(cfg, "max_morphisms", int),
+            max_rounds=_typed(cfg, "max_rounds", (int, type(None))),
         )
         symbols = {
-            name: relation_from_json(rec) for name, rec in data["symbols"].items()
+            name: relation_from_json(rec)
+            for name, rec in _typed(data, "symbols", dict).items()
         }
         store = MorphismStore(
             config=config,
             symbols=symbols,
-            fixpoint=bool(data["fixpoint"]),
-            rounds_run=int(data["rounds_run"]),
+            fixpoint=_typed(data, "fixpoint", bool),
+            rounds_run=_typed(data, "rounds_run", int),
             growth=[(r, n) for r, n in data.get("growth", [])],
         )
-        for rec in data["morphisms"]:
+        for rec in _typed(data, "morphisms", list):
             rel = relation_from_json(rec)
-            store.items[rel.key] = StoredMorphism(rel, rec["word"], int(rec["length"]))
+            store.items[rel.key] = StoredMorphism(
+                rel, _typed(rec, "word", str), _typed(rec, "length", int)
+            )
     except KeyError as exc:
         raise ValueError(f"store file lacks the field {exc.args[0]!r}") from None
     return store

@@ -9,6 +9,11 @@ dagger of its unitary, the correction undoes it exactly, the effects are
 pairwise disjoint, and together they cover every outcome. Dense coding
 composes the same ingredients the other way around and demands an exact
 identity pattern in the resulting scalar table.
+
+All three checks start from one helper that checks the snake equations of
+the cup and returns the identity on its object A. A branch's support, the
+subset of A x A its shifted cup reaches, is the single row of that state's
+dagger, so disjointness and coverage are bit arithmetic on those masks.
 """
 
 from __future__ import annotations
@@ -158,6 +163,13 @@ class BranchSearchResult:
         return self.unitaries is not None
 
 
+def _cup_identity(eta: Relation) -> Relation:
+    """The identity on A for a cup I -> A x A that satisfies the snake equations."""
+    if not snake_holds(eta):
+        raise ValueError("eta does not satisfy the snake equations")
+    return identity(FinObject(*eta.cod.factors[: len(eta.cod.factors) // 2]))
+
+
 def find_branch_unitaries(eta: Relation, pool: tuple[Relation, ...] | list[Relation]) -> BranchSearchResult:
     """Smallest pool subset whose shifted cups tile A x A.
 
@@ -166,24 +178,15 @@ def find_branch_unitaries(eta: Relation, pool: tuple[Relation, ...] | list[Relat
     deterministic; on failure the result reports how much of A x A the
     whole pool can cover.
     """
-    if not snake_holds(eta):
-        raise ValueError("eta does not satisfy the snake equations")
-    half = eta.cod.factors[: len(eta.cod.factors) // 2]
-    a = FinObject(*half)
+    ida = _cup_identity(eta)
     for u in pool:
         if not is_unitary(u):
             raise ValueError("pool contains a non-unitary relation")
     pool = sorted(pool, key=lambda r: r.key)
-    ida = identity(a)
-    supports = []
-    for u in pool:
-        mask = 0
-        for _, i in compose(tensor(u, ida), eta).pairs:
-            mask |= 1 << i
-        supports.append(mask)
+    supports = [dagger(compose(tensor(u, ida), eta)).rows[0] for u in pool]
     total = eta.cod.cardinality
     full = (1 << total) - 1
-    per_branch = len(eta.pairs)
+    per_branch = dagger(eta).rows[0].bit_count()
     min_size = -(-total // per_branch) if per_branch else 1
     max_size = total // per_branch if per_branch else 0
     for size in range(min_size, max_size + 1):
@@ -253,31 +256,19 @@ def check_teleportation(
     eta: Relation, unitaries: tuple[Relation, ...] | list[Relation]
 ) -> TeleportationCertificate:
     """Build and validate every measurement branch of the protocol."""
-    if not snake_holds(eta):
-        raise ValueError("eta does not satisfy the snake equations")
-    half = eta.cod.factors[: len(eta.cod.factors) // 2]
-    a = FinObject(*half)
-    ida = identity(a)
+    ida = _cup_identity(eta)
     branches = []
-    masks = []
+    union = 0
+    support_total = 0
     for u in unitaries:
         state = compose(tensor(u, ida), eta)
         effect = dagger(state)
         branch_map = compose(tensor(effect, ida), tensor(ida, eta))
         ok = branch_map == dagger(u) and compose(u, branch_map) == ida
         branches.append(Branch(u, state, effect, branch_map, u, ok))
-        mask = 0
-        for _, i in state.pairs:
-            mask |= 1 << i
-        masks.append(mask)
-    disjoint = True
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j]:
-                disjoint = False
-    union = 0
-    for m in masks:
-        union |= m
+        union |= effect.rows[0]
+        support_total += effect.rows[0].bit_count()
+    disjoint = union.bit_count() == support_total
     coverage_ok = union == (1 << eta.cod.cardinality) - 1
     return TeleportationCertificate(eta, tuple(branches), disjoint, coverage_ok)
 
@@ -295,10 +286,7 @@ def check_dense_coding(
     eta: Relation, unitaries: tuple[Relation, ...] | list[Relation]
 ) -> DenseCodingResult:
     """Decode table: effect_j o (U_i x 1) o eta must be the identity pattern."""
-    if not snake_holds(eta):
-        raise ValueError("eta does not satisfy the snake equations")
-    half = eta.cod.factors[: len(eta.cod.factors) // 2]
-    ida = identity(FinObject(*half))
+    ida = _cup_identity(eta)
     states = [compose(tensor(u, ida), eta) for u in unitaries]
     effects = [dagger(s) for s in states]
     table = []

@@ -27,7 +27,6 @@ __all__ = [
     "dagger",
     "identity",
     "swap",
-    "structural",
     "is_unitary",
     "transpose_star",
     "conjugate_star",
@@ -40,7 +39,6 @@ __all__ = [
     "relation_from_json",
     "element_labels",
     "format_relation",
-    "format_subset",
 ]
 
 
@@ -73,10 +71,6 @@ class FinObject:
         object.__setattr__(self, "factors", kept)
         object.__setattr__(self, "_card", card)
 
-    @classmethod
-    def from_factors(cls, factors: Iterable[int]) -> "FinObject":
-        return cls(*factors)
-
     @property
     def cardinality(self) -> int:
         return self._card
@@ -85,9 +79,6 @@ class FinObject:
     def arity(self) -> int:
         """Number of nontrivial factors (0 for the unit)."""
         return len(self.factors)
-
-    def tensor(self, other: "FinObject") -> "FinObject":
-        return _product(self.factors, other.factors)
 
     def __mul__(self, other: "FinObject") -> "FinObject":
         return _product(self.factors, other.factors)
@@ -170,13 +161,16 @@ class Relation:
     def from_pairs(
         cls, dom: FinObject, cod: FinObject, pairs: Iterable[tuple[int, int]]
     ) -> "Relation":
-        """Build from (domain index, codomain index) pairs, 0-indexed and flat."""
+        """Build from (domain index, codomain index) pairs, 0-indexed and flat.
+
+        Every pair is range-checked, so the rows need no second validation.
+        """
         rows = [0] * cod.cardinality
         for j, i in pairs:
             if not (0 <= j < dom.cardinality and 0 <= i < cod.cardinality):
                 raise ValueError(f"pair ({j},{i}) out of range for {dom} -> {cod}")
             rows[i] |= 1 << j
-        return cls(dom, cod, tuple(rows))
+        return cls._raw(dom, cod, tuple(rows))
 
     @classmethod
     def empty(cls, dom: FinObject, cod: FinObject) -> "Relation":
@@ -210,10 +204,6 @@ class Relation:
 
     def related(self, j: int, i: int) -> bool:
         return bool(self.rows[i] >> j & 1)
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.rows)
 
     def __str__(self) -> str:
         return format_relation(self)
@@ -287,11 +277,6 @@ def swap(a: FinObject, b: FinObject) -> Relation:
         for x in range(aw):
             rows.append(1 << (x * bw + y))
     return Relation._raw(a * b, b * a, tuple(rows))
-
-
-def structural(a: FinObject, b: FinObject) -> tuple[Relation, Relation]:
-    """The structural morphisms for a pair of objects: (identity on a, swap a,b)."""
-    return identity(a), swap(a, b)
 
 
 def is_unitary(f: Relation) -> bool:
@@ -387,22 +372,9 @@ def relation_from_json(data: Mapping) -> Relation:
         raw = [(int(j), int(i)) for j, i in data["pairs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed relation record: {exc}") from exc
-    if raw != sorted(set(raw)):
+    if any(p >= q for p, q in zip(raw, raw[1:])):
         raise ValueError("relation pairs must be sorted and duplicate-free")
-    rel = Relation.from_pairs(dom, cod, raw)
-    return rel
-
-
-def format_subset(obj: FinObject, mask: int) -> str:
-    """Render a bitmask over `obj` as an element set, e.g. {1,3}."""
-    labels = element_labels(obj)
-    members = []
-    m = mask
-    while m:
-        b = m & -m
-        members.append(labels[b.bit_length() - 1])
-        m ^= b
-    return "{" + ",".join(members) + "}"
+    return Relation.from_pairs(dom, cod, raw)
 
 
 def format_relation(f: Relation) -> str:

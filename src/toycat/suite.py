@@ -31,7 +31,6 @@ from .basis import (
     enumerate_points,
     eta as basis_eta,
     lambda_map,
-    snake_check,
 )
 from .closure import (
     ClosureConfig,
@@ -59,6 +58,7 @@ from .relcore import (
     identity,
     is_unitary,
     scalar_kind,
+    snake_holds,
     tensor,
 )
 from .terms import assert_equal, parse_term, signature_of
@@ -132,7 +132,7 @@ def closure_arity_default() -> int:
 def core_checks() -> list[CheckResult]:
     import random
 
-    from .relcore import snake_holds, structural, swap, transpose_star
+    from .relcore import swap, transpose_star
 
     res: list[CheckResult] = []
     rng = random.Random(31)
@@ -165,7 +165,7 @@ def core_checks() -> list[CheckResult]:
         "",
     ))
     _check(res, "core.structural.identity_scalar", lambda: (
-        structural(UNIT, UNIT)[0].pairs == ((0, 0),), ""
+        identity(UNIT).pairs == ((0, 0),), ""
     ))
     _check(res, "core.unitary.projector_is_not", lambda: (
         not is_unitary(
@@ -235,8 +235,8 @@ def qubit_checks() -> list[CheckResult]:
     def points_are(s, classical, unbiased):
         rep = enumerate_points(s)
         return (
-            set(r.pairs for r in rep.classical) == set(r.pairs for r in classical)
-            and set(r.pairs for r in rep.unbiased) == set(r.pairs for r in unbiased)
+            set(rep.classical) == set(classical)
+            and set(rep.unbiased) == set(unbiased)
             and not rep.overlap,
             f"{len(rep.classical)} classical, {len(rep.unbiased)} unbiased",
         )
@@ -259,7 +259,7 @@ def qubit_checks() -> list[CheckResult]:
     ))
 
     for label, s in (("Z", Z), ("X", X), ("X'", Xp)):
-        _check(res, f"qubit.snake.{label}", lambda s=s: (snake_check(basis_eta(s)), ""))
+        _check(res, f"qubit.snake.{label}", lambda s=s: (snake_holds(basis_eta(s)), ""))
     _check(res, "qubit.eta.values", lambda: (
         basis_eta(Z).pairs == ((0, 0), (0, 3)) and basis_eta(X).pairs == ((0, 0), (0, 3)), ""
     ))
@@ -281,8 +281,7 @@ def qubit_checks() -> list[CheckResult]:
     ))
 
     def teleport():
-        pool = {u.key: u for u in phase_unitaries(Z).closed + phase_unitaries(X).closed}
-        found = find_branch_unitaries(basis_eta(Z), list(pool.values()))
+        found = find_branch_unitaries(basis_eta(Z), phase_pool(Z, X))
         if not found.ok or len(found.unitaries) != 2:
             return False, f"branch search: {found}"
         cert = check_teleportation(basis_eta(Z), found.unitaries)
@@ -408,7 +407,7 @@ def spek_checks(
         "* ~ {(1,1),(2,2),(3,3),(4,4)}",
     ))
     _check(res, "spek.snake.all_members", lambda: (
-        all(snake_check(basis_eta(m)) for ob in obs.values() for m in ob.family), ""
+        all(snake_holds(basis_eta(m)) for ob in obs.values() for m in ob.family), ""
     ))
 
     def lambdas():

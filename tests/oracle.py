@@ -142,6 +142,63 @@ def basis_laws_oracle(delta: Relation, epsilon: Relation) -> dict[str, bool]:
     }
 
 
+# -- points and complementarity over pair sets ----------------------------------
+#
+# A state of A is the tuple of the elements it holds, and the states are
+# scanned in the order of those tuples. A structure is anything with
+# `delta` and `epsilon`; its laws are read through delta_pairs/eps_subset.
+
+def state_members(state: Relation) -> tuple[int, ...]:
+    return tuple(i for _, i in state.pairs)
+
+
+def nonempty_states(n: int) -> list[tuple[int, ...]]:
+    return sorted(
+        combo for k in range(1, n + 1) for combo in itertools.combinations(range(n), k)
+    )
+
+
+def classical_oracle(structure, members: tuple[int, ...]) -> bool:
+    """delta o phi = phi x phi and epsilon o phi = the identity scalar."""
+    d = delta_pairs(structure.delta)
+    copied = {bc for a, bc in d if a in members}
+    return copied == {(b, c) for b in members for c in members} and bool(
+        eps_subset(structure.epsilon) & set(members)
+    )
+
+
+def unbiased_oracle(structure, members: tuple[int, ...]) -> bool:
+    """delta-dagger o (psi x 1) is the graph of a bijection."""
+    n = structure.delta.dom.cardinality
+    d = delta_pairs(structure.delta)
+    graph = {(x, y) for y, (s, x) in d if s in members}
+    images = [{y for x2, y in graph if x2 == x} for x in range(n)]
+    return all(len(im) == 1 for im in images) and len({min(im) for im in images}) == n
+
+
+def complementarity_oracle(a, b) -> tuple:
+    """(holds, three bullets, witness members) of definitional complementarity.
+
+    The witness is the first state violating the first failing bullet:
+    a classical point of `a` biased for `b`, of `b` biased for `a`, then
+    a counit dagger that is not classical for the other structure.
+    """
+    states = nonempty_states(a.delta.dom.cardinality)
+    ab = [s for s in states if classical_oracle(a, s) and not unbiased_oracle(b, s)]
+    ba = [s for s in states if classical_oracle(b, s) and not unbiased_oracle(a, s)]
+    ua = tuple(sorted(eps_subset(a.epsilon)))
+    ub = tuple(sorted(eps_subset(b.epsilon)))
+    counit = [u for u, other in ((ua, b), (ub, a)) if not classical_oracle(other, u)]
+    witnesses = ab[:1] + ba[:1] + counit[:1]
+    return (
+        not witnesses,
+        not ab,
+        not ba,
+        not counit,
+        witnesses[0] if witnesses else None,
+    )
+
+
 # -- affine Lagrangian membership by brute force -------------------------------
 #
 # An element e of IV is the coordinate pair (e >> 1, e & 1) over F2; a pair

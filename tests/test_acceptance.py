@@ -25,7 +25,6 @@ from toycat.basis import (
     check_hopf,
     enumerate_points,
     eta as basis_eta,
-    snake_check,
     verify_basis_structure,
 )
 from toycat.closure import (
@@ -59,6 +58,7 @@ from toycat.relcore import (
     compose,
     dagger,
     identity,
+    snake_holds,
 )
 from toycat.suite import spek_generator_symbols
 from toycat.symplectic import (
@@ -368,7 +368,7 @@ def test_criterion_08_snake_equations(qubit, spek_model):
         m for ob in spek_model.observables.values() for m in ob.family
     ]
     for s in structures:
-        assert snake_check(basis_eta(s)), s.name
+        assert snake_holds(basis_eta(s)), s.name
     report("8", True, f"snake equations hold for eta of all {len(structures)} structures")
 
 

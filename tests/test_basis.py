@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from toycat.basis import (
     BasisStructure,
+    all_states,
     EnumerationCapExceeded,
     check_complementary,
     check_hopf,
@@ -10,7 +13,6 @@ from toycat.basis import (
     lambda_map,
     is_classical,
     is_unbiased,
-    snake_check,
     verify_basis_structure,
 )
 from toycat.models import (
@@ -30,10 +32,19 @@ from toycat.relcore import (
     compose,
     dagger,
     identity,
+    snake_holds,
     tensor,
 )
 
-from oracle import all_relations, basis_laws_oracle
+from oracle import (
+    all_relations,
+    basis_laws_oracle,
+    classical_oracle,
+    complementarity_oracle,
+    random_relation,
+    state_members,
+    unbiased_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +55,15 @@ def qubit():
 @pytest.fixture(scope="module")
 def spek_model():
     return spek()
+
+
+@pytest.fixture(scope="module")
+def structure_groups(qubit, spek_model):
+    """Structures sharing an object: the qubit's three, Spek's twelve family members."""
+    return [
+        list(qubit.structures.values()),
+        [m for ob in spek_model.observables.values() for m in ob.family],
+    ]
 
 
 # -- law verification -----------------------------------------------------------
@@ -130,6 +150,23 @@ def test_point_report_partitions_and_no_overlap(qubit):
     assert not rep.overlap
 
 
+def test_points_partition_all_states_as_the_oracle_classifies(structure_groups):
+    for s in (s for group in structure_groups for s in group):
+        rep = s.points
+        states = list(all_states(s.obj))
+        assert enumerate_points(s) is rep
+        assert sorted(rep.classical + rep.unbiased + rep.other, key=states.index) == states
+        assert set(rep.overlap) <= set(rep.classical)
+        for part in (rep.classical, rep.unbiased, rep.other):
+            assert list(part) == [psi for psi in states if psi in part]
+        for psi in states:
+            c = classical_oracle(s, state_members(psi))
+            u = unbiased_oracle(s, state_members(psi))
+            assert (psi in rep.classical, psi in rep.unbiased, psi in rep.overlap) == (
+                c, u and not c, c and u
+            ), (s.name, psi)
+
+
 def test_enumeration_cap():
     big = FinObject(32)
     s = BasisStructure(
@@ -143,6 +180,58 @@ def test_enumeration_cap():
 
 
 # -- complementarity ----------------------------------------------------------------
+
+def test_complementarity_matches_the_pair_set_oracle(structure_groups):
+    outcomes = []
+    for group in structure_groups:
+        for a in group:
+            for b in group:
+                rep = check_complementary(a, b)
+                got = (
+                    rep.holds,
+                    rep.classical_a_unbiased_b,
+                    rep.classical_b_unbiased_a,
+                    rep.counit_daggers_classical,
+                    None if rep.witness is None else state_members(rep.witness),
+                )
+                assert got == complementarity_oracle(a, b), (a.name, b.name)
+                outcomes.append(got[:4])
+    assert len(outcomes) == 153
+    # pairs that hold, fail on a classical point, and fail on the counits only
+    assert {(True,) * 4, (False, True, True, False)} <= set(outcomes)
+    assert any(not o[1] for o in outcomes)
+
+
+def test_complementarity_matches_the_oracle_on_random_structures():
+    # lawless structures reach what the models never do: a classical point
+    # of one structure that is both classical and unbiased for the other,
+    # and both first bullets failing
+    rng = random.Random(5)
+    shared = two_sided = 0
+    for size in (2, 3):
+        obj = FinObject(size)
+        for _ in range(300):
+            a, b = (
+                BasisStructure(
+                    obj,
+                    random_relation(rng, obj, obj * obj, 0.2),
+                    random_relation(rng, obj, UNIT, 0.8),
+                )
+                for _ in range(2)
+            )
+            rep = check_complementary(a, b)
+            expected = complementarity_oracle(a, b)
+            assert (
+                rep.holds,
+                rep.classical_a_unbiased_b,
+                rep.classical_b_unbiased_a,
+                rep.counit_daggers_classical,
+                None if rep.witness is None else state_members(rep.witness),
+            ) == expected
+            shared += bool(set(a.points.classical) & set(b.points.overlap))
+            two_sided += not expected[1] and not expected[2]
+    assert shared and two_sided
+
 
 def test_qubit_ZX_complementary_both_senses(qubit):
     Z, X = qubit.structures["Z"], qubit.structures["X"]
@@ -224,12 +313,12 @@ def test_eta_snake_for_every_verified_structure(qubit, spek_model):
         m for ob in spek_model.observables.values() for m in ob.family
     ]
     for s in structures:
-        assert snake_check(eta(s))
+        assert snake_holds(eta(s))
 
 
 def test_snake_fails_for_separable_cup(spek_model):
     z0 = spek_model.states["z0"]
-    assert not snake_check(tensor(z0, z0))
+    assert not snake_holds(tensor(z0, z0))
 
 
 def test_eta_warns_on_unverified_structure():

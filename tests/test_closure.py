@@ -161,6 +161,14 @@ def test_generator_outside_cap_rejected():
         generate_closure({"delta_Z": delta_z, "eps_Z": eps_z}, ClosureConfig(max_arity=1))
 
 
+@pytest.mark.parametrize("name", ["not-gate", "x", "f^", "", "a b"])
+def test_generator_name_must_be_a_term_identifier(name):
+    _, delta_z, eps_z = spek_generators()
+    with pytest.raises(ValueError, match="not a term identifier") as err:
+        generate_closure({"delta_Z": delta_z, name: eps_z}, ClosureConfig(max_arity=2))
+    assert repr(name) in str(err.value)
+
+
 def test_morphism_cap_flags_non_fixpoint(arity1_gens):
     store = generate_closure(arity1_gens, ClosureConfig(max_arity=1, max_morphisms=40))
     assert not store.fixpoint

@@ -201,6 +201,18 @@ def test_teleportation_fails_without_coverage(s):
     assert not cert.coverage_ok
 
 
+def test_teleportation_fails_on_overlapping_branches(q, s):
+    eta_iv = basis_eta(s.observables["Z"].representative)
+    cert = check_teleportation(eta_iv, [identity(IV), s.symbols["sigma_12"]])
+    assert not cert.disjoint and not cert.valid
+    # overlap alone: every branch corrects and the supports cover II x II
+    cert = check_teleportation(
+        basis_eta(q.structures["Z"]), [identity(II), identity(II), q.symbols["sigma_01"]]
+    )
+    assert all(b.ok for b in cert.branches) and cert.coverage_ok
+    assert not cert.disjoint and not cert.valid
+
+
 def test_yanking_for_all_permutations(s):
     # (dagger((U x 1) o eta) x 1) o (1 x eta) = dagger(U) for every U
     Z = s.observables["Z"].representative

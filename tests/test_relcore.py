@@ -395,6 +395,16 @@ def test_json_rejects_unsorted_or_duplicate_pairs():
         relation_from_json({"dom": [4], "cod": [4], "pairs": [[0, 0], [0, 0]]})
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [[[4, 0]], [[0, 4]], [[0, 0], [1, 7]], [[-1, 0]], [[0, -1]]],
+    ids=["dom-high", "cod-high", "late-pair-high", "dom-negative", "cod-negative"],
+)
+def test_json_rejects_out_of_range_or_negative_pairs(pairs):
+    with pytest.raises(ValueError, match="out of range"):
+        relation_from_json({"dom": [4], "cod": [4], "pairs": pairs})
+
+
 def test_least_diff_cell_orders_by_row_then_col():
     a = rel(II, II, [(0, 0), (1, 1)])
     b = rel(II, II, [(1, 0), (1, 1)])

@@ -291,8 +291,15 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     [
         (lambda blob: [], "JSON object, not list"),
         (lambda blob: {k: v for k, v in blob.items() if k != "config"}, "lacks the field 'config'"),
+        (lambda blob: {**blob, "config": [1]}, "field 'config' has the wrong type list"),
+        (
+            lambda blob: {**blob, "morphisms": [{**blob["morphisms"][0], "word": 17}]},
+            "field 'word' has the wrong type int",
+        ),
+        # bool("false") is true: read loosely, this store would claim a fixpoint
+        (lambda blob: {**blob, "fixpoint": "false"}, "field 'fixpoint' has the wrong type str"),
     ],
-    ids=["list", "no-config"],
+    ids=["list", "no-config", "config-list", "word-int", "fixpoint-str"],
 )
 def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
     store_path = tmp_path / "store.json"
@@ -307,6 +314,31 @@ def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message)
     assert code == 2 and out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+def test_cli_close_rejects_a_generator_name_that_is_not_an_identifier(tmp_path, capsys):
+    gens = {
+        "generators": {
+            "not-gate": {"dom": [2], "cod": [2], "pairs": [[0, 1], [1, 0]]},
+        }
+    }
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    code, out, err = run_cli(capsys, "close", "--generators", str(path), "--max-arity", "1")
+    assert code == 2 and out == ""
+    assert "'not-gate'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_close_out_file_holds_the_store_string(tmp_path, capsys):
+    from toycat.closure import load_store, store_to_json_str
+
+    path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "2", "--out", str(path)
+    )
+    assert code == 0
+    assert path.read_text() == store_to_json_str(load_store(path))
 
 
 def test_cli_suite_negative_control_with_injected_diagonal(tmp_path, capsys):
