@@ -149,7 +149,18 @@ def _closure_generators(args) -> dict[str, Relation]:
     if args.generators:
         with open(args.generators) as fh:
             data = json.load(fh)
-        return {name: relation_from_json(rec) for name, rec in data["generators"].items()}
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a generator file holds a JSON object, not {type(data).__name__}"
+            )
+        if "generators" not in data:
+            raise ValueError("generator file lacks the field 'generators'")
+        gens = data["generators"]
+        if not isinstance(gens, dict):
+            raise ValueError(
+                f"generator file field 'generators' has the wrong type {type(gens).__name__}"
+            )
+        return {name: relation_from_json(rec) for name, rec in gens.items()}
     return spek_generator_symbols()
 
 

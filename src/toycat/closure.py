@@ -15,6 +15,18 @@ reverses composition and preserves the tensor, so from a converse-closed
 store every later round's candidates are converse-closed already, and a
 morphism and its converse share a length.
 
+The pair scan computes each candidate's rows and key without building a
+`Relation`; one is built only for a key not seen before, and nearly every
+candidate is a duplicate. Per (round, left length) block each left entry is
+prepared once with the `relcore` kernels: `composer` turns it into one
+gather of the right entry's rows when each of its rows has a single set bit
+(every permutation does), or a map over its precomputed bit indices, and
+`spreads` gives the left half of its products, once per width of the right
+domain. The right entries are cut into runs of one shape, so a composite
+visits only the runs whose codomain meets the left domain, and a product
+only the runs that fit the left entry's arity budget; each run's objects,
+and so the key's shape part, are looked up once, not per candidate.
+
 Objects are capped per side: every domain and codomain in the store has
 at most `max_arity` base factors, and composition never routes through an
 object above the cap because such objects never enter the store. Negative
@@ -47,14 +59,15 @@ from .relcore import (
     FinObject,
     Relation,
     UNIT,
-    compose,
+    composer,
     dagger,
     identity,
     is_unitary,
     relation_from_json,
     relation_to_json,
+    spreads,
     swap,
-    tensor,
+    tensor_rows,
 )
 from . import terms
 
@@ -186,6 +199,24 @@ def _is_identifier(name: str) -> bool:
         return False
 
 
+def _shape_runs(entries: Sequence[StoredMorphism]) -> list[tuple]:
+    """Cut entries into maximal runs of one shape, keeping their order.
+
+    A run is (dom, cod, [(rows, entry), ...]). Entries of one length sit in
+    key order, so each shape is a single run.
+    """
+    runs: list[tuple] = []
+    shape = None
+    for e in entries:
+        rel = e.relation
+        if (rel.dom.factors, rel.cod.factors) != shape:
+            shape = (rel.dom.factors, rel.cod.factors)
+            members: list[tuple] = []
+            runs.append((rel.dom, rel.cod, members))
+        members.append((rel.rows, e))
+    return runs
+
+
 def generate_closure(
     generators: Mapping[str, Relation],
     config: ClosureConfig = ClosureConfig(),
@@ -261,30 +292,50 @@ def generate_closure(
             right = by_length.get(length - la, ())
             if not left or not right:
                 continue
+            runs = _shape_runs(right)
             # compose: e1 after e2 when shapes meet in the middle
-            right_by_cod: dict[tuple, list[StoredMorphism]] = {}
-            for e2 in right:
-                right_by_cod.setdefault(e2.relation.cod.factors, []).append(e2)
-            for e1 in left:
-                for e2 in right_by_cod.get(e1.relation.dom.factors, ()):
-                    rel = compose(e1.relation, e2.relation)
-                    key = rel.key
-                    if key not in pool and key not in items:
-                        pool[key] = (rel, ";", e1, e2)
-            # tensor: any pair whose product stays within the cap
+            runs_by_cod: dict[tuple, list[tuple]] = {}
+            for run in runs:
+                runs_by_cod.setdefault(run[1].factors, []).append(run)
             for e1 in left:
                 r1 = e1.relation
-                for e2 in right:
-                    r2 = e2.relation
-                    if (
-                        r1.dom.arity + r2.dom.arity > cap
-                        or r1.cod.arity + r2.cod.arity > cap
-                    ):
-                        continue
-                    rel = tensor(r1, r2)
-                    key = rel.key
-                    if key not in pool and key not in items:
-                        pool[key] = (rel, "x", e1, e2)
+                meeting = runs_by_cod.get(r1.dom.factors)
+                if meeting is None:
+                    continue
+                after = composer(r1.rows)
+                cod = r1.cod
+                cod_f = cod.factors
+                for dom, _, members in meeting:
+                    dom_f = dom.factors
+                    for rows2, e2 in members:
+                        key = (dom_f, cod_f, after(rows2))
+                        if key not in pool and key not in items:
+                            pool[key] = (Relation._raw(dom, cod, key[2]), ";", e1, e2)
+            # tensor: any pair whose product stays within the cap; the runs
+            # that fit beside a left entry depend only on its arity budget
+            runs_within: dict[tuple[int, int], list[tuple]] = {}
+            for e1 in left:
+                r1 = e1.relation
+                budget = (cap - r1.dom.arity, cap - r1.cod.arity)
+                fitting = runs_within.get(budget)
+                if fitting is None:
+                    fitting = runs_within[budget] = [
+                        run for run in runs
+                        if run[0].arity <= budget[0] and run[1].arity <= budget[1]
+                    ]
+                spreads_by_width: dict[int, list[int]] = {}
+                for dom2, cod2, members in fitting:
+                    dom = r1.dom * dom2
+                    cod = r1.cod * cod2
+                    dom_f, cod_f = dom.factors, cod.factors
+                    width = dom2.cardinality
+                    fspreads = spreads_by_width.get(width)
+                    if fspreads is None:
+                        fspreads = spreads_by_width[width] = spreads(r1.rows, width)
+                    for rows2, e2 in members:
+                        key = (dom_f, cod_f, tensor_rows(fspreads, rows2))
+                        if key not in pool and key not in items:
+                            pool[key] = (Relation._raw(dom, cod, key[2]), "x", e1, e2)
         added = insert_batch(pool, length)
         if added < 0:
             overflow = True
@@ -331,15 +382,27 @@ class StateCensus:
 
 
 def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
-    """All stored states of `obj`, with orbits under stored permutations."""
-    states = [
-        e for e in store.sorted_items()
-        if e.relation.dom == UNIT and e.relation.cod == obj
-    ]
-    perms = [
-        e.relation
-        for e in store.sorted_items()
-        if e.relation.dom == obj and e.relation.cod == obj and is_unitary(e.relation)
+    """All stored states of `obj`, with orbits under stored permutations.
+
+    One walk over the store picks the states (I -> obj) and the
+    endomorphisms of obj; each unitary one is prepared once as a gather.
+    """
+    items = store.items
+    target = obj.factors
+    state_keys: list[tuple] = []
+    endo_keys: list[tuple] = []
+    for key in items:
+        dom_f, cod_f, _ = key
+        if cod_f == target:
+            if not dom_f:
+                state_keys.append(key)
+            if dom_f == target:
+                endo_keys.append(key)
+    states = [items[k] for k in sorted(state_keys)]
+    moves = [
+        composer(items[k].relation.rows)
+        for k in endo_keys
+        if is_unitary(items[k].relation)
     ]
     remaining = {e.relation.key: e.relation for e in states}
     orbits: list[tuple[Relation, ...]] = []
@@ -348,12 +411,12 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
         frontier = [remaining.pop(seed_key)]
         orbit = {seed_key: frontier[0]}
         while frontier:
-            current = frontier.pop()
-            for p in perms:
-                moved = compose(p, current)
-                if moved.key not in orbit:
-                    orbit[moved.key] = moved
-                    remaining.pop(moved.key, None)
+            rows = frontier.pop().rows
+            for move in moves:
+                key = ((), target, move(rows))
+                if key not in orbit:
+                    moved = orbit[key] = Relation._raw(UNIT, obj, key[2])
+                    remaining.pop(key, None)
                     frontier.append(moved)
         orbits.append(tuple(orbit[k] for k in sorted(orbit)))
     return StateCensus(obj, tuple(states), tuple(orbits))

@@ -14,8 +14,9 @@ so relations can be shared freely, hashed, and used as dictionary keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from functools import cached_property, lru_cache, partial
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "FinObject",
@@ -23,7 +24,10 @@ __all__ = [
     "ShapeMismatchError",
     "UNIT",
     "compose",
+    "composer",
     "tensor",
+    "spreads",
+    "tensor_rows",
     "dagger",
     "identity",
     "swap",
@@ -229,27 +233,75 @@ def compose(g: Relation, f: Relation) -> Relation:
     return Relation._raw(f.dom, g.cod, tuple(rows))
 
 
-def tensor(f: Relation, g: Relation) -> Relation:
-    """Cartesian product of relations; first factor is most significant.
+def _or_picked(picks: tuple[tuple[int, ...], ...], frows: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of g after f, each row of g given as the indices of its set bits."""
+    rows = []
+    for pick in picks:
+        acc = 0
+        for j in pick:
+            acc |= frows[j]
+        rows.append(acc)
+    return tuple(rows)
 
-    Output row (i, k) is the OR of grow << (j * gw) over the set bits j of
-    frow, where frow = f.rows[i], grow = g.rows[k] and gw is the width of
-    g's domain. Since grow < 2^gw those copies never overlap, so the OR is
-    the single product grow * spread(frow), where spread puts bit j of frow
-    at bit j * gw.
+
+def _bit_indices(row: int) -> tuple[int, ...]:
+    """Indices of the set bits of `row`, lowest first."""
+    out = []
+    while row:
+        b = row & -row
+        out.append(b.bit_length() - 1)
+        row ^= b
+    return tuple(out)
+
+
+def composer(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Prepare g for many composites: returns the map f.rows -> rows of g after f.
+
+    When every row of g has exactly one set bit (g relates each codomain
+    element to exactly one domain element, as every permutation does), row
+    i of g after f is f.rows[j] for the one bit j of grows[i], so the map
+    is a single gather. Otherwise each row's bit indices are found once,
+    here, and the map ORs the picked rows of f. `compose` walks the bits of
+    g in place instead, which is quicker for a single composite.
     """
-    gw = g.dom.cardinality
-    spreads = []
-    for frow in f.rows:
+    if all(row and not row & (row - 1) for row in grows):
+        indices = [row.bit_length() - 1 for row in grows]
+        if len(indices) == 1:
+            # itemgetter with one index returns the item, not a 1-tuple
+            (j,) = indices
+            return lambda frows: (frows[j],)
+        return itemgetter(*indices)
+    return partial(_or_picked, tuple(map(_bit_indices, grows)))
+
+
+def tensor(f: Relation, g: Relation) -> Relation:
+    """Cartesian product of relations; first factor is most significant."""
+    rows = tensor_rows(spreads(f.rows, g.dom.cardinality), g.rows)
+    return Relation._raw(f.dom * g.dom, f.cod * g.cod, rows)
+
+
+def spreads(frows: tuple[int, ...], width: int) -> list[int]:
+    """Each row of f with bit j moved to bit j * width: the left half of a tensor.
+
+    Output row (i, k) of f x g is the OR of grow << (j * width) over the set
+    bits j of frow = f.rows[i], where grow = g.rows[k] and width is the
+    size of g's domain. Since grow < 2^width those copies never overlap,
+    so the OR is the single product grow * spread(frow).
+    """
+    out = []
+    for frow in frows:
         spread = 0
         while frow:
             b = frow & -frow
-            spread |= 1 << ((b.bit_length() - 1) * gw)
+            spread |= 1 << ((b.bit_length() - 1) * width)
             frow ^= b
-        spreads.append(spread)
-    grows = g.rows
-    rows = tuple([grow * spread for spread in spreads for grow in grows])
-    return Relation._raw(f.dom * g.dom, f.cod * g.cod, rows)
+        out.append(spread)
+    return out
+
+
+def tensor_rows(fspreads: list[int], grows: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of f x g from f's `spreads` at the width of g's domain."""
+    return tuple([grow * spread for spread in fspreads for grow in grows])
 
 
 def dagger(f: Relation) -> Relation:
@@ -365,13 +417,24 @@ def relation_to_json(f: Relation) -> dict:
 
 
 def relation_from_json(data: Mapping) -> Relation:
-    """Parse the canonical JSON form; rejects unsorted or duplicated pairs."""
+    """Parse the canonical JSON form; rejects unsorted or duplicated pairs.
+
+    Pair entries must be JSON integers: a float, a string or a boolean is
+    refused, not converted.
+    """
     try:
         dom = FinObject(*data["dom"])
         cod = FinObject(*data["cod"])
-        raw = [(int(j), int(i)) for j, i in data["pairs"]]
+        entries = data["pairs"]
+        # `type(x) is int` also refuses bools, which are ints to isinstance
+        raw = [(j, i) for j, i in entries if type(j) is int is type(i)]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed relation record: {exc}") from exc
+    if len(raw) != len(entries):
+        bad = next([j, i] for j, i in entries if not (type(j) is int is type(i)))
+        raise ValueError(
+            f"malformed relation record: pair entry {bad!r} is not two integers"
+        )
     if any(p >= q for p, q in zip(raw, raw[1:])):
         raise ValueError("relation pairs must be sorted and duplicate-free")
     return Relation.from_pairs(dom, cod, raw)

@@ -3,7 +3,9 @@
 This is the second route used to cross-check the bit-packed matrix
 implementation: relations are plain pair sets over tuple-shaped elements,
 and every operation is written as a direct set comprehension. Nothing
-here imports the matrix code paths beyond the public data types.
+here imports the matrix code paths beyond the public data types, except
+`first_wins_words_oracle`: it pins the closure's scan order, not its
+arithmetic, and calls the public `compose` and `tensor` pair by pair.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from toycat.relcore import FinObject, Relation
+from toycat.relcore import FinObject, Relation, compose, dagger, tensor
 
 
 def elements(obj: FinObject) -> list[tuple[int, ...]]:
@@ -301,3 +303,51 @@ def closure_rounds_oracle(symbols: dict[str, Relation], cap: int, rounds: int) -
         out.append(found - seen)
         seen |= found
     return out
+
+
+def first_wins_words_oracle(
+    symbols: dict[str, Relation], cap: int, rounds: int
+) -> dict[tuple, tuple[str, int]]:
+    """key -> (word, length) by a plain scan in the closure's documented order.
+
+    Round 1 takes the symbols by sorted name, then their converses
+    (`name^`). Round L scans left length 1..L-1; within one left length
+    every composite comes before every product, and each runs over left
+    entries, then right entries, both in key order. A key keeps the first
+    candidate found; the new keys are added in key order. Every pair is
+    visited and calls `compose` or `tensor`: no index narrows the scan.
+    """
+    found: dict[tuple, tuple[str, int]] = {}
+    by_length: dict[int, list[tuple[Relation, str]]] = {}
+
+    def add(pool: dict[tuple, tuple[Relation, str]], length: int) -> None:
+        by_length[length] = [pool[key] for key in sorted(pool)]
+        for key, (_, word) in pool.items():
+            found[key] = (word, length)
+
+    seeds: dict[tuple, tuple[Relation, str]] = {}
+    for name in sorted(symbols):
+        seeds.setdefault(symbols[name].key, (symbols[name], name))
+    for name in sorted(symbols):
+        converse = dagger(symbols[name])
+        seeds.setdefault(converse.key, (converse, f"{name}^"))
+    add(seeds, 1)
+    for length in range(2, rounds + 1):
+        pool: dict[tuple, tuple[Relation, str]] = {}
+
+        def offer(rel: Relation, word: str) -> None:
+            if rel.key not in found and rel.key not in pool:
+                pool[rel.key] = (rel, word)
+
+        for la in range(1, length):
+            left, right = by_length[la], by_length[length - la]
+            for r1, w1 in left:
+                for r2, w2 in right:
+                    if r2.cod == r1.dom:
+                        offer(compose(r1, r2), f"({w1}) ; ({w2})")
+            for r1, w1 in left:
+                for r2, w2 in right:
+                    if r1.dom.arity + r2.dom.arity <= cap and r1.cod.arity + r2.cod.arity <= cap:
+                        offer(tensor(r1, r2), f"({w1}) x ({w2})")
+        add(pool, length)
+    return found

@@ -24,6 +24,7 @@ from toycat.relcore import (
     compose,
     dagger,
     identity,
+    is_unitary,
     relation_from_json,
     relation_to_json,
     scalar_empty,
@@ -34,7 +35,7 @@ from toycat.relcore import (
 from toycat.suite import spek_generator_symbols
 from toycat.terms import Atom, Compose, Dagger, parse_term
 
-from oracle import closure_member, closure_rounds_oracle
+from oracle import closure_member, closure_rounds_oracle, first_wins_words_oracle
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,40 @@ def test_state_census_orbits(arity1_store):
     assert sorted(len(o) for o in sc.orbits) == [1, 6]
 
 
+@pytest.mark.parametrize(
+    "fixture, obj", [("arity1_store", IV), ("spek_cap2_r3", IV), ("spek_cap2_r3", IV * IV),
+                     ("spek_cap2_r3", UNIT)],
+)
+def test_state_census_matches_a_plain_orbit_search(fixture, obj, request):
+    store = request.getfixturevalue(fixture)
+    entries = store.sorted_items()
+    states = [e for e in entries if e.relation.dom == UNIT and e.relation.cod == obj]
+    perms = [
+        e.relation for e in entries
+        if e.relation.dom == obj == e.relation.cod and is_unitary(e.relation)
+    ]
+    orbits, seen = set(), set()
+    for e in states:
+        if e.relation in seen:
+            continue
+        orbit, frontier = {e.relation}, [e.relation]
+        while frontier:
+            current = frontier.pop()
+            for p in perms:
+                moved = compose(p, current)
+                if moved not in orbit:
+                    orbit.add(moved)
+                    frontier.append(moved)
+        orbits.add(frozenset(orbit))
+        seen |= orbit
+    sc = state_census(store, obj)
+    assert sc.states == tuple(states)
+    assert {frozenset(o) for o in sc.orbits} == orbits
+    assert len(sc.orbits) == len(orbits)
+    for o in sc.orbits:
+        assert list(o) == sorted(o, key=lambda r: r.key)
+
+
 # -- negative answers and caps ----------------------------------------------------------
 
 def test_negative_answer_on_fixpoint_store(arity1_store):
@@ -244,6 +279,16 @@ def test_rounds_match_the_reference_closure(fixture, request):
         rounds[entry.length - 1].add(closure_member(entry.relation))
     assert rounds == reference
     assert [n for _, n in store.growth] == [len(r) for r in reference]
+
+
+@pytest.mark.parametrize("fixture", ["arity1_store", "qubit_store", "spek_cap2_r3"])
+def test_words_match_the_first_wins_scan(fixture, request):
+    # pins each key's word, not only its round: a change of scan order shows
+    store = request.getfixturevalue(fixture)
+    reference = first_wins_words_oracle(
+        store.symbols, store.config.max_arity, store.rounds_run
+    )
+    assert {k: (e.word, e.length) for k, e in store.items.items()} == reference
 
 
 def _atoms(term) -> int:

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from toycat.relcore import (
     ShapeMismatchError,
     UNIT,
     compose,
+    composer,
     conjugate_star,
     dagger,
     identity,
@@ -21,8 +23,10 @@ from toycat.relcore import (
     scalar_identity,
     scalar_kind,
     snake_holds,
+    spreads,
     swap,
     tensor,
+    tensor_rows,
     transpose_star,
 )
 
@@ -379,6 +383,82 @@ def test_conjugate_against_diagonal_cup_is_identity_operation():
         assert conjugate_star(f, eta, eta) == f
 
 
+# -- prepared kernels ------------------------------------------------------------
+#
+# The closure scan prepares a left operand once and applies it to many right
+# operands: `composer` for composites, `spreads` then `tensor_rows` for
+# products. Each is checked against the pair-set oracle.
+
+III = FinObject(3)
+KERNEL_SHAPES = [
+    (UNIT, IV),
+    (IV, UNIT),  # one row: a single-index gather
+    (IV, IV),
+    (IV * IV, IV * IV),
+    (II * III, III * II),
+    (IV * IV * IV, IV),  # 64-bit rows
+]
+
+
+def one_bit_rows(rng, dom, cod):
+    """Each codomain element related to exactly one random domain element."""
+    rows = tuple(1 << rng.randrange(dom.cardinality) for _ in range(cod.cardinality))
+    return Relation(dom, cod, rows)
+
+
+def permutation_rows(rng, obj):
+    images = list(range(obj.cardinality))
+    rng.shuffle(images)
+    return Relation(obj, obj, tuple(1 << j for j in images))
+
+
+def kernel_cases(rng, dom, cod):
+    """Left operands of one shape: one-bit rows, empty rows, several bits."""
+    one_bit = one_bit_rows(rng, dom, cod)
+    cases = [
+        one_bit,
+        # one empty row among one-bit rows leaves the gather path
+        Relation(dom, cod, (0,) + one_bit.rows[1:]),
+        Relation.empty(dom, cod),
+        with_empty_rows(rng, random_relation(rng, dom, cod, 0.5)),
+        random_relation(rng, dom, cod, 0.5),
+        random_relation(rng, dom, cod, 1.0),
+    ]
+    if dom == cod:
+        cases.append(permutation_rows(rng, dom))
+    return cases
+
+
+@pytest.mark.parametrize("dom, cod", KERNEL_SHAPES, ids=lambda o: str(o))
+def test_composer_matches_oracle(dom, cod):
+    rng = random.Random(31)
+    for g in kernel_cases(rng, dom, cod):
+        after = composer(g.rows)
+        for source in (UNIT, II, IV):
+            for f in (random_relation(rng, source, dom, 0.3), Relation.empty(source, dom)):
+                expected = compose_oracle(g, f)
+                assert after(f.rows) == expected.rows
+                assert compose(g, f) == expected
+
+
+def test_composer_gathers_for_one_bit_rows_only():
+    rng = random.Random(37)
+    for dom, cod in KERNEL_SHAPES:
+        assert not isinstance(composer(one_bit_rows(rng, dom, cod).rows), partial)
+        assert isinstance(composer(Relation.empty(dom, cod).rows), partial)
+
+
+@pytest.mark.parametrize("dom, cod", KERNEL_SHAPES, ids=lambda o: str(o))
+def test_tensor_kernel_matches_oracle(dom, cod):
+    rng = random.Random(41)
+    for f in kernel_cases(rng, dom, cod):
+        for g_dom, g_cod in KERNEL_SHAPES[:5]:
+            for g in (random_relation(rng, g_dom, g_cod, 0.3), one_bit_rows(rng, g_dom, g_cod)):
+                expected = tensor_oracle(f, g)
+                assert tensor_rows(spreads(f.rows, g_dom.cardinality), g.rows) == expected.rows
+                assert tensor(f, g) == expected
+
+
 # -- serialization -----------------------------------------------------------------------
 
 def test_json_round_trip_bit_exact():
@@ -402,6 +482,16 @@ def test_json_rejects_unsorted_or_duplicate_pairs():
 )
 def test_json_rejects_out_of_range_or_negative_pairs(pairs):
     with pytest.raises(ValueError, match="out of range"):
+        relation_from_json({"dom": [4], "cod": [4], "pairs": pairs})
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[1.7, 0], [2, "3"]], [[2, "3"]], [[True, 0]], [[0, False]], [[0, 1.0]]],
+    ids=["float", "string", "true", "false", "integral-float"],
+)
+def test_json_refuses_pair_entries_that_are_not_integers(pairs):
+    with pytest.raises(ValueError, match="is not two integers"):
         relation_from_json({"dom": [4], "cod": [4], "pairs": pairs})
 
 

@@ -330,6 +330,41 @@ def test_cli_close_rejects_a_generator_name_that_is_not_an_identifier(tmp_path, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "JSON object, not list"),
+        ({"generators": []}, "field 'generators' has the wrong type list"),
+        ({}, "lacks the field 'generators'"),
+    ],
+    ids=["list", "generators-list", "no-generators"],
+)
+def test_cli_close_names_a_malformed_generator_file(tmp_path, capsys, data, message):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "close", "--generators", str(path), "--max-arity", "1")
+    assert code == 2 and out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "pairs", [[[1.7, 0], [2, "3"]], [[True, 0]]], ids=["float-and-string", "bool"]
+)
+def test_cli_contains_refuses_a_relation_with_non_integer_entries(tmp_path, capsys, pairs):
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    rel_path = tmp_path / "rel.json"
+    rel_path.write_text(json.dumps({"dom": [4], "cod": [4], "pairs": pairs}))
+    code, out, err = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel_path))
+    assert code == 2 and out == ""
+    assert "is not two integers" in err
+    assert "Traceback" not in err
+
+
 def test_cli_close_out_file_holds_the_store_string(tmp_path, capsys):
     from toycat.closure import load_store, store_to_json_str
 
