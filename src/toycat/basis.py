@@ -6,7 +6,10 @@ the Frobenius identity. Verification evaluates each law by explicit
 matrix composition and reports the least violating entry on failure.
 
 Each structure classifies the nonempty states of its object once, on first
-use, and keeps the result as `points` (classical / unbiased / other).
+use, and keeps the result as `points` (classical / unbiased / other): a
+state is classical when delta copies it and epsilon deletes it, and
+unbiased when `lambda_map`, the endomorphism delta-dagger o (psi x 1) it
+induces, is unitary.
 Complementarity of two structures on the same object is checked both from
 those classes (each one's classical points unbiased for the other, counit
 daggers classical crosswise) and by the Hopf-style algebraic laws
@@ -48,7 +51,6 @@ __all__ = [
     "HopfReport",
     "EnumerationCapExceeded",
     "verify_basis_structure",
-    "induced_endomorphism",
     "lambda_map",
     "is_classical",
     "is_unbiased",
@@ -172,17 +174,11 @@ class BasisStructure:
         return f"<{label} on {self.obj}>"
 
 
-def induced_endomorphism(delta: Relation, psi: Relation) -> Relation:
-    """delta-dagger o (psi x 1): the endomorphism a state induces via delta."""
-    obj = delta.dom
-    if psi.dom != UNIT or psi.cod != obj:
-        raise ShapeMismatchError(f"state must be I -> {obj}, got {psi.dom} -> {psi.cod}")
-    return compose(dagger(delta), tensor(psi, identity(obj)))
-
-
 def lambda_map(b: BasisStructure, psi: Relation) -> Relation:
-    """The induced endomorphism of a state; `lambda` in the texts."""
-    return induced_endomorphism(b.delta, psi)
+    """delta-dagger o (psi x 1), the endomorphism a state induces; `lambda` in the texts."""
+    if psi.dom != UNIT or psi.cod != b.obj:
+        raise ShapeMismatchError(f"state must be I -> {b.obj}, got {psi.dom} -> {psi.cod}")
+    return compose(dagger(b.delta), tensor(psi, identity(b.obj)))
 
 
 def is_classical(b: BasisStructure, phi: Relation) -> bool:

@@ -61,12 +61,11 @@ from .relcore import (
     UNIT,
     composer,
     dagger,
-    identity,
     is_unitary,
     relation_from_json,
     relation_to_json,
     spreads,
-    swap,
+    structural_symbols,
     tensor_rows,
 )
 from . import terms
@@ -156,16 +155,6 @@ class MorphismStore:
         return [self.items[k] for k in sorted(self.items)]
 
 
-def _objects_within_cap(base_factors: Sequence[int], cap: int) -> list[FinObject]:
-    """All products over the base factor alphabet with at most cap factors."""
-    objs = [UNIT]
-    frontier = [()]
-    for _ in range(cap):
-        frontier = [f + (b,) for f in frontier for b in base_factors]
-        objs.extend(FinObject(*f) for f in frontier)
-    return objs
-
-
 def _seed_symbols(
     generators: Mapping[str, Relation], cap: int
 ) -> dict[str, Relation]:
@@ -174,20 +163,10 @@ def _seed_symbols(
     base = sorted(
         {f for rel in generators.values() for f in rel.dom.factors + rel.cod.factors}
     )
-    objs = _objects_within_cap(base, cap)
-    for obj in objs:
-        name = f"id_{obj.name}"
+    for name, rel in structural_symbols(base, cap).items():
         if name in symbols:
             raise ValueError(f"generator name {name!r} collides with a seed")
-        symbols[name] = identity(obj)
-    for a in objs:
-        for b in objs:
-            if not a.factors or not b.factors or a.arity + b.arity > cap:
-                continue
-            name = f"swap_{a.name}_{b.name}"
-            if name in symbols:
-                raise ValueError(f"generator name {name!r} collides with a seed")
-            symbols[name] = swap(a, b)
+        symbols[name] = rel
     return symbols
 
 
@@ -487,6 +466,11 @@ def _typed(data: Mapping, name: str, kind):
 
 @_collector_paused()
 def store_from_json(data: Mapping) -> MorphismStore:
+    """Build a store from its file form, refusing a field of the wrong type.
+
+    The counts must agree: `morphism_count` and the sum of `growth` both
+    equal the number of morphisms listed.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
     found = data.get("format")
@@ -505,21 +489,53 @@ def store_from_json(data: Mapping) -> MorphismStore:
             name: relation_from_json(rec)
             for name, rec in _typed(data, "symbols", dict).items()
         }
+        rounds_run = _typed(data, "rounds_run", int)
         store = MorphismStore(
             config=config,
             symbols=symbols,
             fixpoint=_typed(data, "fixpoint", bool),
-            rounds_run=_typed(data, "rounds_run", int),
-            growth=[(r, n) for r, n in data.get("growth", [])],
+            rounds_run=rounds_run,
+            growth=_growth(data, rounds_run),
         )
         for rec in _typed(data, "morphisms", list):
             rel = relation_from_json(rec)
             store.items[rel.key] = StoredMorphism(
                 rel, _typed(rec, "word", str), _typed(rec, "length", int)
             )
+        count = _typed(data, "morphism_count", int)
     except KeyError as exc:
         raise ValueError(f"store file lacks the field {exc.args[0]!r}") from None
+    if count != len(store):
+        raise ValueError(
+            f"store file field 'morphism_count' is {count}, "
+            f"but the file holds {len(store)} morphisms"
+        )
+    added = sum(n for _, n in store.growth)
+    if added != len(store):
+        raise ValueError(
+            f"store file field 'growth' adds up to {added} morphisms, "
+            f"but the file holds {len(store)}"
+        )
     return store
+
+
+def _growth(data: Mapping, rounds_run: int) -> list[tuple[int, int]]:
+    """The `growth` field: one [round, added] pair per round 1..rounds_run, in order."""
+    growth = _typed(data, "growth", list)
+    pairs = [
+        (p[0], p[1]) for p in growth
+        if type(p) is list and len(p) == 2 and type(p[0]) is int is type(p[1])
+    ]
+    if (
+        len(pairs) != len(growth)
+        or [r for r, _ in pairs] != list(range(1, rounds_run + 1))
+        or any(n < 0 for _, n in pairs)
+    ):
+        raise ValueError(
+            "store file field 'growth' is not one [round, added] pair of integers "
+            f"for each round 1 to {rounds_run}"
+        )
+    return pairs
 
 
 def load_store(path) -> MorphismStore:

@@ -1,5 +1,18 @@
 """The concrete named models: the relational qubit on II and Spek on IV.
 
+Spek's three observables are one basis structure, (delta_Z, eps_Z), moved
+by the 24 permutations: each sigma gives the conjugate
+((sigma x sigma) o delta_Z o sigma^, eps_Z o sigma^). In Rel a basis
+structure's counit is fixed by its comultiplication, so the 12 distinct
+comultiplications are 12 structures, and their classical points split
+them into the families Y, X and Z of four each. The qubit's X' is the
+conjugate of X by the flip in the same way. Identities and swaps are the
+closure's structural symbols (`relcore.structural_symbols`).
+
+The model data is built, not searched: the properties it is meant to have
+(states in the orbit of x0, three families of four verified members, the
+counits the unbiased daggers) are checked by `toycat suite` and the tests.
+
 Module data is 0-indexed internally; display follows the usual convention
 of labelling the four-element set 1..4 and the two-element set 0..1.
 Comments give the 1-based form for the four-element listings.
@@ -8,17 +21,10 @@ Comments give the 1-based form for the four-element listings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .basis import (
-    BasisStructure,
-    all_states,
-    eta as basis_eta,
-    induced_endomorphism,
-    is_classical,
-    is_unbiased,
-)
+from .basis import BasisStructure, eta as basis_eta, is_classical, is_unbiased
 from .relcore import (
     FinObject,
     Relation,
@@ -27,15 +33,13 @@ from .relcore import (
     dagger,
     element_labels,
     identity,
-    is_unitary,
-    swap,
+    structural_symbols,
     tensor,
 )
 
 __all__ = [
     "II",
     "IV",
-    "IntegrityError",
     "NamedState",
     "Observable",
     "Model",
@@ -43,6 +47,7 @@ __all__ = [
     "perm_relation",
     "perm_name",
     "conjugate_delta",
+    "conjugate",
     "frel_qubit",
     "spek_generators",
     "spek_states",
@@ -57,10 +62,6 @@ __all__ = [
 
 II = FinObject(2)
 IV = FinObject(4)
-
-
-class IntegrityError(RuntimeError):
-    """Model data failed a structural sanity check."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class Model:
     structures: dict[str, BasisStructure]
     states: dict[str, Relation]
     symbols: dict[str, Relation]
-    observables: dict[str, Observable] = field(default_factory=dict)
+    observables: dict[str, Observable]
 
 
 # -- permutations --------------------------------------------------------------
@@ -143,6 +144,13 @@ def conjugate_delta(delta: Relation, sigma: Relation) -> Relation:
     return compose(tensor(sigma, sigma), compose(delta, dagger(sigma)))
 
 
+def conjugate(b: BasisStructure, sigma: Relation, name: str = "") -> BasisStructure:
+    """The structure moved by sigma: conjugate delta, counit epsilon o sigma-inverse."""
+    return BasisStructure(
+        b.obj, conjugate_delta(b.delta, sigma), compose(b.epsilon, dagger(sigma)), name
+    )
+
+
 # -- the relational qubit on II --------------------------------------------------
 
 def _state(obj: FinObject, members: list[int]) -> Relation:
@@ -151,7 +159,10 @@ def _state(obj: FinObject, members: list[int]) -> Relation:
 
 @lru_cache(maxsize=None)
 def frel_qubit() -> Model:
-    """The two-element-set model: structures Z, X and the exchanged variant X'."""
+    """The two-element-set model: structures Z, X and the exchanged variant X'.
+
+    Its observables are Z = {Z} and X = {X, X'}; X' is X conjugated by the flip.
+    """
     flat = lambda a, b: a * 2 + b
 
     delta_z = Relation.from_pairs(
@@ -163,13 +174,10 @@ def frel_qubit() -> Model:
     )
     eps_x = Relation.from_pairs(II, UNIT, [(0, 0)])
 
-    flip = perm_relation(II, [1, 0])
-    delta_xp = conjugate_delta(delta_x, flip)
-    eps_xp = compose(eps_x, dagger(flip))
-
     Z = BasisStructure(II, delta_z, eps_z, name="Z")
     X = BasisStructure(II, delta_x, eps_x, name="X")
-    Xp = BasisStructure(II, delta_xp, eps_xp, name="X'")
+    flip = perm_relation(II, [1, 0])
+    Xp = conjugate(X, flip, name="X'")
 
     states = {"z0": _state(II, [0]), "z1": _state(II, [1]), "x0": _state(II, [0, 1])}
 
@@ -178,13 +186,10 @@ def frel_qubit() -> Model:
         "eps_Z": eps_z,
         "delta_X": delta_x,
         "eps_X": eps_x,
-        "delta_Xp": delta_xp,
-        "eps_Xp": eps_xp,
+        "delta_Xp": Xp.delta,
+        "eps_Xp": Xp.epsilon,
         **states,
-        "id_I": identity(UNIT),
-        "id_II": identity(II),
-        "id_IIxII": identity(II * II),
-        "swap_II_II": swap(II, II),
+        **structural_symbols(II.factors, 2),
         "sigma_01": flip,
         "eta": basis_eta(Z),
         "eta_Z": basis_eta(Z),
@@ -197,6 +202,10 @@ def frel_qubit() -> Model:
         structures={"Z": Z, "X": X, "X'": Xp},
         states=states,
         symbols=symbols,
+        observables={
+            "Z": Observable("Z", (Z,), Z.points.classical, Z),
+            "X": Observable("X", (X, Xp), X.points.classical, X),
+        },
     )
 
 
@@ -238,111 +247,58 @@ _SPEK_STATE_MEMBERS = {
 @lru_cache(maxsize=None)
 def spek_states() -> tuple[NamedState, ...]:
     """The six single-system states; each is a permutation image of x0."""
-    perms, _, eps_z = spek_generators()
-    x0 = dagger(eps_z)
-    out = []
-    for name, members in _SPEK_STATE_MEMBERS.items():
-        st = _state(IV, members)
-        if not any(compose(p, x0) == st for p in perms):
-            raise IntegrityError(f"state {name} is not a permutation image of x0")
-        out.append(NamedState(name, st))
-    return tuple(out)
-
-
-def _copyable_states(delta: Relation) -> tuple[Relation, ...]:
-    """Nonempty states copied by delta (classicality without the counit half)."""
     return tuple(
-        psi for psi in all_states(delta.dom) if compose(delta, psi) == tensor(psi, psi)
+        NamedState(name, _state(IV, members)) for name, members in _SPEK_STATE_MEMBERS.items()
     )
-
-
-def _unbiased_states_for_delta(delta: Relation) -> tuple[Relation, ...]:
-    return tuple(
-        psi
-        for psi in all_states(delta.dom)
-        if is_unitary(induced_endomorphism(delta, psi))
-    )
-
-
-@lru_cache(maxsize=None)
-def observable_orbit() -> dict[tuple[Relation, ...], tuple[Relation, ...]]:
-    """Conjugates of delta_Z under all permutations, grouped by copied points.
-
-    Returns {classical-point set -> deduplicated conjugate comultiplications};
-    the orbit decomposes into exactly the three observable families.
-    """
-    perms, delta_z, _ = spek_generators()
-    conjugates: dict[tuple, Relation] = {}
-    for sigma in perms:
-        d = conjugate_delta(delta_z, sigma)
-        conjugates.setdefault(d.key, d)
-    groups: dict[tuple[Relation, ...], list[Relation]] = {}
-    for d in conjugates.values():
-        groups.setdefault(_copyable_states(d), []).append(d)
-    ordered = {
-        points: tuple(sorted(ds, key=lambda r: r.key)) for points, ds in groups.items()
-    }
-    return dict(sorted(ordered.items(), key=lambda kv: kv[1][0].key))
-
-
-def _state_name(rel: Relation) -> str | None:
-    for ns in spek_states():
-        if ns.state == rel:
-            return ns.name
-    return None
 
 
 @lru_cache(maxsize=None)
 def spek_observables() -> dict[str, Observable]:
-    """The observables X, Y, Z: families of four verified structures each.
+    """The observables Y, X, Z: the conjugates of (delta_Z, eps_Z), grouped by classical points.
 
-    delta_X and delta_Y arise from delta_Z by conjugation with sigma(23)
-    and sigma(24). Within each family, every conjugate comultiplication is
-    paired with the unique counit (drawn from daggers of its unbiased
-    points) that satisfies all six laws; a family size other than four is
-    an integrity error.
+    Conjugates are deduplicated by delta and ordered by delta key; a family
+    is labelled from its classical states (z0, z1 give Z) and its members
+    are named L[u^] after their counit dagger u. Families come in the order
+    of their first members. The representatives are delta_Z and its
+    conjugates by sigma(23) (delta_X) and sigma(24) (delta_Y).
     """
-    _, delta_z, _ = spek_generators()
-    named = named_permutations(IV)
-    delta_x = conjugate_delta(delta_z, named["sigma_23"])
-    delta_y = conjugate_delta(delta_z, named["sigma_24"])
-    label_by_points = {
-        ("z0", "z1"): "Z",
-        ("x0", "x1"): "X",
-        ("y0", "y1"): "Y",
-    }
-    representatives = {"Z": delta_z, "X": delta_x, "Y": delta_y}
+    perms, delta_z, eps_z = spek_generators()
+    Z = BasisStructure(IV, delta_z, eps_z)
+    conjugates: dict[tuple, BasisStructure] = {}
+    for sigma in perms:
+        b = conjugate(Z, sigma)
+        conjugates.setdefault(b.delta.key, b)
+    families: dict[tuple[Relation, ...], list[BasisStructure]] = {}
+    for key in sorted(conjugates):
+        b = conjugates[key]
+        families.setdefault(b.points.classical, []).append(b)
 
+    state_name = {ns.state: ns.name for ns in spek_states()}
+    named = named_permutations(IV)
+    representatives = {
+        "Z": delta_z,
+        "X": conjugate_delta(delta_z, named["sigma_23"]),
+        "Y": conjugate_delta(delta_z, named["sigma_24"]),
+    }
     out: dict[str, Observable] = {}
-    for points, deltas in observable_orbit().items():
-        names = tuple(sorted(_state_name(p) or "?" for p in points))
-        label = label_by_points.get(names)
-        if label is None:
-            raise IntegrityError(f"unexpected classical point set {names}")
-        members = []
-        for d in deltas:
-            valid = []
-            for u in _unbiased_states_for_delta(d):
-                cand = BasisStructure(IV, d, dagger(u))
-                if cand.all_laws_hold:
-                    valid.append(cand)
-            if len(valid) != 1:
-                raise IntegrityError(
-                    f"{label}-family comultiplication admits {len(valid)} counits"
-                )
-            eps_name = _state_name(dagger(valid[0].epsilon))
-            members.append(
-                BasisStructure(IV, d, valid[0].epsilon, name=f"{label}[{eps_name}^]")
-            )
-        if len(members) != 4:
-            raise IntegrityError(f"{label} family has {len(members)} members, expected 4")
-        rep = next((m for m in members if m.delta == representatives[label]), None)
-        if rep is None:
-            raise IntegrityError(f"conjugation representative missing from {label} family")
-        out[label] = Observable(label, tuple(members), points, rep)
-    if sorted(out) != ["X", "Y", "Z"]:
-        raise IntegrityError(f"expected observables X, Y, Z, got {sorted(out)}")
+    for points, members in families.items():
+        label = state_name[points[0]][0].upper()
+        family = tuple(
+            BasisStructure(IV, b.delta, b.epsilon, f"{label}[{state_name[dagger(b.epsilon)]}^]")
+            for b in members
+        )
+        rep = next(m for m in family if m.delta == representatives[label])
+        out[label] = Observable(label, family, points, rep)
     return out
+
+
+@lru_cache(maxsize=None)
+def observable_orbit() -> dict[tuple[Relation, ...], tuple[Relation, ...]]:
+    """{classical-point set -> the family's comultiplications}, in family order."""
+    return {
+        ob.classical_points: tuple(m.delta for m in ob.family)
+        for ob in spek_observables().values()
+    }
 
 
 @lru_cache(maxsize=None)
@@ -358,13 +314,7 @@ def spek() -> Model:
         symbols[f"eta_{label}"] = basis_eta(ob.representative)
     symbols.update(states)
     symbols["eta"] = symbols["eta_Z"]
-    symbols["id_I"] = identity(UNIT)
-    symbols["id_IV"] = identity(IV)
-    symbols["id_IVxIV"] = identity(IV * IV)
-    symbols["id_IVxIVxIV"] = identity(IV * IV * IV)
-    symbols["swap_IV_IV"] = swap(IV, IV)
-    symbols["swap_IV_IVxIV"] = swap(IV, IV * IV)
-    symbols["swap_IVxIV_IV"] = swap(IV * IV, IV)
+    symbols.update(structural_symbols(IV.factors, 3))
     for name, p in named_permutations(IV).items():
         if name != "id_IV":
             symbols[name] = p
@@ -404,37 +354,25 @@ _AXES = {"z0": "Z+", "z1": "Z-", "x0": "X+", "x1": "X-", "y0": "Y+", "y1": "Y-"}
 def bloch_table(model: str | Model) -> list[dict]:
     """Rows (state, axis, classical-for, unbiased-for) for a model.
 
-    The qubit table is computed against Z and X (the exchanged variant X'
-    classifies identically to X) and carries an explicit absent row for
-    the X- direction, which has no relational counterpart.
+    Each observable contributes its two directions, tested against its
+    representative (the qubit's X' classifies identically to X). A
+    direction with no state, the qubit's X-, gets an explicit absent row.
     """
     m = get_model(model) if isinstance(model, str) else model
-    if m.name == "spek":
-        axes = {label: ob.representative for label, ob in m.observables.items()}
-        order = ["z0", "z1", "x0", "x1", "y0", "y1"]
-    else:
-        axes = {"Z": m.structures["Z"], "X": m.structures["X"]}
-        order = ["z0", "z1", "x0"]
+    axes = {label: ob.representative for label, ob in m.observables.items()}
     rows = []
-    for name in order:
-        st = m.states[name]
+    for name, axis in _AXES.items():
+        if axis[0] not in axes:
+            continue
+        st = m.states.get(name)
+        tested = [] if st is None else sorted(axes)
         rows.append(
             {
-                "state": name,
-                "axis": _AXES[name],
-                "classical_for": [a for a in sorted(axes) if is_classical(axes[a], st)],
-                "unbiased_for": [a for a in sorted(axes) if is_unbiased(axes[a], st)],
-                "absent": False,
-            }
-        )
-    if m.name != "spek":
-        rows.append(
-            {
-                "state": None,
-                "axis": "X-",
-                "classical_for": [],
-                "unbiased_for": [],
-                "absent": True,
+                "state": None if st is None else name,
+                "axis": axis,
+                "classical_for": [a for a in tested if is_classical(axes[a], st)],
+                "unbiased_for": [a for a in tested if is_unbiased(axes[a], st)],
+                "absent": st is None,
             }
         )
     return rows

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .basis import BasisStructure, check_complementary, verify_basis_structure
+from .basis import BasisStructure, check_complementary, enumerate_points, lambda_map
 from .relcore import (
     FinObject,
     Relation,
@@ -29,6 +29,7 @@ from .relcore import (
     dagger,
     identity,
     is_unitary,
+    relation_to_json,
     scalar_kind,
     snake_holds,
     swap,
@@ -85,9 +86,8 @@ def bell_basis(bx: BasisStructure, bz: BasisStructure) -> BellBasis:
     delta = compose(mid, tensor(bx.delta, bz.delta))
     epsilon = tensor(bx.epsilon, bz.epsilon)
     product = BasisStructure(a * a, delta, epsilon, name="bell-product")
-    laws = verify_basis_structure(a * a, delta, epsilon)
-    if not all(r.holds for r in laws):
-        failed = [r.law for r in laws if not r.holds]
+    if not product.all_laws_hold:
+        failed = [r.law for r in product.verified if not r.holds]
         raise AssertionError(f"product structure failed laws: {failed}")
     bell = compose(tensor(dagger(bx.delta), ida), tensor(ida, bz.delta))
     return BellBasis(product, bell)
@@ -102,8 +102,6 @@ class PhaseGroup:
 
 
 def phase_unitaries(b: BasisStructure) -> PhaseGroup:
-    from .basis import enumerate_points, lambda_map
-
     report = enumerate_points(b)
     phases = {}
     for psi in report.unbiased:
@@ -226,13 +224,7 @@ class TeleportationCertificate:
     def valid(self) -> bool:
         return self.disjoint and self.coverage_ok and all(b.ok for b in self.branches)
 
-    @property
-    def failing_branches(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.branches) if not b.ok)
-
     def to_json(self) -> dict:
-        from .relcore import relation_to_json
-
         return {
             "valid": self.valid,
             "branch_count": len(self.branches),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "FinObject",
@@ -31,6 +31,7 @@ __all__ = [
     "dagger",
     "identity",
     "swap",
+    "structural_symbols",
     "is_unitary",
     "transpose_star",
     "conjugate_star",
@@ -66,7 +67,8 @@ class FinObject:
 
     def __init__(self, *factors: int) -> None:
         for n in factors:
-            if not isinstance(n, int) or n < 1:
+            # `type(n) is int` also refuses bools, which are ints to isinstance
+            if type(n) is not int or n < 1:
                 raise ValueError(f"factors must be integers >= 1, got {factors!r}")
         kept = tuple(n for n in factors if n > 1)
         card = 1
@@ -329,6 +331,26 @@ def swap(a: FinObject, b: FinObject) -> Relation:
         for x in range(aw):
             rows.append(1 << (x * bw + y))
     return Relation._raw(a * b, b * a, tuple(rows))
+
+
+def structural_symbols(base_factors: Sequence[int], cap: int) -> dict[str, Relation]:
+    """Identities and swaps on every product of at most `cap` base factors.
+
+    `id_<A>` for each such object A, the unit I included, then
+    `swap_<A>_<B>` for each pair of nonunit A, B with at most `cap`
+    factors together.
+    """
+    objs = [UNIT]
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(cap):
+        frontier = [f + (b,) for f in frontier for b in base_factors]
+        objs.extend(FinObject(*f) for f in frontier)
+    symbols = {f"id_{obj.name}": identity(obj) for obj in objs}
+    for a in objs:
+        for b in objs:
+            if a.factors and b.factors and a.arity + b.arity <= cap:
+                symbols[f"swap_{a.name}_{b.name}"] = swap(a, b)
+    return symbols
 
 
 def is_unitary(f: Relation) -> bool:

@@ -3,6 +3,8 @@
 `tests/cli_golden.json` holds, per command line, the sha256 of its stdout
 and its exit code. A change that is meant to keep behaviour must keep every
 entry; one that changes output on purpose updates the entries it names.
+The order of Spek's observable families prints nowhere, so it is pinned
+here directly.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from toycat.cli import main
+from toycat.models import observable_orbit, spek
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 STORE = "<cap2-r3-store>"  # stands for the store path in a command key
@@ -40,7 +43,10 @@ def run_golden(capsys, store_path: str) -> dict[str, dict]:
     """{command key: {"exit", "sha256"}} for every pinned command."""
     out = {}
     for argv in golden_commands():
-        code = main([store_path if a == STORE else a for a in argv])
+        try:
+            code = main([store_path if a == STORE else a for a in argv])
+        except SystemExit as exc:  # a usage error, such as an unknown structure
+            code = exc.code
         stdout = capsys.readouterr().out
         out[" ".join(argv)] = {
             "exit": code,
@@ -67,3 +73,16 @@ def test_cli_output_matches_the_pinned_digests(capsys, cap2_r3_store):
     assert sorted(got) == sorted(pinned)
     changed = {key: got[key] for key in pinned if got[key] != pinned[key]}
     assert not changed, f"{len(changed)} of {len(pinned)} outputs changed: {changed}"
+
+
+def test_spek_family_and_member_order_is_pinned():
+    # the first passing member pair of criterion 4 and `spek.complementary.*`
+    # depends on this order
+    obs = spek().observables
+    assert [(label, [m.name for m in ob.family]) for label, ob in obs.items()] == [
+        ("Y", ["Y[z0^]", "Y[x0^]", "Y[x1^]", "Y[z1^]"]),
+        ("X", ["X[z0^]", "X[y0^]", "X[y1^]", "X[z1^]"]),
+        ("Z", ["Z[x0^]", "Z[y0^]", "Z[y1^]", "Z[x1^]"]),
+    ]
+    assert [ob.representative.name for ob in obs.values()] == ["Y[x0^]", "X[z0^]", "Z[x0^]"]
+    assert list(observable_orbit()) == [ob.classical_points for ob in obs.values()]

@@ -365,6 +365,17 @@ def test_store_json_round_trip(arity1_store):
     assert len(restored) == len(arity1_store)
 
 
+def test_truncated_store_round_trips_with_its_growth():
+    store = generate_closure(
+        spek_generator_symbols(),
+        ClosureConfig(max_arity=2, max_rounds=3, max_morphisms=1000),
+    )
+    assert store.growth == [(1, 31), (2, 737), (3, 232)] and not store.fixpoint
+    restored = store_from_json(json.loads(store_to_json_str(store)))
+    assert restored.growth == store.growth
+    assert store_to_json_str(restored) == store_to_json_str(store)
+
+
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):
     blob = store_to_json(qubit_store)
     assert blob["format"] == "toycat-store/2"

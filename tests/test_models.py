@@ -153,6 +153,12 @@ def test_family_counits_are_the_unbiased_daggers(s):
     }
 
 
+def test_each_member_counit_dagger_is_unbiased_for_it(s):
+    for ob in s.observables.values():
+        for m in ob.family:
+            assert dagger(m.epsilon) in m.points.unbiased, m.name
+
+
 def test_delta_x_conjugation_value(s):
     dx = s.observables["X"].representative.delta
     images = {}

@@ -495,6 +495,14 @@ def test_json_refuses_pair_entries_that_are_not_integers(pairs):
         relation_from_json({"dom": [4], "cod": [4], "pairs": pairs})
 
 
+def test_bool_factors_are_refused():
+    # True would pass isinstance(n, int) and, being 1, be erased: IV x true = IV
+    with pytest.raises(ValueError, match="factors must be integers"):
+        FinObject(True, 4)
+    with pytest.raises(ValueError, match="malformed relation record"):
+        relation_from_json({"dom": [True, 4], "cod": [4, True], "pairs": [[0, 0]]})
+
+
 def test_least_diff_cell_orders_by_row_then_col():
     a = rel(II, II, [(0, 0), (1, 1)])
     b = rel(II, II, [(1, 0), (1, 1)])

@@ -298,8 +298,13 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
         ),
         # bool("false") is true: read loosely, this store would claim a fixpoint
         (lambda blob: {**blob, "fixpoint": "false"}, "field 'fixpoint' has the wrong type str"),
+        (lambda blob: {**blob, "growth": [["a", "b"]]}, "field 'growth' is not one [round"),
+        (lambda blob: {**blob, "growth": [[2, 31]]}, "for each round 1 to 1"),
+        (lambda blob: {**blob, "growth": [[1, 30]]}, "'growth' adds up to 30 morphisms"),
+        (lambda blob: {**blob, "morphism_count": 7}, "'morphism_count' is 7"),
     ],
-    ids=["list", "no-config", "config-list", "word-int", "fixpoint-str"],
+    ids=["list", "no-config", "config-list", "word-int", "fixpoint-str", "growth-strings",
+         "growth-rounds", "growth-sum", "morphism-count"],
 )
 def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
     store_path = tmp_path / "store.json"
@@ -362,6 +367,20 @@ def test_cli_contains_refuses_a_relation_with_non_integer_entries(tmp_path, caps
     code, out, err = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel_path))
     assert code == 2 and out == ""
     assert "is not two integers" in err
+    assert "Traceback" not in err
+
+
+def test_cli_contains_refuses_a_bool_factor(tmp_path, capsys):
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    rel_path = tmp_path / "rel.json"
+    rel_path.write_text(json.dumps({"dom": [True, 4], "cod": [4, True], "pairs": [[0, 0]]}))
+    code, out, err = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel_path))
+    assert code == 2 and out == ""
+    assert "factors must be integers" in err
     assert "Traceback" not in err
 
 
