@@ -6,8 +6,10 @@ the Frobenius identity. Verification evaluates each law by explicit
 matrix composition and reports the least violating entry on failure.
 
 Each structure classifies the nonempty states of its object once, on first
-use, and keeps the result as `points` (classical / unbiased / other): a
-state is classical when delta copies it and epsilon deletes it, and
+use, and keeps the result as `points` (classical / unbiased / other). Every
+reader of the classes, `enumerate_points` and `check_complementary`
+included, goes through `points`, so its enumeration cap holds for all of
+them. A state is classical when delta copies it and epsilon deletes it, and
 unbiased when `lambda_map`, the endomorphism delta-dagger o (psi x 1) it
 induces, is unitary.
 Complementarity of two structures on the same object is checked both from
@@ -32,6 +34,7 @@ from .relcore import (
     Relation,
     ShapeMismatchError,
     UNIT,
+    bit_indices,
     compose,
     dagger,
     identity,
@@ -43,7 +46,6 @@ from .relcore import (
 )
 
 __all__ = [
-    "LAW_NAMES",
     "LawReport",
     "BasisStructure",
     "PointReport",
@@ -61,17 +63,8 @@ __all__ = [
     "all_states",
 ]
 
-LAW_NAMES = (
-    "coassociativity",
-    "counit_left",
-    "counit_right",
-    "cocommutativity",
-    "isometry",
-    "frobenius",
-)
-
-# Default ceiling on exhaustive point enumeration: objects of more than
-# 16 elements (65535 nonempty states) need an explicit opt-in.
+# Ceiling on exhaustive point enumeration, checked by `BasisStructure.points`:
+# an object of more than 16 elements (65,535 nonempty states) is refused.
 POINT_ENUMERATION_CAP = 16
 
 
@@ -151,7 +144,16 @@ class BasisStructure:
 
     @cached_property
     def points(self) -> PointReport:
-        """Every nonempty state of the object, classified exhaustively."""
+        """Every nonempty state of the object, classified exhaustively.
+
+        Raises EnumerationCapExceeded for an object above POINT_ENUMERATION_CAP.
+        """
+        n = self.obj.cardinality
+        if n > POINT_ENUMERATION_CAP:
+            raise EnumerationCapExceeded(
+                f"{self.obj} has {n} elements; point enumeration is capped at "
+                f"{POINT_ENUMERATION_CAP} (2^{POINT_ENUMERATION_CAP} - 1 states)"
+            )
         classical: list[Relation] = []
         unbiased: list[Relation] = []
         other: list[Relation] = []
@@ -196,22 +198,11 @@ def is_unbiased(b: BasisStructure, psi: Relation) -> bool:
     return is_unitary(lambda_map(b, psi))
 
 
-def all_states(obj: FinObject, nonempty: bool = True) -> Iterator[Relation]:
-    """All states I -> obj in canonical (pair-list) order."""
+def all_states(obj: FinObject) -> Iterator[Relation]:
+    """All nonempty states I -> obj in canonical (pair-list) order."""
     n = obj.cardinality
-    masks = sorted(range(1 if nonempty else 0, 1 << n), key=_mask_pairs_key)
-    for mask in masks:
+    for mask in sorted(range(1, 1 << n), key=bit_indices):
         yield Relation(UNIT, obj, tuple(mask >> i & 1 for i in range(n)))
-
-
-def _mask_pairs_key(mask: int) -> tuple:
-    out = []
-    m = mask
-    while m:
-        b = m & -m
-        out.append(b.bit_length() - 1)
-        m ^= b
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -233,14 +224,8 @@ class PointReport:
         return len(self.classical) + len(self.unbiased) + len(self.other)
 
 
-def enumerate_points(b: BasisStructure, max_elements: int = POINT_ENUMERATION_CAP) -> PointReport:
-    """The point classes of `b`, refusing objects above the enumeration cap."""
-    n = b.obj.cardinality
-    if n > max_elements:
-        raise EnumerationCapExceeded(
-            f"object has {n} elements; enumeration is capped at {max_elements} "
-            f"(2^{max_elements} - 1 states); pass max_elements explicitly to override"
-        )
+def enumerate_points(b: BasisStructure) -> PointReport:
+    """The point classes of `b` (`b.points`), refusing objects above the enumeration cap."""
     return b.points
 
 

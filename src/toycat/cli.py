@@ -6,7 +6,8 @@ protocol (teleport | densecode), eval, assert, bloch, suite, dump.
 Reports are JSON by default (`--text` switches to aligned tables where one
 exists). Exit codes: 0 pass, 1 check failure, 2 usage or type error.
 Output is byte-stable across runs for identical inputs and flags. The
-environment variable TOYCAT_MAX_ARITY overrides the closure arity default.
+closure flags of `close` take their defaults from `ClosureConfig`; `suite
+spek` builds the cap-3, round-4 store unless `--store` names another.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .closure import (
     generate_closure,
     load_store,
     state_census,
-    store_to_json,
     store_to_json_str,
 )
 from .protocols import (
@@ -46,12 +46,7 @@ from .relcore import (
     relation_from_json,
     relation_to_json,
 )
-from .suite import (
-    DEFAULT_CLOSURE_ROUNDS,
-    closure_arity_default,
-    run_suite,
-    spek_generator_symbols,
-)
+from .suite import run_suite, spek_generator_symbols
 from .terms import assert_equal, eval_term, parse_term
 
 EXIT_OK = 0
@@ -70,6 +65,7 @@ def _model(name: str) -> M.Model:
     try:
         return M.get_model(name)
     except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from exc
 
 
@@ -166,9 +162,8 @@ def _closure_generators(args) -> dict[str, Relation]:
 
 def cmd_close(args) -> int:
     gens = _closure_generators(args)
-    max_arity = args.max_arity if args.max_arity else closure_arity_default()
     config = ClosureConfig(
-        max_arity=max_arity,
+        max_arity=args.max_arity,
         max_morphisms=args.max_morphisms,
         max_rounds=args.max_rounds,
     )
@@ -184,7 +179,7 @@ def cmd_close(args) -> int:
         }
         _emit(summary, None, False)
     else:
-        _emit(store_to_json(store), None, False)
+        sys.stdout.write(store_to_json_str(store))
     return EXIT_OK
 
 
@@ -207,7 +202,7 @@ def cmd_contains(args) -> int:
 def cmd_census(args) -> int:
     store = load_store(args.store)
     if args.object:
-        obj = _parse_object(args.object)
+        obj = FinObject.parse(args.object)
         sc = state_census(store, obj)
         data = {
             "object": list(obj.factors),
@@ -229,21 +224,6 @@ def cmd_census(args) -> int:
         lines.append(f"  {dom:>10} -> {cod:<10} {r['count']}")
     _emit(data, "\n".join(lines), args.text)
     return EXIT_OK
-
-
-def _parse_object(spec: str) -> FinObject:
-    names = {"I": [], "II": [2], "IV": [4]}
-    factors: list[int] = []
-    for part in spec.split("x"):
-        part = part.strip()
-        if part in names:
-            factors.extend(names[part])
-        elif part.isdigit():
-            factors.append(int(part))
-        else:
-            print(f"error: cannot parse object {spec!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    return FinObject(*factors)
 
 
 def _protocol_pool(model: M.Model, which: str):
@@ -308,7 +288,7 @@ def cmd_bloch(args) -> int:
 
 def cmd_suite(args) -> int:
     store = load_store(args.store) if args.store else None
-    code, report = run_suite(args.name, closure_rounds=args.closure_rounds, store=store)
+    code, report = run_suite(args.name, store=store)
     if args.text:
         for chk in report["checks"]:
             mark = "PASS" if chk["passed"] else "FAIL"
@@ -364,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("close", cmd_close, help="generate a compositional closure store")
     p.add_argument("--generators", help="JSON file of named generator relations")
-    p.add_argument("--max-arity", type=int, default=None)
-    p.add_argument("--max-morphisms", type=int, default=1_000_000)
+    p.add_argument("--max-arity", type=int, default=ClosureConfig.max_arity)
+    p.add_argument("--max-morphisms", type=int, default=ClosureConfig.max_morphisms)
     p.add_argument(
         "--max-rounds",
         type=int,
-        default=None,
+        default=ClosureConfig.max_rounds,
         help="word-length bound; unbounded runs on the standard generators "
         "exceed desk scale at arity 2 and above",
     )
@@ -377,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("contains", cmd_contains, help="membership query against a store")
     p.add_argument("--store", required=True)
-    p.add_argument("--rel", help="relation JSON file")
-    p.add_argument("--term", help="term to evaluate instead of a file")
+    query = p.add_mutually_exclusive_group(required=True)
+    query.add_argument("--rel", help="relation JSON file")
+    query.add_argument("--term", help="term to evaluate instead of a file")
     p.add_argument("--model", help="model for --term resolution")
 
     p = add("census", cmd_census, help="per-shape counts or state census of a store")
@@ -404,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("suite", cmd_suite, help="run a verification battery")
     p.add_argument("name", choices=["qubit", "spek", "all"])
-    p.add_argument("--closure-rounds", type=int, default=DEFAULT_CLOSURE_ROUNDS)
     p.add_argument("--store", help="use a prebuilt store for the closure checks")
 
     p = add("dump", cmd_dump, help="emit all named relations of a model")

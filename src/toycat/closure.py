@@ -107,6 +107,9 @@ class ClosureConfig:
     max_morphisms: store size cap; exceeding it aborts the run as non-fixpoint.
     max_rounds: word-length cap (None = run to fixpoint); a round-capped
         store is flagged non-fixpoint.
+
+    Each bound is at least 1. These defaults are the CLI's, and a store
+    file's config is checked here as well.
     """
 
     max_arity: int = 3
@@ -115,7 +118,11 @@ class ClosureConfig:
 
     def __post_init__(self) -> None:
         if self.max_arity < 1:
-            raise ValueError("max_arity must be >= 1")
+            raise ValueError(f"max_arity must be >= 1, got {self.max_arity}")
+        if self.max_morphisms < 1:
+            raise ValueError(f"max_morphisms must be >= 1, got {self.max_morphisms}")
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be None or >= 1, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -455,9 +462,12 @@ def store_to_json_str(store: MorphismStore) -> str:
 
 
 def _typed(data: Mapping, name: str, kind):
-    """`data[name]`, or a ValueError naming the field when it has the wrong type."""
+    """`data[name]`, or a ValueError naming the field when it has the wrong type.
+
+    The type must match exactly, so JSON `true` is not read as the integer 1.
+    """
     value = data[name]
-    if not isinstance(value, kind):
+    if type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
         raise ValueError(
             f"store file field {name!r} has the wrong type {type(value).__name__}"
         )

@@ -20,19 +20,20 @@ Comments give the 1-based form for the four-element listings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .basis import BasisStructure, eta as basis_eta, is_classical, is_unbiased
+from .basis import BasisStructure, eta as basis_eta
 from .relcore import (
     FinObject,
     Relation,
     UNIT,
+    all_permutations,
     compose,
     dagger,
     element_labels,
     identity,
+    perm_relation,
     structural_symbols,
     tensor,
 )
@@ -92,19 +93,7 @@ class Model:
     observables: dict[str, Observable]
 
 
-# -- permutations --------------------------------------------------------------
-
-def perm_relation(obj: FinObject, image: list[int] | tuple[int, ...]) -> Relation:
-    """The graph of the permutation sending index j to image[j]."""
-    return Relation.from_pairs(obj, obj, [(j, image[j]) for j in range(obj.cardinality)])
-
-
-def all_permutations(obj: FinObject) -> tuple[Relation, ...]:
-    """All permutations of obj, in lexicographic one-line-notation order."""
-    return tuple(
-        perm_relation(obj, p) for p in itertools.permutations(range(obj.cardinality))
-    )
-
+# -- permutation names ---------------------------------------------------------
 
 def perm_image(rel: Relation) -> list[int]:
     img = [-1] * rel.dom.cardinality
@@ -355,11 +344,12 @@ def bloch_table(model: str | Model) -> list[dict]:
     """Rows (state, axis, classical-for, unbiased-for) for a model.
 
     Each observable contributes its two directions, tested against its
-    representative (the qubit's X' classifies identically to X). A
+    representative's point classes (the qubit's X' classifies identically
+    to X); unbiased includes the overlap, as in `check_complementary`. A
     direction with no state, the qubit's X-, gets an explicit absent row.
     """
     m = get_model(model) if isinstance(model, str) else model
-    axes = {label: ob.representative for label, ob in m.observables.items()}
+    axes = {label: ob.representative.points for label, ob in m.observables.items()}
     rows = []
     for name, axis in _AXES.items():
         if axis[0] not in axes:
@@ -370,8 +360,10 @@ def bloch_table(model: str | Model) -> list[dict]:
             {
                 "state": None if st is None else name,
                 "axis": axis,
-                "classical_for": [a for a in tested if is_classical(axes[a], st)],
-                "unbiased_for": [a for a in tested if is_unbiased(axes[a], st)],
+                "classical_for": [a for a in tested if st in axes[a].classical],
+                "unbiased_for": [
+                    a for a in tested if st in axes[a].unbiased or st in axes[a].overlap
+                ],
                 "absent": st is None,
             }
         )

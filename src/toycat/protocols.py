@@ -25,6 +25,7 @@ from .basis import BasisStructure, check_complementary, enumerate_points, lambda
 from .relcore import (
     FinObject,
     Relation,
+    all_permutations,
     compose,
     dagger,
     identity,
@@ -143,11 +144,7 @@ def _composition_closure(gens) -> tuple[Relation, ...]:
 
 def all_unitary_permutations(obj: FinObject) -> tuple[Relation, ...]:
     """Every bijection graph on obj, in canonical order (the widest pool)."""
-    out = [
-        Relation.from_pairs(obj, obj, list(enumerate(p)))
-        for p in itertools.permutations(range(obj.cardinality))
-    ]
-    return tuple(sorted(out, key=lambda r: r.key))
+    return tuple(sorted(all_permutations(obj), key=lambda r: r.key))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ so relations can be shared freely, hashed, and used as dictionary keys.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
@@ -28,9 +29,12 @@ __all__ = [
     "tensor",
     "spreads",
     "tensor_rows",
+    "bit_indices",
     "dagger",
     "identity",
     "swap",
+    "perm_relation",
+    "all_permutations",
     "structural_symbols",
     "is_unitary",
     "transpose_star",
@@ -52,6 +56,7 @@ class ShapeMismatchError(TypeError):
 
 
 _FACTOR_NAMES = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 8: "VIII"}
+_FACTOR_SIZES = {name: n for n, name in _FACTOR_NAMES.items()}
 
 
 @dataclass(frozen=True, init=False)
@@ -94,6 +99,20 @@ class FinObject:
         if not self.factors:
             return "I"
         return "x".join(_FACTOR_NAMES.get(f, str(f)) for f in self.factors)
+
+    @classmethod
+    def parse(cls, spec: str) -> "FinObject":
+        """The inverse of `name`: factors such as IV or 4, joined by x."""
+        factors = []
+        for part in spec.split("x"):
+            part = part.strip()
+            if part in _FACTOR_SIZES:
+                factors.append(_FACTOR_SIZES[part])
+            elif part.isdigit():
+                factors.append(int(part))
+            else:
+                raise ValueError(f"cannot parse object {spec!r}")
+        return cls(*factors)
 
     def __str__(self) -> str:
         return self.name
@@ -246,7 +265,7 @@ def _or_picked(picks: tuple[tuple[int, ...], ...], frows: tuple[int, ...]) -> tu
     return tuple(rows)
 
 
-def _bit_indices(row: int) -> tuple[int, ...]:
+def bit_indices(row: int) -> tuple[int, ...]:
     """Indices of the set bits of `row`, lowest first."""
     out = []
     while row:
@@ -273,7 +292,7 @@ def composer(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, .
             (j,) = indices
             return lambda frows: (frows[j],)
         return itemgetter(*indices)
-    return partial(_or_picked, tuple(map(_bit_indices, grows)))
+    return partial(_or_picked, tuple(map(bit_indices, grows)))
 
 
 def tensor(f: Relation, g: Relation) -> Relation:
@@ -331,6 +350,18 @@ def swap(a: FinObject, b: FinObject) -> Relation:
         for x in range(aw):
             rows.append(1 << (x * bw + y))
     return Relation._raw(a * b, b * a, tuple(rows))
+
+
+def perm_relation(obj: FinObject, image: Sequence[int]) -> Relation:
+    """The graph of the permutation sending index j to image[j]."""
+    return Relation.from_pairs(obj, obj, [(j, image[j]) for j in range(obj.cardinality)])
+
+
+def all_permutations(obj: FinObject) -> tuple[Relation, ...]:
+    """All permutations of obj, in lexicographic one-line-notation order."""
+    return tuple(
+        perm_relation(obj, p) for p in itertools.permutations(range(obj.cardinality))
+    )
 
 
 def structural_symbols(base_factors: Sequence[int], cap: int) -> dict[str, Relation]:

@@ -6,7 +6,10 @@ construction, and both protocols; the Spek battery covers the generators,
 the six states, the three observables and their orbit, GHZ, the
 protocols on the four-element set, and the compositional closure.
 
-Closure checks run against a round-bounded store by default. Positive
+Closure checks run against the store they are handed, else against the
+cap-3 store of `DEFAULT_CLOSURE_ROUNDS` rounds (`ClosureConfig`'s arity
+default). The three observables are complementary as families: each
+`spek.complementary.*` check finds one member pair. Positive
 memberships are certified by witness words regardless of rounds; the
 fixpoint and definitive-exclusion checks report the store's own answers,
 which on the standard generators means they fail for any desk-scale
@@ -19,9 +22,7 @@ it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from . import models as M
@@ -67,10 +68,10 @@ __all__ = [
     "CheckResult",
     "run_suite",
     "spek_generator_symbols",
-    "bounded_spek_store",
     "DEFAULT_CLOSURE_ROUNDS",
 ]
 
+# Word-length bound of the store `spek_checks` builds when given none.
 DEFAULT_CLOSURE_ROUNDS = 4
 
 
@@ -106,25 +107,6 @@ def spek_generator_symbols() -> dict[str, Relation]:
     gens["delta_Z"] = delta_z
     gens["eps_Z"] = eps_z
     return gens
-
-
-@lru_cache(maxsize=4)
-def bounded_spek_store(max_arity: int, max_rounds: int) -> MorphismStore:
-    return generate_closure(
-        spek_generator_symbols(),
-        ClosureConfig(max_arity=max_arity, max_rounds=max_rounds),
-    )
-
-
-def closure_arity_default() -> int:
-    """The closure arity cap: TOYCAT_MAX_ARITY if set, else 3."""
-    env = os.environ.get("TOYCAT_MAX_ARITY")
-    if not env:
-        return 3
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"TOYCAT_MAX_ARITY must be an integer, got {env!r}") from None
 
 
 # -- ambient category spot checks ---------------------------------------------------
@@ -322,10 +304,7 @@ def qubit_checks() -> list[CheckResult]:
 
 # -- Spek battery ------------------------------------------------------------------
 
-def spek_checks(
-    closure_rounds: int = DEFAULT_CLOSURE_ROUNDS,
-    store: MorphismStore | None = None,
-) -> list[CheckResult]:
+def spek_checks(store: MorphismStore | None = None) -> list[CheckResult]:
     s = M.spek()
     perms, delta_z, eps_z = M.spek_generators()
     obs = s.observables
@@ -499,7 +478,9 @@ def spek_checks(
 
     # closure checks (round-bounded store unless one was supplied)
     if store is None:
-        store = bounded_spek_store(closure_arity_default(), closure_rounds)
+        store = generate_closure(
+            spek_generator_symbols(), ClosureConfig(max_rounds=DEFAULT_CLOSURE_ROUNDS)
+        )
     res.extend(closure_checks(store, s))
     return res
 
@@ -579,11 +560,7 @@ def closure_checks(store: MorphismStore, model: M.Model) -> list[CheckResult]:
     return res
 
 
-def run_suite(
-    name: str,
-    closure_rounds: int = DEFAULT_CLOSURE_ROUNDS,
-    store: MorphismStore | None = None,
-) -> tuple[int, dict]:
+def run_suite(name: str, store: MorphismStore | None = None) -> tuple[int, dict]:
     """Run a named battery; returns (exit code, JSON-able report)."""
     if name not in ("qubit", "spek", "all"):
         raise ValueError(f"unknown suite {name!r}")
@@ -591,7 +568,7 @@ def run_suite(
     if name in ("qubit", "all"):
         results.extend(qubit_checks())
     if name in ("spek", "all"):
-        results.extend(spek_checks(closure_rounds=closure_rounds, store=store))
+        results.extend(spek_checks(store=store))
     passed = all(r.passed for r in results)
     report = {
         "suite": name,

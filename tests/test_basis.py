@@ -179,6 +179,18 @@ def test_enumeration_cap():
     assert "16" in str(err.value)
 
 
+def test_enumeration_cap_holds_for_every_reader_of_the_points():
+    obj = FinObject(17)
+    s = BasisStructure(
+        obj,
+        Relation.from_pairs(obj, obj * obj, [(i, i * 17 + i) for i in range(17)]),
+        Relation.from_pairs(obj, UNIT, [(i, 0) for i in range(17)]),
+    )
+    for read in (lambda: s.points, lambda: check_complementary(s, s)):
+        with pytest.raises(EnumerationCapExceeded, match="17 elements"):
+            read()
+
+
 # -- complementarity ----------------------------------------------------------------
 
 def test_complementarity_matches_the_pair_set_oracle(structure_groups):

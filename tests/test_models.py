@@ -1,6 +1,12 @@
 import pytest
 
-from toycat.basis import check_complementary, check_hopf, enumerate_points
+from toycat.basis import (
+    check_complementary,
+    check_hopf,
+    enumerate_points,
+    is_classical,
+    is_unbiased,
+)
 from toycat.models import (
     IV,
     II,
@@ -233,6 +239,18 @@ def test_bloch_table_qubit(q):
     assert by_state["z0"]["classical_for"] == ["Z"]
     assert by_state["z0"]["unbiased_for"] == ["X"]
     assert rows[-1]["absent"] and rows[-1]["state"] is None
+
+
+@pytest.mark.parametrize("name", ["spek", "frel-qubit"])
+def test_bloch_rows_agree_with_the_point_predicates(name):
+    m = get_model(name)
+    axes = {label: ob.representative for label, ob in m.observables.items()}
+    for row in bloch_table(m):
+        if row["absent"]:
+            continue
+        st = m.states[row["state"]]
+        assert row["classical_for"] == [a for a in sorted(axes) if is_classical(axes[a], st)]
+        assert row["unbiased_for"] == [a for a in sorted(axes) if is_unbiased(axes[a], st)]
 
 
 def test_get_model_names():

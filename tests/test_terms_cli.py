@@ -245,14 +245,8 @@ def test_cli_suite_qubit_passes(capsys):
     assert report["passed"] and report["failures"] == 0
 
 
-def test_env_var_overrides_closure_arity(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TOYCAT_MAX_ARITY", "2")
+def test_cli_close_refuses_a_generator_above_the_arity_cap(tmp_path, capsys):
     store_path = str(tmp_path / "store.json")
-    code, out, _ = run_cli(capsys, "close", "--max-rounds", "2", "--out", store_path)
-    assert code == 0
-    blob = json.loads(open(store_path).read())
-    assert blob["config"]["max_arity"] == 2
-    # explicit flag wins over the environment
     code, _, err = run_cli(
         capsys, "close", "--max-arity", "1", "--max-rounds", "2", "--out", store_path
     )
@@ -260,12 +254,57 @@ def test_env_var_overrides_closure_arity(tmp_path, capsys, monkeypatch):
     assert "arity cap 1" in err
 
 
-def test_env_var_non_integer_arity_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("TOYCAT_MAX_ARITY", "three")
-    code, out, err = run_cli(capsys, "close", "--max-rounds", "1")
+@pytest.mark.parametrize("flag", ["--max-arity", "--max-rounds", "--max-morphisms"])
+def test_cli_close_refuses_a_bound_below_one(tmp_path, capsys, flag):
+    store_path = tmp_path / "store.json"
+    code, out, err = run_cli(capsys, "close", flag, "0", "--out", str(store_path))
     assert code == 2 and out == ""
-    assert "TOYCAT_MAX_ARITY" in err and "'three'" in err
+    assert flag[2:].replace("-", "_") in err
     assert "Traceback" not in err
+    assert not store_path.exists()
+
+
+def test_cli_close_stdout_is_the_out_file(tmp_path, capsys):
+    path = tmp_path / "store.json"
+    flags = ("close", "--max-arity", "2", "--max-rounds", "2")
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0
+    assert run_cli(capsys, *flags, "--out", str(path))[0] == 0
+    assert out == path.read_text()
+
+
+def test_cli_unknown_model_names_the_known_ones(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", "foo"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "'foo'" in err and "'spek'" in err and "'frel-qubit'" in err
+
+
+@pytest.mark.parametrize("query", [[], ["--rel", "r.json", "--term", "sigma_12"]],
+                         ids=["neither", "both"])
+def test_cli_contains_takes_exactly_one_of_rel_and_term(capsys, query):
+    with pytest.raises(SystemExit) as exc:
+        main(["contains", "--store", "store.json", *query])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--rel" in err and "--term" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("factors", [(), (2,), (3,), (4, 4), (2, 3, 4), (8, 5, 6)])
+def test_cli_census_object_parses_the_names_it_prints(tmp_path, capsys, factors):
+    from toycat.relcore import FinObject
+
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    name = FinObject(*factors).name
+    code, out, _ = run_cli(capsys, "census", "--store", str(store_path), "--object", name)
+    assert code == 0
+    assert json.loads(out)["object"] == list(factors)
 
 
 def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
@@ -302,9 +341,28 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
         (lambda blob: {**blob, "growth": [[2, 31]]}, "for each round 1 to 1"),
         (lambda blob: {**blob, "growth": [[1, 30]]}, "'growth' adds up to 30 morphisms"),
         (lambda blob: {**blob, "morphism_count": 7}, "'morphism_count' is 7"),
+        # JSON true is an int to isinstance; read loosely, each would stand for 1
+        (lambda blob: {**blob, "rounds_run": True}, "field 'rounds_run' has the wrong type bool"),
+        (
+            lambda blob: {**blob, "config": {**blob["config"], "max_arity": True}},
+            "field 'max_arity' has the wrong type bool",
+        ),
+        (
+            lambda blob: {**blob, "config": {**blob["config"], "max_rounds": True}},
+            "field 'max_rounds' has the wrong type bool",
+        ),
+        (
+            lambda blob: {**blob, "morphisms": [{**blob["morphisms"][0], "length": True}]},
+            "field 'length' has the wrong type bool",
+        ),
+        (
+            lambda blob: {**blob, "config": {**blob["config"], "max_rounds": 0}},
+            "max_rounds must be None or >= 1",
+        ),
     ],
     ids=["list", "no-config", "config-list", "word-int", "fixpoint-str", "growth-strings",
-         "growth-rounds", "growth-sum", "morphism-count"],
+         "growth-rounds", "growth-sum", "morphism-count", "rounds-run-true",
+         "max-arity-true", "max-rounds-true", "length-true", "max-rounds-zero"],
 )
 def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
     store_path = tmp_path / "store.json"
