@@ -287,7 +287,9 @@ def cmd_bloch(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    store = load_store(args.store) if args.store else None
+    # only the Spek battery reads the store
+    spek_store = args.store and args.name in ("spek", "all")
+    store = load_store(args.store) if spek_store else None
     code, report = run_suite(args.name, store=store)
     if args.text:
         for chk in report["checks"]:

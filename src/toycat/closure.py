@@ -27,6 +27,12 @@ visits only the runs whose codomain meets the left domain, and a product
 only the runs that fit the left entry's arity budget; each run's objects,
 and so the key's shape part, are looked up once, not per candidate.
 
+A store file (`toycat-store/3`) lists the morphisms in key order, each
+record holding its key's factors and rows as JSON integers with its word
+and length, so writing one builds no pairs and reading one builds each
+shape's objects once; the reader refuses records out of order, rows that
+do not fit the shape, and growth counts that disagree with the lengths.
+
 Objects are capped per side: every domain and codomain in the store has
 at most `max_arity` base factors, and composition never routes through an
 object above the cap because such objects never enter the store. Negative
@@ -62,8 +68,6 @@ from .relcore import (
     composer,
     dagger,
     is_unitary,
-    relation_from_json,
-    relation_to_json,
     spreads,
     structural_symbols,
     tensor_rows,
@@ -91,8 +95,9 @@ __all__ = [
 
 
 # A store file lists its morphisms in `Relation.key` order (shape, then
-# rows); the version changes whenever that order does.
-STORE_FORMAT = "toycat-store/2"
+# rows), and each record holds the key's rows as JSON integers; the version
+# changes whenever that order or the record form does.
+STORE_FORMAT = "toycat-store/3"
 
 
 class GeneratorOutsideCapError(ValueError):
@@ -414,12 +419,11 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
 def _collector_paused():
     """Hold the cyclic garbage collector off while a store file is built or read.
 
-    A cap-3 store file is a tree of about a million small lists and dicts.
-    Each allocation counts toward the collector's thresholds, so building
-    or reading one with the collector running triggers seven or eight full
-    collections, each walking the whole heap: most of the time of
-    `store_to_json`, and a full collection more or less in `store_from_json`
-    from one call to the next.
+    The cap-3 round-3 store file is a tree of about 94,000 lists and dicts
+    (a dict and three lists per record). Each allocation counts toward the
+    collector's thresholds, so building or reading it with the collector
+    running triggers collections that walk the whole heap: about a third of
+    the time of `store_to_json`, and a fifth of `store_from_json`.
     The tree holds no cycles, so reference counting still frees all of it;
     `store_to_json_str` frees it before the collector resumes.
     """
@@ -434,7 +438,11 @@ def _collector_paused():
 
 @_collector_paused()
 def store_to_json(store: MorphismStore) -> dict:
-    """The store file: morphisms in key order (shape, then bit-packed rows)."""
+    """The store file: morphisms in key order, each record holding its key.
+
+    A record is `{"dom", "cod", "rows"}` (plus `word` and `length` for a
+    morphism), written straight from the rows key: no pairs are built.
+    """
     return {
         "format": STORE_FORMAT,
         "config": {
@@ -446,12 +454,15 @@ def store_to_json(store: MorphismStore) -> dict:
         "rounds_run": store.rounds_run,
         "growth": [[r, n] for r, n in store.growth],
         "symbols": {
-            name: relation_to_json(rel) for name, rel in sorted(store.symbols.items())
+            name: {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors),
+                   "rows": list(rel.rows)}
+            for name, rel in sorted(store.symbols.items())
         },
         "morphism_count": len(store.items),
         "morphisms": [
-            {**relation_to_json(e.relation), "word": e.word, "length": e.length}
-            for e in store.sorted_items()
+            {"dom": list(dom_f), "cod": list(cod_f), "rows": list(rows),
+             "word": e.word, "length": e.length}
+            for (dom_f, cod_f, rows), e in sorted(store.items.items())
         ],
     }
 
@@ -474,12 +485,62 @@ def _typed(data: Mapping, name: str, kind):
     return value
 
 
+_INT = frozenset((int,))
+
+
+def _record_relation(rec, shapes: dict, where: str) -> Relation:
+    """The relation of a store record `{"dom", "cod", "rows"}`, checked.
+
+    `shapes` maps a record's (dom, cod) factors to the shape's objects,
+    row count and row bound, so each shape's `FinObject`s are built once.
+    Only factors that are all exactly ints are looked up there: JSON `true`
+    equals 1 and 4.0 equals 4 as dict keys, and `FinObject` refuses both.
+    Each row must be an int in [0, 2**|dom|), one per codomain element.
+    """
+    if type(rec) is not dict:
+        raise ValueError(f"store file {where} is not a JSON object")
+    dom_raw = _typed(rec, "dom", list)
+    cod_raw = _typed(rec, "cod", list)
+    rows = _typed(rec, "rows", list)
+    raw = (tuple(dom_raw), tuple(cod_raw))
+    shape = shapes.get(raw) if _INT.issuperset(map(type, raw[0] + raw[1])) else None
+    if shape is None:
+        objects = []
+        for name, factors in zip(("dom", "cod"), raw):
+            try:
+                objects.append(FinObject(*factors))
+            except ValueError as exc:
+                raise ValueError(f"store file field {name!r} of {where}: {exc}") from None
+        dom, cod = objects
+        shape = shapes[raw] = (dom, cod, cod.cardinality, 1 << dom.cardinality)
+    dom, cod, n_rows, bound = shape
+    if len(rows) != n_rows:
+        raise ValueError(
+            f"store file field 'rows' of {where} has {len(rows)} rows, "
+            f"but codomain {cod} has {n_rows} elements"
+        )
+    if not _INT.issuperset(map(type, rows)):
+        bad = next(r for r in rows if type(r) is not int)
+        raise ValueError(
+            f"store file field 'rows' of {where} holds {bad!r}, not an integer"
+        )
+    if min(rows) < 0 or max(rows) >= bound:
+        raise ValueError(
+            f"store file field 'rows' of {where} has a row that is negative "
+            f"or has bits outside domain {dom}"
+        )
+    return Relation._raw(dom, cod, tuple(rows))
+
+
 @_collector_paused()
 def store_from_json(data: Mapping) -> MorphismStore:
-    """Build a store from its file form, refusing a field of the wrong type.
+    """Build a store from its file form, refusing a malformed field.
 
-    The counts must agree: `morphism_count` and the sum of `growth` both
-    equal the number of morphisms listed.
+    Morphisms must be listed in strictly increasing key order, so a parsed
+    store writes back the same bytes and no record repeats. The counts must
+    agree: `morphism_count` and the sum of `growth` both equal the number
+    of morphisms listed, and each round's `growth` count equals the number
+    of records of that length.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -488,6 +549,8 @@ def store_from_json(data: Mapping) -> MorphismStore:
         raise ValueError(
             f"unsupported store format {found!r}; expected {STORE_FORMAT!r}"
         )
+    shapes: dict[tuple, tuple] = {}
+    per_length: dict[int, int] = {}
     try:
         cfg = _typed(data, "config", dict)
         config = ClosureConfig(
@@ -496,7 +559,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
             max_rounds=_typed(cfg, "max_rounds", (int, type(None))),
         )
         symbols = {
-            name: relation_from_json(rec)
+            name: _record_relation(rec, shapes, f"symbol {name!r}")
             for name, rec in _typed(data, "symbols", dict).items()
         }
         rounds_run = _typed(data, "rounds_run", int)
@@ -507,11 +570,21 @@ def store_from_json(data: Mapping) -> MorphismStore:
             rounds_run=rounds_run,
             growth=_growth(data, rounds_run),
         )
-        for rec in _typed(data, "morphisms", list):
-            rel = relation_from_json(rec)
-            store.items[rel.key] = StoredMorphism(
-                rel, _typed(rec, "word", str), _typed(rec, "length", int)
-            )
+        items = store.items
+        last: tuple = ()
+        for i, rec in enumerate(_typed(data, "morphisms", list)):
+            rel = _record_relation(rec, shapes, f"morphism record {i}")
+            key = rel.key
+            if not key > last:
+                raise ValueError(
+                    f"store file field 'morphisms' repeats record {i - 1} as record {i}"
+                    if key == last else
+                    f"store file field 'morphisms' lists record {i} out of key order"
+                )
+            length = _typed(rec, "length", int)
+            items[key] = StoredMorphism(rel, _typed(rec, "word", str), length)
+            per_length[length] = per_length.get(length, 0) + 1
+            last = key
         count = _typed(data, "morphism_count", int)
     except KeyError as exc:
         raise ValueError(f"store file lacks the field {exc.args[0]!r}") from None
@@ -526,6 +599,12 @@ def store_from_json(data: Mapping) -> MorphismStore:
             f"store file field 'growth' adds up to {added} morphisms, "
             f"but the file holds {len(store)}"
         )
+    for r, n in store.growth:
+        if per_length.get(r, 0) != n:
+            raise ValueError(
+                f"store file field 'growth' says round {r} added {n} morphisms, "
+                f"but the file holds {per_length.get(r, 0)} of length {r}"
+            )
     return store
 
 

@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from hypothesis import given, strategies as st
+
 from toycat.closure import (
     ClosureConfig,
     GeneratorOutsideCapError,
+    MorphismStore,
+    StoredMorphism,
     census,
     contains,
     evaluate_word,
@@ -19,6 +23,7 @@ from toycat.closure import (
 )
 from toycat.models import IV, II, frel_qubit, perm_name, spek_generators
 from toycat.relcore import (
+    FinObject,
     Relation,
     UNIT,
     compose,
@@ -378,16 +383,68 @@ def test_truncated_store_round_trips_with_its_growth():
 
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):
     blob = store_to_json(qubit_store)
-    assert blob["format"] == "toycat-store/2"
-    keys = [relation_from_json(rec).key for rec in blob["morphisms"]]
-    assert keys == sorted(keys)
+    assert blob["format"] == "toycat-store/3"
+    keys = [(tuple(rec["dom"]), tuple(rec["cod"]), tuple(rec["rows"])) for rec in blob["morphisms"]]
+    assert keys == sorted(qubit_store.items)
 
 
 def test_store_from_json_rejects_version_1(arity1_store):
-    blob = store_to_json(arity1_store)
-    blob["format"] = "toycat-store/1"
-    with pytest.raises(ValueError, match=r"'toycat-store/1'.*'toycat-store/2'"):
-        store_from_json(blob)
+    for old in ("toycat-store/1", "toycat-store/2"):
+        blob = store_to_json(arity1_store)
+        blob["format"] = old
+        with pytest.raises(ValueError, match=rf"'{old}'.*'toycat-store/3'"):
+            store_from_json(blob)
+
+
+SHAPES = [
+    (UNIT, IV), (IV, UNIT), (IV, IV), (IV * IV, IV * IV),
+    (II * FinObject(3), FinObject(3) * II), (IV * IV * IV, IV),
+]
+
+
+@st.composite
+def shaped_relations(draw):
+    dom, cod = draw(st.sampled_from(SHAPES))
+    row = st.integers(min_value=0, max_value=(1 << dom.cardinality) - 1)
+    rows = draw(st.lists(row, min_size=cod.cardinality, max_size=cod.cardinality))
+    return Relation(dom, cod, tuple(rows))
+
+
+@given(shaped_relations())
+def test_store_record_round_trips_the_rows(rel):
+    store = MorphismStore(
+        config=ClosureConfig(max_arity=3),
+        symbols={"f": rel},
+        items={rel.key: StoredMorphism(rel, "f", 1)},
+        rounds_run=1,
+        growth=[(1, 1)],
+    )
+    text = store_to_json_str(store)
+    blob = json.loads(text)
+    record = {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors), "rows": list(rel.rows)}
+    assert blob["symbols"] == {"f": record}
+    assert blob["morphisms"] == [{**record, "word": "f", "length": 1}]
+    restored = store_from_json(blob)
+    assert restored.symbols == {"f": rel}
+    assert list(restored.items) == [rel.key]
+    assert restored.items[rel.key].relation.pairs == rel.pairs
+    assert store_to_json_str(restored) == text
+
+
+def test_store_file_is_written_without_building_pairs(arity1_gens):
+    # fresh relations, so no pairs are cached from another test
+    gens = {name: Relation(r.dom, r.cod, r.rows) for name, r in arity1_gens.items()}
+    store = generate_closure(gens, ClosureConfig(max_arity=1))
+    store_to_json(store)
+    stored = [e.relation for e in store.items.values()] + list(store.symbols.values())
+    assert not [rel for rel in stored if "pairs" in vars(rel)]
+
+
+def test_loaded_store_writes_back_the_same_bytes(tmp_path):
+    path = tmp_path / "cap2_r3.json"
+    store = generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=3))
+    path.write_text(store_to_json_str(store))
+    assert store_to_json_str(load_store(path)) == path.read_text()
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -245,6 +245,15 @@ def test_cli_suite_qubit_passes(capsys):
     assert report["passed"] and report["failures"] == 0
 
 
+def test_cli_suite_qubit_does_not_read_the_store(tmp_path, capsys):
+    # the qubit battery uses no store, so a malformed one must not matter
+    path = tmp_path / "store.json"
+    path.write_text(json.dumps({"format": "toycat-store/3"}))
+    expected = run_cli(capsys, "suite", "qubit")
+    assert run_cli(capsys, "suite", "qubit", "--store", str(path)) == expected
+    assert expected[0] == 0
+
+
 def test_cli_close_refuses_a_generator_above_the_arity_cap(tmp_path, capsys):
     store_path = str(tmp_path / "store.json")
     code, _, err = run_cli(
@@ -314,15 +323,30 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     )
     assert code == 0
     blob = json.loads(store_path.read_text())
-    assert blob["format"] == "toycat-store/2"
-    blob["format"] = "toycat-store/1"
-    store_path.write_text(json.dumps(blob))
-    code, out, err = run_cli(
-        capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
-    )
-    assert code == 2 and out == ""
-    assert "'toycat-store/1'" in err and "'toycat-store/2'" in err
-    assert "Traceback" not in err
+    assert blob["format"] == "toycat-store/3"
+    for old in ("toycat-store/1", "toycat-store/2"):
+        store_path.write_text(json.dumps({**blob, "format": old}))
+        code, out, err = run_cli(
+            capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
+        )
+        assert code == 2 and out == ""
+        assert f"'{old}'" in err and "'toycat-store/3'" in err
+        assert "Traceback" not in err
+
+
+def _with_record(blob, index, **fields):
+    """`blob` with morphism record `index` updated by `fields` (None deletes one)."""
+    records = list(blob["morphisms"])
+    rec = {**records[index], **fields}
+    records[index] = {k: v for k, v in rec.items() if v is not None}
+    return {**blob, "morphisms": records}
+
+
+def _two_endomorphisms(blob):
+    """Records 3 and 4, both IV -> IV, so they share one shape."""
+    first, second = blob["morphisms"][3:5]
+    assert first["dom"] == second["dom"] == first["cod"] == second["cod"] == [4]
+    return first, second
 
 
 @pytest.mark.parametrize(
@@ -359,10 +383,68 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
             lambda blob: {**blob, "config": {**blob["config"], "max_rounds": 0}},
             "max_rounds must be None or >= 1",
         ),
+        (lambda blob: _with_record(blob, 0, rows=None), "lacks the field 'rows'"),
+        (lambda blob: _with_record(blob, 0, rows="0,0"), "field 'rows' has the wrong type str"),
+        (
+            lambda blob: _with_record(blob, 3, rows=[1, 2, 4]),
+            "field 'rows' of morphism record 3 has 3 rows, but codomain IV has 4",
+        ),
+        (
+            lambda blob: _with_record(blob, 3, rows=[-1, 2, 4, 8]),
+            "field 'rows' of morphism record 3 has a row that is negative",
+        ),
+        (
+            lambda blob: _with_record(blob, 3, rows=[16, 2, 4, 8]),
+            "field 'rows' of morphism record 3 has a row that is negative or has bits outside domain IV",
+        ),
+        (
+            lambda blob: _with_record(blob, 3, rows=[1.0, 2, 4, 8]),
+            "field 'rows' of morphism record 3 holds 1.0, not an integer",
+        ),
+        (
+            lambda blob: _with_record(blob, 3, rows=[True, 2, 4, 8]),
+            "field 'rows' of morphism record 3 holds True, not an integer",
+        ),
+        (
+            lambda blob: _with_record(blob, 3, rows=["1", 2, 4, 8]),
+            "field 'rows' of morphism record 3 holds '1', not an integer",
+        ),
+        # (1, 4) == (True, 4) as a dict key: a shape seen with dom [1, 4]
+        # must not let [True, 4] through
+        (
+            lambda blob: {**blob, "morphisms": [
+                {**rec, "dom": [flag, *rec["dom"]]}
+                for rec, flag in zip(_two_endomorphisms(blob), (1, True))
+            ]},
+            "field 'dom' of morphism record 1: factors must be integers",
+        ),
+        (
+            lambda blob: {**blob, "morphisms": [
+                {**rec, "dom": [factor, *rec["dom"]]}
+                for rec, factor in zip(_two_endomorphisms(blob), (4, 4.0))
+            ]},
+            "field 'dom' of morphism record 1: factors must be integers",
+        ),
+        (
+            lambda blob: {**blob, "morphisms": [blob["morphisms"][1], blob["morphisms"][0],
+                                                *blob["morphisms"][2:]]},
+            "field 'morphisms' lists record 1 out of key order",
+        ),
+        (
+            lambda blob: {**blob, "morphisms": [blob["morphisms"][0], *blob["morphisms"]]},
+            "field 'morphisms' repeats record 0 as record 1",
+        ),
+        (
+            lambda blob: {**blob, "rounds_run": 2, "growth": [[1, 30], [2, 1]]},
+            "field 'growth' says round 1 added 30 morphisms, but the file holds 31 of length 1",
+        ),
     ],
     ids=["list", "no-config", "config-list", "word-int", "fixpoint-str", "growth-strings",
          "growth-rounds", "growth-sum", "morphism-count", "rounds-run-true",
-         "max-arity-true", "max-rounds-true", "length-true", "max-rounds-zero"],
+         "max-arity-true", "max-rounds-true", "length-true", "max-rounds-zero",
+         "rows-missing", "rows-str", "rows-short", "row-negative", "row-outside-domain",
+         "row-float", "row-bool", "row-str", "dom-true-after-1", "dom-float-after-int",
+         "out-of-order", "repeated", "growth-per-round"],
 )
 def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
     store_path = tmp_path / "store.json"
