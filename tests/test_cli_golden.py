@@ -1,4 +1,4 @@
-"""Pinned CLI output: stdout digest and exit code of each model-facing command.
+"""Pinned CLI output: stdout digest and exit code of each command.
 
 `tests/cli_golden.json` holds, per command line, the sha256 of its stdout
 and its exit code. A change that is meant to keep behaviour must keep every
@@ -19,6 +19,8 @@ from toycat.models import observable_orbit, spek
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 STORE = "<cap2-r3-store>"  # stands for the store path in a command key
+REL = "<sigma-24-rel>"  # stands for the path of a relation file holding sigma_24
+SIGMA_24 = {"dom": [4], "cod": [4], "pairs": [[0, 0], [1, 3], [2, 2], [3, 1]]}
 
 MODELS = {"spek": ("X", "Y", "Z"), "frel-qubit": ("X", "X'", "Z")}
 
@@ -36,15 +38,27 @@ def golden_commands() -> list[list[str]]:
         for what in ("teleport", "densecode"):
             base += [["protocol", what, *m, "--pool", pool] for pool in ("phases", "perms")]
     base += [["suite", "qubit"], ["suite", "spek", "--store", STORE]]
+    base += [["eval", t] for t in ("delta_Z ; z0", "sigma_12 x z0^", "z0 ; delta_Z")]
+    base += [["assert", "delta_Z ; z0", "z0 x z0"], ["assert", "delta_X", "delta_Z"]]
+    # yes, then unknown: an IVxIV -> IVxIV map that round 3 has not reached
+    for term in ("delta_Z ; eps_Z^",
+                 "(delta_Z ; delta_X^) ; (delta_Y ; delta_Z^) ; (delta_X ; delta_Y^)"):
+        base.append(["contains", "--store", STORE, "--term", term])
+    base.append(["contains", "--store", STORE, "--rel", REL])
+    base += [["census", "--store", STORE, *obj]
+             for obj in ([], ["--object", "IV"], ["--object", "IVxIV"])]
     return [argv + flag for argv in base for flag in ([], ["--text"])]
 
 
-def run_golden(capsys, store_path: str) -> dict[str, dict]:
-    """{command key: {"exit", "sha256"}} for every pinned command."""
+def run_golden(capsys, paths: dict[str, str]) -> dict[str, dict]:
+    """{command key: {"exit", "sha256"}} for every pinned command.
+
+    `paths` maps each placeholder (STORE, REL) to the file it stands for.
+    """
     out = {}
     for argv in golden_commands():
         try:
-            code = main([store_path if a == STORE else a for a in argv])
+            code = main([paths.get(a, a) for a in argv])
         except SystemExit as exc:  # a usage error, such as an unknown structure
             code = exc.code
         stdout = capsys.readouterr().out
@@ -65,7 +79,9 @@ def cap2_r3_store(tmp_path_factory):
 def test_cli_output_matches_the_pinned_digests(capsys, cap2_r3_store):
     capsys.readouterr()
     pinned = json.loads(GOLDEN.read_text())
-    got = run_golden(capsys, str(cap2_r3_store))
+    rel = cap2_r3_store.with_name("sigma_24.json")
+    rel.write_text(json.dumps(SIGMA_24))
+    got = run_golden(capsys, {STORE: str(cap2_r3_store), REL: str(rel)})
     got["store bytes: close --max-arity 2 --max-rounds 3"] = {
         "exit": 0,
         "sha256": hashlib.sha256(cap2_r3_store.read_bytes()).hexdigest(),
