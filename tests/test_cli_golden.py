@@ -30,8 +30,7 @@ def golden_commands() -> list[list[str]]:
     base: list[list[str]] = []
     for model, labels in MODELS.items():
         m = ["--model", model]
-        base += [["verify", *m], ["bloch", *m], ["dump", *m],
-                 ["dump", *m, "--format", "text"]]
+        base += [["verify", *m], ["bloch", *m], ["dump", *m]]
         base += [["points", *m, "--structure", s] for s in labels]
         for a, b in itertools.product(labels, repeat=2):
             base += [["complementary", *m, a, b], ["hopf", *m, a, b]]
@@ -59,7 +58,7 @@ def run_golden(capsys, paths: dict[str, str]) -> dict[str, dict]:
     for argv in golden_commands():
         try:
             code = main([paths.get(a, a) for a in argv])
-        except SystemExit as exc:  # a usage error, such as an unknown structure
+        except SystemExit as exc:  # an argparse usage error
             code = exc.code
         stdout = capsys.readouterr().out
         out[" ".join(argv)] = {

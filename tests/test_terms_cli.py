@@ -1,7 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toycat.cli import main
 from toycat.models import spek
@@ -205,8 +207,8 @@ def test_cli_dump_formats(capsys):
     assert code == 0
     data = json.loads(out)
     assert "delta_Z" in data and "eta" in data
-    code, out, _ = run_cli(capsys, "dump", "--model", "frel-qubit", "--format", "text")
-    assert code == 0 and "delta_Z" in out
+    code, out, _ = run_cli(capsys, "dump", "--model", "frel-qubit", "--text")
+    assert code == 0 and "delta_Z" in out and not out.startswith("{")
 
 
 def test_cli_close_contains_census(tmp_path, capsys):
@@ -283,11 +285,112 @@ def test_cli_close_stdout_is_the_out_file(tmp_path, capsys):
 
 
 def test_cli_unknown_model_names_the_known_ones(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--model", "foo"])
+    code = main(["verify", "--model", "foo"])
     err = capsys.readouterr().err
-    assert exc.value.code == 2
+    assert code == 2
     assert "'foo'" in err and "'spek'" in err and "'frel-qubit'" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--structure", "W"], ["points", "--structure", "W"],
+                                  ["complementary", "Z", "W"], ["hopf", "W", "Z"]],
+                         ids=["verify", "points", "complementary", "hopf"])
+def test_cli_unknown_structure_names_the_known_ones(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: model spek has structures ['X', 'Y', 'Z']\n"
+
+
+def test_cli_dump_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", "--format", "text"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+DEEP = "<deep-json>"  # stands for a file of 100,000 nested '['
+
+
+# Python 3.11 overflows from 247 parentheses, 991 compositions and 992
+# daggers on; ten times as deep overflows on 3.10 to 3.13 alike.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "(" * 2470 + "z0" + ")" * 2470],
+        ["eval", "sigma_12 ; " * 9910 + "sigma_12"],
+        ["eval", "x0" + "^" * 9920],
+        ["contains", "--store", DEEP, "--term", "z0"],
+    ],
+    ids=["parentheses", "compose-chain", "daggers", "json-store"],
+)
+def test_cli_deep_input_exits_2(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, *[str(deep) if a == DEEP else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def run_quiet(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stderr) of `main(argv)`, with stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# atoms on I and IV only, so a term with at most one tensor stays within IV^2
+TERM_PIECES = st.lists(
+    st.sampled_from(["z0", "x1", "y0^", "eps_Z", "sigma_12", "id_IV", "id_I", "nope",
+                     ";", "^", "(", ")", " ", "\n"]),
+    max_size=12,
+).map("".join)
+
+
+@settings(deadline=None)
+@given(left=TERM_PIECES, tensor=st.booleans(), right=TERM_PIECES)
+def test_cli_eval_fuzz_exits_0_1_or_2(left, tensor, right):
+    assert_clean_exit(*run_quiet(["eval", left + (" x " if tensor else "") + right]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    assert run_quiet(["close", "--max-arity", "2", "--max-rounds", "1",
+                      "--out", str(path / "store.json")])[0] == 0
+    return path
+
+
+# JSON values whose integers and lists are small enough that any object
+# built from them is at most IV^2
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=2),
+    max_leaves=6,
+)
+FACTORS = st.lists(st.integers(0, 4), max_size=2)
+PAIRS = st.sets(st.tuples(st.integers(-1, 16), st.integers(-1, 16)), max_size=6).map(
+    lambda ps: [list(p) for p in sorted(ps)]
+)
+RELATION = st.fixed_dictionaries(
+    {"dom": FACTORS | JUNK, "cod": FACTORS | JUNK, "pairs": PAIRS | st.lists(JUNK, max_size=3)}
+)
+
+
+@settings(deadline=None)
+@given(data=RELATION | JUNK)
+def test_cli_contains_fuzz_exits_0_1_or_2(fuzz_dir, data):
+    rel = fuzz_dir / "rel.json"
+    rel.write_text(json.dumps(data))
+    store = str(fuzz_dir / "store.json")
+    assert_clean_exit(*run_quiet(["contains", "--store", store, "--rel", str(rel)]))
 
 
 @pytest.mark.parametrize("query", [[], ["--rel", "r.json", "--term", "sigma_12"]],
