@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 
@@ -294,6 +295,61 @@ def test_words_match_the_first_wins_scan(fixture, request):
         store.symbols, store.config.max_arity, store.rounds_run
     )
     assert {k: (e.word, e.length) for k, e in store.items.items()} == reference
+
+
+# -- pinned store bytes ----------------------------------------------------------------------
+#
+# The sha256 of the store file of two builds, so a change to the pair scan
+# that alters any word, order or growth count shows as a changed digest.
+
+def _store_digest(store: MorphismStore) -> str:
+    return hashlib.sha256(store_to_json_str(store).encode()).hexdigest()
+
+
+def test_cap2_round4_spek_store_bytes_are_pinned():
+    # nearly every composite here has a left entry that is not a gather
+    store = generate_closure(
+        spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=4)
+    )
+    assert [n for _, n in store.growth] == [31, 737, 1603, 2955]
+    assert _store_digest(store) == (
+        "895036c9a40f01e7d3d8ff85def991c0f64e4306e9bbd39f436ceffe0c8f6519"
+    )
+
+
+def wide_row_generators() -> dict[str, Relation]:
+    """Generators on IX, element e read as (q, r) = (e // 3, e % 3).
+
+    The F3 copy (q, r) -> {((q, c), (q, r - c))}, the delete {(q, 0)} and
+    the shift (q, r) -> (q, r + 1). At cap 2 the domain IX x IX has 81
+    elements, so rows are wider than 64 bits.
+    """
+    ix = FinObject(9)
+    copy = [
+        (3 * q + r, (3 * q + c) * 9 + 3 * q + (r - c) % 3)
+        for q in range(3) for r in range(3) for c in range(3)
+    ]
+    return {
+        "delta_Z": Relation.from_pairs(ix, ix * ix, copy),
+        "eps_Z": Relation.from_pairs(ix, UNIT, [(e, 0) for e in range(0, 9, 3)]),
+        "shift": Relation.from_pairs(ix, ix, [(e, e - e % 3 + (e + 1) % 3) for e in range(9)]),
+    }
+
+
+def test_wide_row_store_matches_the_reference_closure_and_is_pinned():
+    store = generate_closure(wide_row_generators(), ClosureConfig(max_arity=2, max_rounds=4))
+    reference = closure_rounds_oracle(store.symbols, 2, 4)
+    rounds = [set() for _ in reference]
+    for entry in store.items.values():
+        rounds[entry.length - 1].add(closure_member(entry.relation))
+    assert rounds == reference
+    assert {k: (e.word, e.length) for k, e in store.items.items()} == (
+        first_wins_words_oracle(store.symbols, 2, 4)
+    )
+    assert [n for _, n in store.growth] == [10, 38, 83, 106]
+    assert _store_digest(store) == (
+        "876c6917d3de31916d665552b3d40d851bdecfa8df8a5b8592ffa2d1d590f283"
+    )
 
 
 def _atoms(term) -> int:
