@@ -350,6 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         # RecursionError: a term or JSON file nested deeper than the stack allows
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # a relation file whose objects are too large to hold
+        print("error: out of memory reading the input", file=sys.stderr)
+        return EXIT_USAGE
     if report is not None:
         print(text if args.text and text is not None
               else json.dumps(report, sort_keys=True, indent=2))

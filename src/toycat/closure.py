@@ -15,17 +15,23 @@ reverses composition and preserves the tensor, so from a converse-closed
 store every later round's candidates are converse-closed already, and a
 morphism and its converse share a length.
 
-The pair scan computes each candidate's rows and key without building a
-`Relation`; one is built only for a key not seen before, and nearly every
-candidate is a duplicate. Per (round, left length) block each left entry is
-prepared once with the `relcore` kernels: `composer` turns it into one
-gather of the right entry's rows when each of its rows has a single set bit
-(every permutation does), or a map over its precomputed bit indices, and
-`spreads` gives the left half of its products, once per width of the right
-domain. The right entries are cut into runs of one shape, so a composite
-visits only the runs whose codomain meets the left domain, and a product
-only the runs that fit the left entry's arity budget; each run's objects,
-and so the key's shape part, are looked up once, not per candidate.
+The pair scan computes each candidate's rows without building a
+`Relation`; one is built only for rows not seen before, and nearly every
+candidate is a duplicate. Per (round, left length) block the right entries
+are cut into runs of one shape, and each left entry is prepared once with
+the `relcore` kernels. `run_composer` maps a run to the rows of all its
+composites: by one gather per member when each row of the left entry has
+a single set bit (every permutation does), or else by ORing the run's
+packed columns (`RowRun.packed`: row j of every member side by side, in
+slots of 1 to 8 bytes), which forms every member's composite at once;
+rows wider than 64 bits are not packed and are ORed member by member.
+`spreads` gives the left half of a product, once per width of the right
+domain. A composite visits only the runs whose codomain meets the left
+domain, and a product only the runs that fit the left entry's arity
+budget. Dedup works a run at a time: `known` holds, per shape, the rows of
+every stored morphism and of the round's pool, so a run whose candidates
+are all known is passed over with one `set.issuperset` test, and any other
+run's candidates are taken in order, the first for a key winning.
 
 A store file (`toycat-store/3`) lists the morphisms in key order, each
 record holding its key's factors and rows as JSON integers with its word
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import gc
 import json
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -65,9 +72,11 @@ from .relcore import (
     FinObject,
     Relation,
     UNIT,
+    RowRun,
     composer,
     dagger,
     is_unitary,
+    run_composer,
     spreads,
     structural_symbols,
     tensor_rows,
@@ -193,8 +202,8 @@ def _is_identifier(name: str) -> bool:
 def _shape_runs(entries: Sequence[StoredMorphism]) -> list[tuple]:
     """Cut entries into maximal runs of one shape, keeping their order.
 
-    A run is (dom, cod, [(rows, entry), ...]). Entries of one length sit in
-    key order, so each shape is a single run.
+    A run is (dom, cod, `RowRun` of the members' rows, [entry, ...]).
+    Entries of one length sit in key order, so each shape is a single run.
     """
     runs: list[tuple] = []
     shape = None
@@ -202,9 +211,11 @@ def _shape_runs(entries: Sequence[StoredMorphism]) -> list[tuple]:
         rel = e.relation
         if (rel.dom.factors, rel.cod.factors) != shape:
             shape = (rel.dom.factors, rel.cod.factors)
-            members: list[tuple] = []
-            runs.append((rel.dom, rel.cod, members))
-        members.append((rel.rows, e))
+            rows: list[tuple[int, ...]] = []
+            members: list[StoredMorphism] = []
+            runs.append((rel.dom, rel.cod, RowRun(rows, rel.dom.cardinality), members))
+        rows.append(rel.rows)
+        members.append(e)
     return runs
 
 
@@ -231,8 +242,10 @@ def generate_closure(
 
     # by_length[L] = entries with word length L, in key order; per-round
     # compatibility indexes keep the pair scan near-linear in the
-    # compatible pairs.
+    # compatible pairs. known[(dom factors, cod factors)] holds the rows of
+    # every stored morphism of that shape and of this round's pool.
     by_length: dict[int, list[StoredMorphism]] = {}
+    known: defaultdict[tuple, set] = defaultdict(set)
 
     def insert_batch(pool: dict[tuple, tuple], length: int) -> int:
         """Insert the pool's new keys in sorted key order; returns how many.
@@ -252,9 +265,26 @@ def generate_closure(
             word = left if op is None else f"({left.word}) {op} ({right.word})"
             entry = StoredMorphism(rel, word, length)
             items[key] = entry
+            known[key[:2]].add(key[2])
             by_length.setdefault(length, []).append(entry)
             added += 1
         return added
+
+    def pool_new(pool, cands, entries, dom, cod, op, e1) -> None:
+        """Pool the candidates of one run whose rows their shape has not seen.
+
+        `cands[k]` holds the rows of `e1 op entries[k]`. A run whose
+        candidates are all known costs one set test; otherwise they are
+        taken in order, so the first candidate for a key wins.
+        """
+        seen = known[dom.factors, cod.factors]
+        if seen.issuperset(cands):
+            return
+        for rows, e2 in zip(cands, entries):
+            if rows not in seen:
+                seen.add(rows)
+                rel = Relation._raw(dom, cod, rows)
+                pool[dom.factors, cod.factors, rows] = (rel, op, e1, e2)
 
     # Round 1: the seeds, then the converse of each seed not already there;
     # later rounds need no converse step (see the module docstring).
@@ -293,15 +323,9 @@ def generate_closure(
                 meeting = runs_by_cod.get(r1.dom.factors)
                 if meeting is None:
                     continue
-                after = composer(r1.rows)
-                cod = r1.cod
-                cod_f = cod.factors
-                for dom, _, members in meeting:
-                    dom_f = dom.factors
-                    for rows2, e2 in members:
-                        key = (dom_f, cod_f, after(rows2))
-                        if key not in pool and key not in items:
-                            pool[key] = (Relation._raw(dom, cod, key[2]), ";", e1, e2)
+                after = run_composer(r1.rows)
+                for dom, _, rows2, entries in meeting:
+                    pool_new(pool, after(rows2), entries, dom, r1.cod, ";", e1)
             # tensor: any pair whose product stays within the cap; the runs
             # that fit beside a left entry depend only on its arity budget
             runs_within: dict[tuple[int, int], list[tuple]] = {}
@@ -315,18 +339,13 @@ def generate_closure(
                         if run[0].arity <= budget[0] and run[1].arity <= budget[1]
                     ]
                 spreads_by_width: dict[int, list[int]] = {}
-                for dom2, cod2, members in fitting:
-                    dom = r1.dom * dom2
-                    cod = r1.cod * cod2
-                    dom_f, cod_f = dom.factors, cod.factors
-                    width = dom2.cardinality
+                for dom2, cod2, rows2, entries in fitting:
+                    width = rows2.width
                     fspreads = spreads_by_width.get(width)
                     if fspreads is None:
                         fspreads = spreads_by_width[width] = spreads(r1.rows, width)
-                    for rows2, e2 in members:
-                        key = (dom_f, cod_f, tensor_rows(fspreads, rows2))
-                        if key not in pool and key not in items:
-                            pool[key] = (Relation._raw(dom, cod, key[2]), "x", e1, e2)
+                    cands = [tensor_rows(fspreads, rows) for rows in rows2.rows]
+                    pool_new(pool, cands, entries, r1.dom * dom2, r1.cod * cod2, "x", e1)
         added = insert_batch(pool, length)
         if added < 0:
             overflow = True

@@ -14,6 +14,8 @@ so relations can be shared freely, hashed, and used as dictionary keys.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from operator import itemgetter
@@ -26,6 +28,8 @@ __all__ = [
     "UNIT",
     "compose",
     "composer",
+    "RowRun",
+    "run_composer",
     "tensor",
     "spreads",
     "tensor_rows",
@@ -275,24 +279,103 @@ def bit_indices(row: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def composer(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Prepare g for many composites: returns the map f.rows -> rows of g after f.
+def _gather(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
+    """The map f.rows -> rows of g after f as one gather, or None.
 
     When every row of g has exactly one set bit (g relates each codomain
     element to exactly one domain element, as every permutation does), row
-    i of g after f is f.rows[j] for the one bit j of grows[i], so the map
-    is a single gather. Otherwise each row's bit indices are found once,
-    here, and the map ORs the picked rows of f. `compose` walks the bits of
-    g in place instead, which is quicker for a single composite.
+    i of g after f is f.rows[j] for the one bit j of grows[i].
     """
-    if all(row and not row & (row - 1) for row in grows):
-        indices = [row.bit_length() - 1 for row in grows]
-        if len(indices) == 1:
-            # itemgetter with one index returns the item, not a 1-tuple
-            (j,) = indices
-            return lambda frows: (frows[j],)
-        return itemgetter(*indices)
+    if not all(row and not row & (row - 1) for row in grows):
+        return None
+    indices = [row.bit_length() - 1 for row in grows]
+    if len(indices) == 1:
+        # itemgetter with one index returns the item, not a 1-tuple
+        (j,) = indices
+        return lambda frows: (frows[j],)
+    return itemgetter(*indices)
+
+
+def composer(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Prepare g for many composites: returns the map f.rows -> rows of g after f.
+
+    The map is a single gather when every row of g has one set bit.
+    Otherwise each row's bit indices are found once, here, and the map ORs
+    the picked rows of f. `compose` walks the bits of g in place instead,
+    which is quicker for a single composite.
+    """
+    gather = _gather(grows)
+    if gather is not None:
+        return gather
     return partial(_or_picked, tuple(map(bit_indices, grows)))
+
+
+# Slot of a packed column, by the width of the rows it holds: the array
+# typecode of each item size, so `memoryview.cast` reads the slots back.
+_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+_SLOT_BYTES = (1, 2, 4, 8)
+
+
+class RowRun:
+    """The rows of several relations of one shape, for composing them at once.
+
+    `rows` lists each member's rows in order; `width` is the size of their
+    domain, so every row is below 2**width.
+    """
+
+    def __init__(self, rows: list[tuple[int, ...]], width: int) -> None:
+        self.rows = rows
+        self.width = width
+
+    @cached_property
+    def packed(self) -> tuple[list[int], int, str] | None:
+        """`(columns, bytes, typecode)`, or None when rows are wider than 64 bits.
+
+        Column j holds row j of every member side by side, member k in the
+        k-th slot of 1, 2, 4 or 8 bytes, laid out as a native array of that
+        typecode read as one integer; `bytes` is the length of that array.
+        """
+        size = next((n for n in _SLOT_BYTES if self.width <= 8 * n), None)
+        if size is None:
+            return None
+        code = _SLOT_CODES[size]
+        columns = [
+            int.from_bytes(array(code, col), sys.byteorder) for col in zip(*self.rows)
+        ]
+        return columns, size * len(self.rows), code
+
+
+def _or_columns(picks: tuple[tuple[int, ...], ...], run: RowRun) -> list[tuple[int, ...]]:
+    """Rows of g after every member of `run`, each row of g given by its bit indices.
+
+    Each output row ORs the packed columns its bits pick, for all members
+    at once, and is read back slot by slot; zipping the output rows gives
+    each member's composite. Rows wider than 64 bits are not packed, and
+    each member's rows are ORed in turn.
+    """
+    packed = run.packed
+    if packed is None:
+        return [_or_picked(picks, frows) for frows in run.rows]
+    columns, nbytes, code = packed
+    views = []
+    for pick in picks:
+        acc = 0
+        for j in pick:
+            acc |= columns[j]
+        views.append(memoryview(acc.to_bytes(nbytes, sys.byteorder)).cast(code))
+    return list(zip(*views))
+
+
+def run_composer(grows: tuple[int, ...]) -> Callable[[RowRun], list[tuple[int, ...]]]:
+    """Prepare g for many runs: returns the map run -> rows of g after each member.
+
+    A gather maps each member in turn; otherwise the members' composites
+    come from the run's packed columns (`_or_columns`).
+    """
+    gather = _gather(grows)
+    if gather is not None:
+        return lambda run: list(map(gather, run.rows))
+    return partial(_or_columns, tuple(map(bit_indices, grows)))
 
 
 def tensor(f: Relation, g: Relation) -> Relation:

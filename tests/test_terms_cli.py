@@ -1,10 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toycat
 from toycat.cli import main
 from toycat.models import spek
 from toycat.relcore import ShapeMismatchError, compose, dagger, tensor
@@ -329,6 +335,36 @@ def test_cli_deep_input_exits_2(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _limit_address_space():
+    # 1.5 GB: ample for the interpreter, far too little for 2**40 rows
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("command", ["contains", "close"])
+def test_cli_huge_codomain_exits_2(tmp_path, command):
+    # Never run without the address-space limit: the rows would not fit in memory.
+    huge = tmp_path / "huge.json"
+    rel = {"dom": [4], "cod": [1 << 40], "pairs": [[0, 0]]}
+    if command == "contains":
+        store = tmp_path / "store.json"
+        assert main(["close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store)]) == 0
+        huge.write_text(json.dumps(rel))
+        argv = ["contains", "--store", str(store), "--rel", str(huge)]
+    else:
+        huge.write_text(json.dumps({"generators": {"f": rel}}))
+        argv = ["close", "--generators", str(huge), "--out", str(tmp_path / "out.json")]
+    src = str(Path(toycat.__file__).parents[1])
+    cli = "import sys; from toycat.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.run(
+        [sys.executable, "-c", cli, *argv],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
 
 
 def run_quiet(argv: list[str]) -> tuple[int, str]:
