@@ -243,7 +243,8 @@ def generate_closure(
     # by_length[L] = entries with word length L, in key order; per-round
     # compatibility indexes keep the pair scan near-linear in the
     # compatible pairs. known[(dom factors, cod factors)] holds the rows of
-    # every stored morphism of that shape and of this round's pool.
+    # every stored morphism of that shape and of this round's pool: the
+    # seeds' after round 1, and each later candidate when it is pooled.
     by_length: dict[int, list[StoredMorphism]] = {}
     known: defaultdict[tuple, set] = defaultdict(set)
 
@@ -265,7 +266,6 @@ def generate_closure(
             word = left if op is None else f"({left.word}) {op} ({right.word})"
             entry = StoredMorphism(rel, word, length)
             items[key] = entry
-            known[key[:2]].add(key[2])
             by_length.setdefault(length, []).append(entry)
             added += 1
         return added
@@ -295,6 +295,8 @@ def generate_closure(
         drel = dagger(symbols[name])
         seed_pool.setdefault(drel.key, (drel, None, f"{name}^", None))
     overflow = insert_batch(seed_pool, 1) < 0
+    for dom_f, cod_f, rows in items:
+        known[dom_f, cod_f].add(rows)
     store.growth.append((1, len(items)))
     store.rounds_run = 1
 
