@@ -1,5 +1,8 @@
 """Acceptance criteria, one test per criterion (5 is split into 5a/5b/5c).
 
+One more test pins the bytes of the cap-3 round-4 store that criterion 5
+builds, so it adds no build of its own.
+
 Each test prints a single PASS/FAIL line. Criteria 5b and 5c prove that
 the diagonal copy map delta_oplus lies outside the Spek closure at arity
 caps 2, 3 and 4. A fixpoint cannot give that proof at desk scale: the
@@ -15,6 +18,7 @@ against the class, and require `contains` to stay honest about the
 missing fixpoint.
 """
 
+import hashlib
 import random
 import time
 
@@ -441,3 +445,11 @@ def test_criterion_10_closure_determinism():
     ok = fix_blobs[0] == fix_blobs[1] and bounded_blobs[0] == bounded_blobs[1]
     report("10", ok, "two builds write byte-identical stores (fixpoint and bounded)")
     assert ok
+
+
+def test_cap3_round4_spek_store_bytes_are_pinned(spek_store_r4):
+    # not a criterion: pins every word, order and growth count of the
+    # largest build the tests make, so a pair-scan change that alters one shows
+    assert [n for _, n in spek_store_r4.growth] == [34, 941, 22463, 121287]
+    digest = hashlib.sha256(store_to_json_str(spek_store_r4).encode()).hexdigest()
+    assert digest == "88e763c1dd5f0acf6d27db7a6f5d5e9698e81796b67697efb80c477eb7abe488"

@@ -317,6 +317,17 @@ def test_cap2_round4_spek_store_bytes_are_pinned():
     )
 
 
+def test_cap3_round3_spek_store_bytes_are_pinned_and_words_first_win(spek_bounded):
+    # products of products and composites of composites are most common here
+    assert [n for _, n in spek_bounded.growth] == [34, 941, 22463]
+    assert _store_digest(spek_bounded) == (
+        "a853134041aaed61edc5a54d7b716f31f7ed390df9f971fd84cd85d5a57b25d8"
+    )
+    assert {k: (e.word, e.length) for k, e in spek_bounded.items.items()} == (
+        first_wins_words_oracle(spek_bounded.symbols, 3, 3)
+    )
+
+
 def wide_row_generators() -> dict[str, Relation]:
     """Generators on IX, element e read as (q, r) = (e // 3, e % 3).
 
