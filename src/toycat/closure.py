@@ -75,6 +75,7 @@ from .relcore import (
     RowRun,
     composer,
     dagger,
+    identity,
     is_unitary,
     run_composer,
     spreads,
@@ -219,6 +220,23 @@ def _shape_runs(entries: Sequence[StoredMorphism]) -> list[tuple]:
     return runs
 
 
+# The left-operand rule (module docstring): a left entry whose word has one
+# of these tops makes only candidates that an earlier one already found.
+_COMPOSE_SKIP = frozenset((";", "id", "unit"))
+_TENSOR_SKIP = frozenset(("x", "unit"))
+
+
+def _top(rel: Relation, op: str | None) -> str | None:
+    """The top operation of an entry's word: ";" or "x" for a composite or a
+    product, "unit" for the identity scalar, "id" for another identity, and
+    None for any other round-1 word."""
+    if op is not None:
+        return op
+    if rel.dom == rel.cod and rel.rows == identity(rel.dom).rows:
+        return "unit" if not rel.dom.factors else "id"
+    return None
+
+
 def generate_closure(
     generators: Mapping[str, Relation],
     config: ClosureConfig = ClosureConfig(),
@@ -242,10 +260,13 @@ def generate_closure(
 
     # by_length[L] = entries with word length L, in key order; per-round
     # compatibility indexes keep the pair scan near-linear in the
-    # compatible pairs. known[(dom factors, cod factors)] holds the rows of
-    # every stored morphism of that shape and of this round's pool: the
-    # seeds' after round 1, and each later candidate when it is pooled.
+    # compatible pairs. tops[L][k] is the top operation of
+    # by_length[L][k]'s word (`_top`), read by the left-operand rule.
+    # known[(dom factors, cod factors)] holds the rows of every stored
+    # morphism of that shape and of this round's pool: the seeds' after
+    # round 1, and each later candidate when it is pooled.
     by_length: dict[int, list[StoredMorphism]] = {}
+    tops: dict[int, list[str | None]] = {}
     known: defaultdict[tuple, set] = defaultdict(set)
 
     def insert_batch(pool: dict[tuple, tuple], length: int) -> int:
@@ -267,6 +288,7 @@ def generate_closure(
             entry = StoredMorphism(rel, word, length)
             items[key] = entry
             by_length.setdefault(length, []).append(entry)
+            tops.setdefault(length, []).append(_top(rel, op))
             added += 1
         return added
 
@@ -320,7 +342,9 @@ def generate_closure(
             runs_by_cod: dict[tuple, list[tuple]] = {}
             for run in runs:
                 runs_by_cod.setdefault(run[1].factors, []).append(run)
-            for e1 in left:
+            for e1, top in zip(left, tops[la]):
+                if top in _COMPOSE_SKIP:
+                    continue
                 r1 = e1.relation
                 meeting = runs_by_cod.get(r1.dom.factors)
                 if meeting is None:
@@ -331,7 +355,9 @@ def generate_closure(
             # tensor: any pair whose product stays within the cap; the runs
             # that fit beside a left entry depend only on its arity budget
             runs_within: dict[tuple[int, int], list[tuple]] = {}
-            for e1 in left:
+            for e1, top in zip(left, tops[la]):
+                if top in _TENSOR_SKIP:
+                    continue
                 r1 = e1.relation
                 budget = (cap - r1.dom.arity, cap - r1.cod.arity)
                 fitting = runs_within.get(budget)
