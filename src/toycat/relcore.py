@@ -468,9 +468,17 @@ def structural_symbols(base_factors: Sequence[int], cap: int) -> dict[str, Relat
 
 
 def is_unitary(f: Relation) -> bool:
-    """True iff dagger(f) is a two-sided inverse of f."""
-    fd = dagger(f)
-    return compose(fd, f) == identity(f.dom) and compose(f, fd) == identity(f.cod)
+    """True iff dagger(f) is a two-sided inverse of f.
+
+    That holds iff f is a bijection: every row has exactly one set bit, no
+    two rows share it, and there are as many rows as domain elements.
+    """
+    rows = f.rows
+    return (
+        len(rows) == f.dom.cardinality
+        and all(row and not row & (row - 1) for row in rows)
+        and len(set(rows)) == len(rows)
+    )
 
 
 def scalar_identity() -> Relation:

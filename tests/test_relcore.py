@@ -32,7 +32,13 @@ from toycat.relcore import (
     transpose_star,
 )
 
-from oracle import compose_oracle, dagger_oracle, random_relation, tensor_oracle
+from oracle import (
+    all_relations,
+    compose_oracle,
+    dagger_oracle,
+    random_relation,
+    tensor_oracle,
+)
 
 II = FinObject(2)
 IV = FinObject(4)
@@ -330,6 +336,18 @@ def test_projector_is_not_unitary():
 
 def test_non_bijection_not_unitary():
     assert not is_unitary(rel(II, IV, [(0, 0), (1, 1)]))
+
+
+@pytest.mark.parametrize("dom, cod", [
+    (UNIT, UNIT), (UNIT, II), (II, UNIT), (II, II), (II, FinObject(3)),
+    (FinObject(3), II), (FinObject(3), FinObject(3)), (II * II, IV),
+])
+def test_is_unitary_matches_the_compose_definition(dom, cod):
+    # the bijection test against dagger(f) being a two-sided inverse of f
+    for f in all_relations(dom, cod):
+        fd = dagger(f)
+        inverse = compose(fd, f) == identity(dom) and compose(f, fd) == identity(cod)
+        assert is_unitary(f) == inverse, f
 
 
 # -- transpose ------------------------------------------------------------------------
