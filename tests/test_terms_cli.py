@@ -429,6 +429,51 @@ def test_cli_contains_fuzz_exits_0_1_or_2(fuzz_dir, data):
     assert_clean_exit(*run_quiet(["contains", "--store", store, "--rel", str(rel)]))
 
 
+def _field_paths(value, path=()):
+    """The path of every field and list entry inside a JSON value."""
+    if isinstance(value, dict):
+        entries = value.items()
+    elif isinstance(value, list):
+        entries = enumerate(value)
+    else:
+        return
+    for key, inner in entries:
+        yield path + (key,)
+        yield from _field_paths(inner, path + (key,))
+
+
+MISSING = object()
+# a wrong type, a bool, a small or negative int, or the field removed
+FIELD_VALUES = (
+    st.just(MISSING) | st.booleans() | st.integers(-3, 4)
+    | st.sampled_from([None, 1.5, "", "IV", [], {}, [1], {"dom": []}])
+)
+
+
+@settings(deadline=None)
+@given(data=st.data(), value=FIELD_VALUES, term=st.sampled_from(["sigma_12", "delta_Z"]))
+def test_cli_contains_store_fuzz_exits_0_1_or_2(fuzz_dir, data, value, term):
+    blob = json.loads((fuzz_dir / "store.json").read_text())
+    by_depth: dict[int, list[tuple]] = {}
+    for path in _field_paths(blob):
+        by_depth.setdefault(len(path), []).append(path)
+    # a depth first, so the few top-level fields are drawn as often as rows
+    path = data.draw(st.sampled_from(by_depth[data.draw(st.sampled_from(sorted(by_depth)))]))
+    *parents, last = path
+    node = blob
+    for key in parents:
+        node = node[key]
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    store = fuzz_dir / "mutated.json"
+    store.write_text(json.dumps(blob))
+    assert_clean_exit(
+        *run_quiet(["contains", "--store", str(store), "--term", term, "--model", "spek"])
+    )
+
+
 @pytest.mark.parametrize("query", [[], ["--rel", "r.json", "--term", "sigma_12"]],
                          ids=["neither", "both"])
 def test_cli_contains_takes_exactly_one_of_rel_and_term(capsys, query):
