@@ -33,6 +33,21 @@ every stored morphism and of the round's pool, so a run whose candidates
 are all known is passed over with one `set.issuperset` test, and any other
 run's candidates are taken in order, the first for a key winning.
 
+Left-operand rule: the compose section skips a left entry whose word is a
+composite `(a) ; (b)` or an identity, and the tensor section one whose
+word is a product `(a) x (b)` or the unit scalar. None of their candidates
+can win. Composition and the cartesian product are associative on the
+nose (an object is its tuple of factors) and identities are units. So
+for e1 = a after b, e1 after e2 equals a after (b after e2); b after e2
+is stored with length at most len b + len e2, so a after it is known
+before the round or is a candidate of the earlier left length len a.
+Products go the same way, and id after e and id_I x e are e, stored in
+an earlier round. By induction on (round, scan position) each skipped
+candidate is a duplicate, so winners, words and store bytes are
+unchanged. The rule goes no further: skipping right operands, composite
+left entries of products, or rewriting by the interchange law would move
+a candidate later in scan order, which can change a winning word.
+
 A store file (`toycat-store/3`) lists the morphisms in key order, each
 record holding its key's factors and rows as JSON integers with its word
 and length, so writing one builds no pairs and reading one builds each
@@ -227,14 +242,14 @@ _TENSOR_SKIP = frozenset(("x", "unit"))
 
 
 def _top(rel: Relation, op: str | None) -> str | None:
-    """The top operation of an entry's word: ";" or "x" for a composite or a
-    product, "unit" for the identity scalar, "id" for another identity, and
-    None for any other round-1 word."""
-    if op is not None:
-        return op
-    if rel.dom == rel.cod and rel.rows == identity(rel.dom).rows:
-        return "unit" if not rel.dom.factors else "id"
-    return None
+    """The top operation of an entry's word, for the left-operand rule.
+
+    ";" or "x" for a composite or a product; for a round-1 word, "unit" for
+    the identity scalar, "id" for another identity, and None otherwise.
+    """
+    if op is None and rel == identity(rel.dom):
+        return "unit" if rel.dom == UNIT else "id"
+    return op
 
 
 def generate_closure(
