@@ -216,6 +216,25 @@ def test_morphism_cap_flags_non_fixpoint(arity1_gens):
     assert len(store) <= 40
 
 
+@pytest.mark.parametrize(
+    "cap, growth, fixpoint",
+    [
+        # the cap falls inside round 1
+        (10, [(1, 10)], False),
+        # round 2 fills the cap exactly; round 3 finds it full and adds nothing
+        (38, [(1, 27), (2, 11), (3, 0)], False),
+        # the whole fixpoint fits
+        (77, [(1, 27), (2, 11), (3, 11), (4, 28), (5, 0), (6, 0), (7, 0), (8, 0)], True),
+    ],
+)
+def test_morphism_cap_edges(arity1_gens, cap, growth, fixpoint):
+    store = generate_closure(arity1_gens, ClosureConfig(max_arity=1, max_morphisms=cap))
+    assert store.growth == growth
+    assert store.fixpoint is fixpoint
+    assert store.rounds_run == len(growth)
+    assert len(store) == sum(n for _, n in growth)
+
+
 # -- determinism -------------------------------------------------------------------------
 
 def test_two_builds_produce_byte_identical_stores(arity1_gens):
