@@ -17,21 +17,24 @@ morphism and its converse share a length.
 
 The pair scan computes each candidate's rows without building a
 `Relation`; one is built only for rows not seen before, and nearly every
-candidate is a duplicate. Per (round, left length) block the right entries
-are cut into runs of one shape, and each left entry is prepared once with
-the `relcore` kernels. `run_composer` maps a run to the rows of all its
-composites: by one gather per member when each row of the left entry has
-a single set bit (every permutation does), or else by ORing the run's
-packed columns (`RowRun.packed`: row j of every member side by side, in
-slots of 1 to 8 bytes), which forms every member's composite at once;
-rows wider than 64 bits are not packed and are ORed member by member.
-`spreads` gives the left half of a product, once per width of the right
-domain. A composite visits only the runs whose codomain meets the left
-domain, and a product only the runs that fit the left entry's arity
-budget. Dedup works a run at a time: `known` holds, per shape, the rows of
-every stored morphism and of the round's pool, so a run whose candidates
-are all known is passed over with one `set.issuperset` test, and any other
-run's candidates are taken in order, the first for a key winning.
+candidate is a duplicate. Each length's entries are kept as runs of one
+shape, cut once as they are inserted (a round inserts in key order, so
+each shape is one run) and kept for the whole build. Each left entry is
+prepared once per (round, left length) with the `relcore` kernels.
+`run_composer` maps a run to the rows of all its composites: by one
+gather per member when each row of the left entry has a single set bit
+(every permutation does), or else by ORing the run's packed columns
+(`RowRun.packed`: row j of every member side by side, in slots of 1 to 8
+bytes), which forms every member's composite at once; rows wider than 64
+bits are not packed and are ORed member by member. `spreads` gives the
+left half of a product, once per width of the right domain. A left run's
+composites visit only the right runs whose codomain is its domain, and
+its products only the runs that fit beside it within the cap; both lists
+are found once per left run. Dedup works a run at a time: `known` holds,
+per shape, the rows of every stored morphism and of the round's pool, so
+a run whose candidates are all known is passed over with one
+`set.issuperset` test, and any other run's candidates are taken in order,
+the first for a key winning.
 
 Left-operand rule: the compose section skips a left entry whose word is a
 composite `(a) ; (b)` or an identity, and the tensor section one whose
@@ -81,14 +84,13 @@ import json
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .relcore import (
     FinObject,
     Relation,
     UNIT,
     RowRun,
-    composer,
     dagger,
     identity,
     is_unitary,
@@ -215,24 +217,22 @@ def _is_identifier(name: str) -> bool:
         return False
 
 
-def _shape_runs(entries: Sequence[StoredMorphism]) -> list[tuple]:
-    """Cut entries into maximal runs of one shape, keeping their order.
+@dataclass
+class _Run:
+    """The entries of one word length and one shape, in key order.
 
-    A run is (dom, cod, `RowRun` of the members' rows, [entry, ...]).
-    Entries of one length sit in key order, so each shape is a single run.
+    `rows` holds their rows for the `relcore` kernels, and `tops[k]` is the
+    top operation of `entries[k]`'s word (`_top`), read by the left-operand
+    rule. A run is filled by its length's one insertion batch, before any
+    scan reads it, so the packed columns `rows` caches on first use stay
+    valid for the whole build.
     """
-    runs: list[tuple] = []
-    shape = None
-    for e in entries:
-        rel = e.relation
-        if (rel.dom.factors, rel.cod.factors) != shape:
-            shape = (rel.dom.factors, rel.cod.factors)
-            rows: list[tuple[int, ...]] = []
-            members: list[StoredMorphism] = []
-            runs.append((rel.dom, rel.cod, RowRun(rows, rel.dom.cardinality), members))
-        rows.append(rel.rows)
-        members.append(e)
-    return runs
+
+    dom: FinObject
+    cod: FinObject
+    rows: RowRun
+    entries: list[StoredMorphism] = field(default_factory=list)
+    tops: list[str | None] = field(default_factory=list)
 
 
 # The left-operand rule (module docstring): a left entry whose word has one
@@ -273,15 +273,11 @@ def generate_closure(
     store = MorphismStore(config=config, symbols=symbols)
     items = store.items
 
-    # by_length[L] = entries with word length L, in key order; per-round
-    # compatibility indexes keep the pair scan near-linear in the
-    # compatible pairs. tops[L][k] is the top operation of
-    # by_length[L][k]'s word (`_top`), read by the left-operand rule.
-    # known[(dom factors, cod factors)] holds the rows of every stored
-    # morphism of that shape and of this round's pool: the seeds' after
-    # round 1, and each later candidate when it is pooled.
-    by_length: dict[int, list[StoredMorphism]] = {}
-    tops: dict[int, list[str | None]] = {}
+    # runs[L] = the entries with word length L, cut into `_Run`s as they
+    # are inserted. known[(dom factors, cod factors)] holds the rows of
+    # every stored morphism of that shape and of this round's pool: the
+    # seeds' after round 1, and each later candidate when it is pooled.
+    runs: dict[int, list[_Run]] = {}
     known: defaultdict[tuple, set] = defaultdict(set)
 
     def insert_batch(pool: dict[tuple, tuple], length: int) -> int:
@@ -291,21 +287,26 @@ def generate_closure(
         `(left) op (right)` over the two entries' words, formatted here for
         the inserted keys only; a round-1 value has op None and its word as
         `left`. Sorted insertion makes truncation at the morphism cap
-        deterministic; a truncated store may lose converse-closure and is
-        flagged non-fixpoint.
+        deterministic, and puts each shape's entries in one run; a
+        truncated store may lose converse-closure and is flagged
+        non-fixpoint.
         """
-        added = 0
-        for key in sorted(pool):
-            if len(items) >= config.max_morphisms:
-                return -added - 1  # sentinel: cap hit
+        keys = sorted(pool)[: config.max_morphisms - len(items)]
+        length_runs = runs[length] = []
+        shape = None
+        for key in keys:
             rel, op, left, right = pool[key]
             word = left if op is None else f"({left.word}) {op} ({right.word})"
             entry = StoredMorphism(rel, word, length)
             items[key] = entry
-            by_length.setdefault(length, []).append(entry)
-            tops.setdefault(length, []).append(_top(rel, op))
-            added += 1
-        return added
+            if key[:2] != shape:
+                shape = key[:2]
+                run = _Run(rel.dom, rel.cod, RowRun([], rel.dom.cardinality))
+                length_runs.append(run)
+            run.rows.rows.append(rel.rows)
+            run.entries.append(entry)
+            run.tops.append(_top(rel, op))
+        return len(keys)
 
     def pool_new(pool, cands, entries, dom, cod, op, e1) -> None:
         """Pool the candidates of one run whose rows their shape has not seen.
@@ -331,13 +332,14 @@ def generate_closure(
     for name in sorted(symbols):
         drel = dagger(symbols[name])
         seed_pool.setdefault(drel.key, (drel, None, f"{name}^", None))
-    overflow = insert_batch(seed_pool, 1) < 0
+    overflow = insert_batch(seed_pool, 1) < len(seed_pool)
     for dom_f, cod_f, rows in items:
         known[dom_f, cod_f].add(rows)
     store.growth.append((1, len(items)))
     store.rounds_run = 1
 
-    # Later rounds: the first candidate found for a key wins.
+    # Later rounds: the first candidate found for a key wins; the morphism
+    # cap cuts a round short when its pool does not fit.
     max_len = 1
     length = 2
     while not overflow:
@@ -348,59 +350,48 @@ def generate_closure(
             break
         pool: dict[tuple, tuple] = {}
         for la in range(1, length):
-            left = by_length.get(la, ())
-            right = by_length.get(length - la, ())
-            if not left or not right:
-                continue
-            runs = _shape_runs(right)
+            left = runs[la]
+            right = runs[length - la]
             # compose: e1 after e2 when shapes meet in the middle
-            runs_by_cod: dict[tuple, list[tuple]] = {}
-            for run in runs:
-                runs_by_cod.setdefault(run[1].factors, []).append(run)
-            for e1, top in zip(left, tops[la]):
-                if top in _COMPOSE_SKIP:
+            for run1 in left:
+                meeting = [
+                    (run2, run2.dom, run1.cod) for run2 in right
+                    if run2.cod.factors == run1.dom.factors
+                ]
+                if not meeting:
                     continue
-                r1 = e1.relation
-                meeting = runs_by_cod.get(r1.dom.factors)
-                if meeting is None:
+                for e1, top in zip(run1.entries, run1.tops):
+                    if top in _COMPOSE_SKIP:
+                        continue
+                    after = run_composer(e1.relation.rows)
+                    for run2, dom, cod in meeting:
+                        pool_new(pool, after(run2.rows), run2.entries, dom, cod, ";", e1)
+            # tensor: any pair whose product stays within the cap; a left
+            # entry's spreads are made once per width of a fitting run's domain
+            for run1 in left:
+                dom_room, cod_room = cap - run1.dom.arity, cap - run1.cod.arity
+                fitting = [
+                    (run2, run1.dom * run2.dom, run1.cod * run2.cod) for run2 in right
+                    if run2.dom.arity <= dom_room and run2.cod.arity <= cod_room
+                ]
+                if not fitting:
                     continue
-                after = run_composer(r1.rows)
-                for dom, _, rows2, entries in meeting:
-                    pool_new(pool, after(rows2), entries, dom, r1.cod, ";", e1)
-            # tensor: any pair whose product stays within the cap; the runs
-            # that fit beside a left entry depend only on its arity budget
-            runs_within: dict[tuple[int, int], list[tuple]] = {}
-            for e1, top in zip(left, tops[la]):
-                if top in _TENSOR_SKIP:
-                    continue
-                r1 = e1.relation
-                budget = (cap - r1.dom.arity, cap - r1.cod.arity)
-                fitting = runs_within.get(budget)
-                if fitting is None:
-                    fitting = runs_within[budget] = [
-                        run for run in runs
-                        if run[0].arity <= budget[0] and run[1].arity <= budget[1]
-                    ]
-                spreads_by_width: dict[int, list[int]] = {}
-                for dom2, cod2, rows2, entries in fitting:
-                    width = rows2.width
-                    fspreads = spreads_by_width.get(width)
-                    if fspreads is None:
-                        fspreads = spreads_by_width[width] = spreads(r1.rows, width)
-                    cands = [tensor_rows(fspreads, rows) for rows in rows2.rows]
-                    pool_new(pool, cands, entries, r1.dom * dom2, r1.cod * cod2, "x", e1)
+                widths = {run2.rows.width for run2, _, _ in fitting}
+                for e1, top in zip(run1.entries, run1.tops):
+                    if top in _TENSOR_SKIP:
+                        continue
+                    by_width = {w: spreads(e1.relation.rows, w) for w in widths}
+                    for run2, dom, cod in fitting:
+                        fspreads = by_width[run2.rows.width]
+                        cands = [tensor_rows(fspreads, rows) for rows in run2.rows.rows]
+                        pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
         added = insert_batch(pool, length)
-        if added < 0:
-            overflow = True
-            added = -added - 1
+        overflow = added < len(pool)
         store.growth.append((length, added))
         store.rounds_run = length
         if added > 0:
             max_len = length
         length += 1
-
-    if overflow:
-        store.fixpoint = False
     return store
 
 
@@ -438,7 +429,8 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
     """All stored states of `obj`, with orbits under stored permutations.
 
     One walk over the store picks the states (I -> obj) and the
-    endomorphisms of obj; each unitary one is prepared once as a gather.
+    endomorphisms of obj; each unitary one is prepared once as a gather and
+    applied to a whole breadth-first frontier, taken as one `RowRun`.
     """
     items = store.items
     target = obj.factors
@@ -453,7 +445,7 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
                 endo_keys.append(key)
     states = [items[k] for k in sorted(state_keys)]
     moves = [
-        composer(items[k].relation.rows)
+        run_composer(items[k].relation.rows)
         for k in endo_keys
         if is_unitary(items[k].relation)
     ]
@@ -461,16 +453,18 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
     orbits: list[tuple[Relation, ...]] = []
     while remaining:
         seed_key = min(remaining)
-        frontier = [remaining.pop(seed_key)]
-        orbit = {seed_key: frontier[0]}
+        orbit = {seed_key: remaining.pop(seed_key)}
+        frontier = [seed_key[2]]
         while frontier:
-            rows = frontier.pop().rows
+            run = RowRun(frontier, UNIT.cardinality)
+            frontier = []
             for move in moves:
-                key = ((), target, move(rows))
-                if key not in orbit:
-                    moved = orbit[key] = Relation._raw(UNIT, obj, key[2])
-                    remaining.pop(key, None)
-                    frontier.append(moved)
+                for rows in move(run):
+                    key = ((), target, rows)
+                    if key not in orbit:
+                        orbit[key] = Relation._raw(UNIT, obj, rows)
+                        remaining.pop(key, None)
+                        frontier.append(rows)
         orbits.append(tuple(orbit[k] for k in sorted(orbit)))
     return StateCensus(obj, tuple(states), tuple(orbits))
 

@@ -27,7 +27,6 @@ __all__ = [
     "ShapeMismatchError",
     "UNIT",
     "compose",
-    "composer",
     "RowRun",
     "run_composer",
     "tensor",
@@ -294,20 +293,6 @@ def _gather(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ..
         (j,) = indices
         return lambda frows: (frows[j],)
     return itemgetter(*indices)
-
-
-def composer(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Prepare g for many composites: returns the map f.rows -> rows of g after f.
-
-    The map is a single gather when every row of g has one set bit.
-    Otherwise each row's bit indices are found once, here, and the map ORs
-    the picked rows of f. `compose` walks the bits of g in place instead,
-    which is quicker for a single composite.
-    """
-    gather = _gather(grows)
-    if gather is not None:
-        return gather
-    return partial(_or_picked, tuple(map(bit_indices, grows)))
 
 
 # Slot of a packed column, by the width of the rows it holds: the array
