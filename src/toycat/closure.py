@@ -281,7 +281,10 @@ def generate_closure(
     known: defaultdict[tuple, set] = defaultdict(set)
 
     def insert_batch(pool: dict[tuple, tuple], length: int) -> int:
-        """Insert the pool's new keys in sorted key order; returns how many.
+        """Insert the pool's keys in sorted key order, up to the morphism cap.
+
+        Returns how many were inserted: fewer than `len(pool)` exactly when
+        the cap cut the batch short.
 
         A pool value is `(relation, op, left, right)`: the word is
         `(left) op (right)` over the two entries' words, formatted here for
