@@ -313,7 +313,43 @@ def test_cli_dump_has_no_format_option(capsys):
     assert "--format" in capsys.readouterr().err
 
 
-DEEP = "<deep-json>"  # stands for a file of 100,000 nested '['
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `main(argv)`, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error or -h
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each call leaves an option or default that the next one must not inherit.
+SEQUENCE = [
+    ["verify", "--model", "frel-qubit", "--structure", "Z"],
+    ["verify"],
+    ["protocol", "teleport", "--pool", "perms", "--model", "frel-qubit"],
+    ["protocol", "teleport"],
+    ["contains", "--term", "x"],
+    ["-h"],
+    ["verify", "--model", "nope"],
+    ["eval", "delta_Z ; z0", "--text"],
+    ["eval", "delta_Z ; z0"],
+]
+
+
+def test_cli_calls_in_one_process_match_calls_on_a_fresh_parser():
+    in_sequence = [run_captured(argv) for argv in SEQUENCE]
+    for argv, got in zip(SEQUENCE, in_sequence):
+        assert got == run_captured(argv), argv
+    codes = [code for code, _, _ in in_sequence]
+    assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0]
+    assert [r["structure"] for r in json.loads(in_sequence[1][1])] == ["X", "Y", "Z"]
+    assert json.loads(in_sequence[3][1])["branch_count"] == 4
+    assert json.loads(in_sequence[8][1])["pairs"] == [[0, 0], [0, 1], [0, 4], [0, 5]]
+
+
+DEEP ="<deep-json>"  # stands for a file of 100,000 nested '['
 
 
 # Python 3.11 overflows from 247 parentheses, 991 compositions and 992
