@@ -10,11 +10,16 @@ relation or store file). Commands that read a model take `--model`,
 default `spek`, resolved once in `main`. Output is byte-stable for identical
 inputs and flags. `close` takes its defaults from `ClosureConfig`; `suite
 spek` builds the cap-3, round-4 store unless `--store` names another.
+
+The parser is built on the first `main` call and reused by every later one
+in the process; each call parses into a fresh namespace, and nothing
+changes the parser after it is built.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -259,6 +264,7 @@ def cmd_dump(args):
     return data, text, True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toycat",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toycat
-from toycat.cli import main
+from toycat.cli import build_parser, main
 from toycat.models import spek
 from toycat.relcore import ShapeMismatchError, compose, dagger, tensor
 from toycat.terms import (
@@ -341,6 +341,7 @@ SEQUENCE = [
 def test_cli_calls_in_one_process_match_calls_on_a_fresh_parser():
     in_sequence = [run_captured(argv) for argv in SEQUENCE]
     for argv, got in zip(SEQUENCE, in_sequence):
+        build_parser.cache_clear()
         assert got == run_captured(argv), argv
     codes = [code for code, _, _ in in_sequence]
     assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0]
