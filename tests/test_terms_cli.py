@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -348,6 +349,20 @@ def test_cli_calls_in_one_process_match_calls_on_a_fresh_parser():
     assert [r["structure"] for r in json.loads(in_sequence[1][1])] == ["X", "Y", "Z"]
     assert json.loads(in_sequence[3][1])["branch_count"] == 4
     assert json.loads(in_sequence[8][1])["pairs"] == [[0, 0], [0, 1], [0, 4], [0, 5]]
+
+
+def test_cli_builds_the_parser_once(monkeypatch):
+    assert run_captured(["eval", "z0"])[0] == 0  # the first call may build it
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_captured(["verify", "--structure", "Z"])[0] == 0
+    assert built == []
 
 
 DEEP ="<deep-json>"  # stands for a file of 100,000 nested '['
