@@ -365,7 +365,7 @@ def test_cli_builds_the_parser_once(monkeypatch):
     assert built == []
 
 
-DEEP ="<deep-json>"  # stands for a file of 100,000 nested '['
+DEEP = "<deep-json>"  # stands for a file of 100,000 nested '['
 
 
 # Python 3.11 overflows from 247 parentheses, 991 compositions and 992
