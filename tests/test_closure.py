@@ -336,6 +336,18 @@ def test_cap2_round4_spek_store_bytes_are_pinned():
     )
 
 
+def test_cap2_round5_spek_store_bytes_are_pinned():
+    # the deepest cap-2 build in the tests: most (product ; product)
+    # candidates here have a factor pair that is stored shorter
+    store = generate_closure(
+        spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=5)
+    )
+    assert [n for _, n in store.growth] == [31, 737, 1603, 2955, 7056]
+    assert _store_digest(store) == (
+        "0a09d0c22c813cf91fcee6dbc9cc3620d2ce5740a4ad0e9105524a99704cf803"
+    )
+
+
 def test_cap3_round3_spek_store_bytes_are_pinned_and_words_first_win(spek_bounded):
     # products of products and composites of composites are most common here
     assert [n for _, n in spek_bounded.growth] == [34, 941, 22463]
