@@ -91,6 +91,7 @@ from .relcore import (
     Relation,
     UNIT,
     RowRun,
+    compose,
     dagger,
     identity,
     is_unitary,
@@ -233,6 +234,8 @@ class _Run:
     rows: RowRun
     entries: list[StoredMorphism] = field(default_factory=list)
     tops: list[str | None] = field(default_factory=list)
+    lefts: list[StoredMorphism | None] = field(default_factory=list)
+    rights: list[StoredMorphism | None] = field(default_factory=list)
 
 
 # The left-operand rule (module docstring): a left entry whose word has one
@@ -250,6 +253,88 @@ def _top(rel: Relation, op: str | None) -> str | None:
     if op is None and rel == identity(rel.dom):
         return "unit" if rel.dom == UNIT else "id"
     return op
+
+
+class _Interchange:
+    """The interchange rule of one round (module docstring).
+
+    `kept(run, a, b)` gives the members of a right run that a left entry
+    `(a) x (b)` must still be composed with. A run's product members are
+    grouped by the arity of their left factor's codomain (the split: a.dom
+    equals c.cod exactly when the two splits of the run's codomain agree),
+    then masked by each left factor and by each right factor, so a left
+    entry costs one `absorbing` test per distinct factor, not per member.
+    Every cache lives on the object, and a round drops it before inserting.
+    """
+
+    def __init__(self, items: dict[tuple, StoredMorphism]) -> None:
+        self.items = items
+        self.absorbs: dict[tuple[int, int], bool] = {}
+        self.groups: dict[int, dict] = {}
+        self.drops: dict[tuple[int, int, int], int] = {}
+        self.subruns: dict[tuple[int, int], tuple[RowRun, list]] = {}
+
+    def absorbing(self, x: StoredMorphism, y: StoredMorphism) -> bool:
+        """True iff the store holds x after y with a word shorter than both summed."""
+        pair = id(x), id(y)
+        hit = self.absorbs.get(pair)
+        if hit is None:
+            found = self.items.get(compose(x.relation, y.relation).key)
+            hit = found is not None and found.length < x.length + y.length
+            self.absorbs[pair] = hit
+        return hit
+
+    def groups_of(self, run: _Run) -> dict[int, tuple[dict, dict]]:
+        """Split -> (by left factor, by right factor), each mapping a factor's
+        id to [factor, mask of the products with it on that side]."""
+        groups = self.groups.get(id(run))
+        if groups is None:
+            groups = self.groups[id(run)] = {}
+            for k, (c, d) in enumerate(zip(run.lefts, run.rights)):
+                if c is None:
+                    continue
+                by_c, by_d = groups.setdefault(c.relation.cod.arity, ({}, {}))
+                for by, f in ((by_c, c), (by_d, d)):
+                    slot = by.get(id(f))
+                    if slot is None:
+                        by[id(f)] = [f, 1 << k]
+                    else:
+                        slot[1] |= 1 << k
+        return groups
+
+    def dropped(self, run: _Run, by: dict, side: int, x: StoredMorphism) -> int:
+        """The mask of the products in `by` whose factor on `side` x absorbs."""
+        key = id(run), side, id(x)
+        mask = self.drops.get(key)
+        if mask is None:
+            mask = 0
+            for f, members in by.values():
+                if self.absorbing(x, f):
+                    mask |= members
+            self.drops[key] = mask
+        return mask
+
+    def kept(self, run: _Run, a: StoredMorphism, b: StoredMorphism):
+        """`(rows, entries)` of the members of `run` to compose `(a) x (b)`
+        with, in order, or None when the rule drops them all."""
+        group = self.groups_of(run).get(a.relation.dom.arity)
+        if group is None:
+            return run.rows, run.entries
+        drop = self.dropped(run, group[0], 0, a) | self.dropped(run, group[1], 1, b)
+        if not drop:
+            return run.rows, run.entries
+        n = len(run.entries)
+        kept = ((1 << n) - 1) & ~drop
+        if not kept:
+            return None
+        sub = self.subruns.get((id(run), kept))
+        if sub is None:
+            picks = [k for k in range(n) if kept >> k & 1]
+            sub = self.subruns[id(run), kept] = (
+                RowRun([run.rows.rows[k] for k in picks], run.rows.width),
+                [run.entries[k] for k in picks],
+            )
+        return sub
 
 
 def generate_closure(
@@ -295,6 +380,8 @@ def generate_closure(
         non-fixpoint.
         """
         keys = sorted(pool)[: config.max_morphisms - len(items)]
+        # only a later round reads the runs, and none follows the last one
+        scanned = config.max_rounds is None or length < config.max_rounds
         length_runs = runs[length] = []
         shape = None
         for key in keys:
@@ -302,6 +389,8 @@ def generate_closure(
             word = left if op is None else f"({left.word}) {op} ({right.word})"
             entry = StoredMorphism(rel, word, length)
             items[key] = entry
+            if not scanned:
+                continue
             if key[:2] != shape:
                 shape = key[:2]
                 run = _Run(rel.dom, rel.cod, RowRun([], rel.dom.cardinality))
@@ -309,6 +398,9 @@ def generate_closure(
             run.rows.rows.append(rel.rows)
             run.entries.append(entry)
             run.tops.append(_top(rel, op))
+            product = op == "x"
+            run.lefts.append(left if product else None)
+            run.rights.append(right if product else None)
         return len(keys)
 
     def pool_new(pool, cands, entries, dom, cod, op, e1) -> None:
@@ -352,6 +444,7 @@ def generate_closure(
             store.fixpoint = True
             break
         pool: dict[tuple, tuple] = {}
+        interchange = _Interchange(items)
         for la in range(1, length):
             left = runs[la]
             right = runs[length - la]
@@ -363,12 +456,14 @@ def generate_closure(
                 ]
                 if not meeting:
                     continue
-                for e1, top in zip(run1.entries, run1.tops):
+                for e1, top, a, b in zip(run1.entries, run1.tops, run1.lefts, run1.rights):
                     if top in _COMPOSE_SKIP:
                         continue
                     after = run_composer(e1.relation.rows)
                     for run2, dom, cod in meeting:
-                        pool_new(pool, after(run2.rows), run2.entries, dom, cod, ";", e1)
+                        kept = (run2.rows, run2.entries) if a is None else interchange.kept(run2, a, b)
+                        if kept is not None:
+                            pool_new(pool, after(kept[0]), kept[1], dom, cod, ";", e1)
             # tensor: any pair whose product stays within the cap; a left
             # entry's spreads are made once per width of a fitting run's domain
             for run1 in left:
@@ -388,6 +483,7 @@ def generate_closure(
                         fspreads = by_width[run2.rows.width]
                         cands = [tensor_rows(fspreads, rows) for rows in run2.rows.rows]
                         pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
+        del interchange
         added = insert_batch(pool, length)
         overflow = added < len(pool)
         store.growth.append((length, added))

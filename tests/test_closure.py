@@ -7,6 +7,7 @@ import pytest
 
 from hypothesis import given, strategies as st
 
+from toycat import closure
 from toycat.closure import (
     ClosureConfig,
     GeneratorOutsideCapError,
@@ -33,6 +34,7 @@ from toycat.relcore import (
     is_unitary,
     relation_from_json,
     relation_to_json,
+    run_composer,
     scalar_empty,
     scalar_identity,
     swap,
@@ -41,7 +43,13 @@ from toycat.relcore import (
 from toycat.suite import spek_generator_symbols
 from toycat.terms import Atom, Compose, Dagger, parse_term
 
-from oracle import closure_member, closure_rounds_oracle, first_wins_words_oracle
+from oracle import (
+    closure_member,
+    closure_rounds_oracle,
+    compose_oracle,
+    first_wins_words_oracle,
+    tensor_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -325,11 +333,9 @@ def _store_digest(store: MorphismStore) -> str:
     return hashlib.sha256(store_to_json_str(store).encode()).hexdigest()
 
 
-def test_cap2_round4_spek_store_bytes_are_pinned():
+def test_cap2_round4_spek_store_bytes_are_pinned(spek_cap2_r4):
     # nearly every composite here has a left entry that is not a gather
-    store = generate_closure(
-        spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=4)
-    )
+    store = spek_cap2_r4
     assert [n for _, n in store.growth] == [31, 737, 1603, 2955]
     assert _store_digest(store) == (
         "895036c9a40f01e7d3d8ff85def991c0f64e4306e9bbd39f436ceffe0c8f6519"
@@ -392,6 +398,111 @@ def test_wide_row_store_matches_the_reference_closure_and_is_pinned():
     assert _store_digest(store) == (
         "876c6917d3de31916d665552b3d40d851bdecfa8df8a5b8592ffa2d1d590f283"
     )
+
+
+# -- the interchange rule ------------------------------------------------------------------
+
+def _factor_words(word: str) -> tuple[str, str] | None:
+    """The factors' words of a product word `(a) x (b)`, or None for another word."""
+    if not word.startswith("("):
+        return None
+    depth = 0
+    for end, ch in enumerate(word):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            break
+    rest = word[end + 1:]
+    if not rest.startswith(" x ("):
+        return None
+    return word[1:end], rest[4:-1]
+
+
+def _check_interchange_pairs(store: MorphismStore, law_stride: int) -> int:
+    """Re-derive every composite that the interchange rule skips; return their number.
+
+    The rule covers e1 after e2 for stored products e1 = (a) x (b) and
+    e2 = (c) x (d) with a.dom == c.cod, when a after c or b after d is
+    stored with a word shorter than its two factors' together. Each covered
+    composite is formed by the oracle as (a after c) x (b after d) and must
+    be stored with a length below its round len e1 + len e2. Every
+    `law_stride`-th covered pair is also composed directly by the oracle,
+    which checks the interchange law itself. The factors are read off the
+    stored words, not from the closure's own records.
+    """
+    by_word = {e.word: e for e in store.items.values()}
+    products = []
+    for e in store.items.values():
+        words = _factor_words(e.word)
+        if words is not None:
+            products.append((e, by_word[words[0]], by_word[words[1]]))
+    # right operands by (length, codomain, codomain of the left factor)
+    rights: dict[tuple, list] = {}
+    for e2, c, d in products:
+        rights.setdefault((e2.length, e2.relation.cod, c.relation.cod), []).append((e2, c, d))
+    after: dict[tuple[int, int], tuple[Relation, bool]] = {}
+    made: dict[tuple, Relation] = {}
+
+    def composite(x: StoredMorphism, y: StoredMorphism) -> tuple[Relation, bool]:
+        """x after y by the oracle, and whether it is stored shorter than len x + len y."""
+        pair = id(x), id(y)
+        if pair not in after:
+            rel = compose_oracle(x.relation, y.relation)
+            found = store.get(rel)
+            after[pair] = rel, found is not None and found.length < x.length + y.length
+        return after[pair]
+
+    covered = 0
+    for e1, a, b in products:
+        for lb in range(2, store.rounds_run - e1.length + 1):
+            for e2, c, d in rights.get((lb, e1.relation.dom, a.relation.dom), ()):
+                ac, ac_shorter = composite(a, c)
+                bd, bd_shorter = composite(b, d)
+                if not (ac_shorter or bd_shorter):
+                    continue
+                covered += 1
+                both = ac.key, bd.key
+                if both not in made:
+                    made[both] = tensor_oracle(ac, bd)
+                product = made[both]
+                found = store.get(product)
+                assert found is not None and found.length < e1.length + lb, (e1.word, e2.word)
+                if covered % law_stride == 0:
+                    assert compose_oracle(e1.relation, e2.relation) == product
+    return covered
+
+
+@pytest.fixture(scope="module")
+def spek_cap2_r4():
+    return generate_closure(
+        spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=4)
+    )
+
+
+def test_interchange_rule_skips_only_stored_composites(spek_cap2_r4):
+    # rounds 1 to 3 hold no (product ; product) candidate: a product has
+    # length 2 at least; each wide-row covered pair is also composed directly
+    wide = generate_closure(wide_row_generators(), ClosureConfig(max_arity=2, max_rounds=4))
+    assert _check_interchange_pairs(wide, law_stride=1) == 267
+    assert _check_interchange_pairs(spek_cap2_r4, law_stride=997) == 389_508
+
+
+def test_interchange_rule_keeps_firing(monkeypatch):
+    # the right-run members handed to the composer in the cap-2 round-4
+    # build: 440,344 without the rule, which skips the 389,508 covered above
+    handed = 0
+
+    def counting(grows):
+        after = run_composer(grows)
+
+        def count(run):
+            nonlocal handed
+            handed += len(run.rows)
+            return after(run)
+        return count
+
+    monkeypatch.setattr(closure, "run_composer", counting)
+    generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=4))
+    assert handed == 50_836
 
 
 def _atoms(term) -> int:
