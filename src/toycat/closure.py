@@ -695,7 +695,8 @@ def store_from_json(data: Mapping) -> MorphismStore:
     store writes back the same bytes and no record repeats. The counts must
     agree: `morphism_count` and the sum of `growth` both equal the number
     of morphisms listed, and each round's `growth` count equals the number
-    of records of that length.
+    of records of that length. A `fixpoint` flag must fit the growth record
+    (`_check_fixpoint`).
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -760,7 +761,33 @@ def store_from_json(data: Mapping) -> MorphismStore:
                 f"store file field 'growth' says round {r} added {n} morphisms, "
                 f"but the file holds {per_length.get(r, 0)} of length {r}"
             )
+    if store.fixpoint:
+        _check_fixpoint(store)
     return store
+
+
+def _check_fixpoint(store: MorphismStore) -> None:
+    """Refuse a `fixpoint` flag that the store's own growth record contradicts.
+
+    `generate_closure` stops at a fixpoint only after running every round
+    up to twice the last round that added a morphism (round 1 at least),
+    all of them adding nothing, and only when `max_rounds` let it run that
+    far. The record shows whether that happened; it cannot show that the
+    rounds really found nothing, which only re-running them can check.
+    """
+    last = max([1] + [r for r, n in store.growth if n])
+    max_rounds = store.config.max_rounds
+    if store.rounds_run != 2 * last:
+        raise ValueError(
+            f"store file field 'fixpoint' is true, but the last round that added "
+            f"morphisms is {last}, so a fixpoint run ends after round {2 * last}, "
+            f"not after round {store.rounds_run}"
+        )
+    if max_rounds is not None and max_rounds <= store.rounds_run:
+        raise ValueError(
+            f"store file field 'fixpoint' is true, but max_rounds {max_rounds} "
+            f"stops the run before it can check round {store.rounds_run + 1}"
+        )
 
 
 def _growth(data: Mapping, rounds_run: int) -> list[tuple[int, int]]:

@@ -590,6 +590,30 @@ def test_truncated_store_round_trips_with_its_growth():
     assert store_to_json_str(restored) == store_to_json_str(store)
 
 
+def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
+    arity1_store, qubit_store, arity1_gens
+):
+    capped = generate_closure(arity1_gens, ClosureConfig(max_arity=1, max_morphisms=77))
+    for store in (arity1_store, qubit_store, capped):
+        assert store.fixpoint and store.rounds_run == 2 * max(r for r, n in store.growth if n)
+        blob = json.loads(store_to_json_str(store))
+        assert store_to_json_str(store_from_json(blob)) == store_to_json_str(store)
+        # max_rounds one above rounds_run still lets the run find its fixpoint
+        edited = {**blob, "config": {**blob["config"], "max_rounds": store.rounds_run + 1}}
+        assert store_from_json(edited).fixpoint
+        stopped = {**blob, "config": {**blob["config"], "max_rounds": store.rounds_run}}
+        with pytest.raises(ValueError, match="'fixpoint' is true, but max_rounds"):
+            store_from_json(stopped)
+        # one more empty round, or one fewer, is not where the run stops
+        longer = {**blob, "rounds_run": store.rounds_run + 1,
+                  "growth": blob["growth"] + [[store.rounds_run + 1, 0]]}
+        shorter = {**blob, "rounds_run": store.rounds_run - 1, "growth": blob["growth"][:-1]}
+        for bad in (longer, shorter):
+            with pytest.raises(ValueError, match="'fixpoint' is true, but the last round"):
+                store_from_json(bad)
+        assert not store_from_json({**longer, "fixpoint": False}).fixpoint
+
+
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):
     blob = store_to_json(qubit_store)
     assert blob["format"] == "toycat-store/3"

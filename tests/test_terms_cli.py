@@ -697,6 +697,25 @@ def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message)
     assert "Traceback" not in err
 
 
+def test_cli_contains_refuses_a_fixpoint_flag_its_growth_contradicts(tmp_path, capsys):
+    # a cap-2 round-2 store: delta_X is in Spek, but not of length 2 or less
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "2", "--out", str(store_path)
+    )
+    assert code == 0
+    query = ("contains", "--store", str(store_path), "--term", "delta_X", "--model", "spek")
+    code, out, _ = run_cli(capsys, *query)
+    assert json.loads(out)["contains"] == "unknown"
+    blob = json.loads(store_path.read_text())
+    for config in (blob["config"], {**blob["config"], "max_rounds": None}):
+        store_path.write_text(json.dumps({**blob, "config": config, "fixpoint": True}))
+        code, out, err = run_cli(capsys, *query)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'fixpoint' is true" in err and "Traceback" not in err
+
+
 def test_cli_close_rejects_a_generator_name_that_is_not_an_identifier(tmp_path, capsys):
     gens = {
         "generators": {
