@@ -19,8 +19,9 @@ The pair scan computes each candidate's rows without building a
 `Relation`; one is built only for rows not seen before, and nearly every
 candidate is a duplicate. Each length's entries are kept as runs of one
 shape, cut once as they are inserted (a round inserts in key order, so
-each shape is one run) and kept for the whole build. Each left entry is
-prepared once per (round, left length) with the `relcore` kernels.
+each shape is one run) and kept for the whole build; the last round that
+`max_rounds` allows builds none, as no later round reads them. Each left
+entry is prepared once per (round, left length) with the `relcore` kernels.
 `run_composer` maps a run to the rows of all its composites: by one
 gather per member when each row of the left entry has a single set bit
 (every permutation does), or else by ORing the run's packed columns
@@ -47,9 +48,26 @@ before the round or is a candidate of the earlier left length len a.
 Products go the same way, and id after e and id_I x e are e, stored in
 an earlier round. By induction on (round, scan position) each skipped
 candidate is a duplicate, so winners, words and store bytes are
-unchanged. The rule goes no further: skipping right operands, composite
-left entries of products, or rewriting by the interchange law would move
-a candidate later in scan order, which can change a winning word.
+unchanged.
+
+Interchange rule: the compose section also drops right operands. Take a
+left entry e1 = (a) x (b) and a right entry e2 = (c) x (d) with a.dom ==
+c.cod; then b.dom == d.cod, since both split e1.dom == e2.cod. Call x, y
+absorbing when the store holds x after y with a length below len x +
+len y. If a, c or b, d are absorbing, the scan skips e1 after e2. Proof:
+the product is a bifunctor on the nose, so e1 after e2 equals (a after c)
+x (b after d). The stratified invariant, which the left-operand rule's
+proof uses too, says that after round M every composite and every product
+(within the cap) of two entries whose lengths sum to at most M is stored
+with a length at most that sum. With L = len e1 + len e2, one factor
+composite is stored with a length below its two factors' sum and the
+other with a length at most its sum, so their product has a length below
+L and was stored before round L. A skipped candidate is thus a duplicate
+of a stored morphism, not of a pooled one, so it never wins and skipping
+it leaves the pool, the words and the store bytes as they were. The rules
+go no further: skipping a candidate that is only a duplicate of one
+found earlier in the same round, such as a composite left entry of a
+product, could move it later in scan order and change a winning word.
 
 A store file (`toycat-store/3`) lists the morphisms in key order, each
 record holding its key's factors and rows as JSON integers with its word
@@ -224,9 +242,11 @@ class _Run:
 
     `rows` holds their rows for the `relcore` kernels, and `tops[k]` is the
     top operation of `entries[k]`'s word (`_top`), read by the left-operand
-    rule. A run is filled by its length's one insertion batch, before any
-    scan reads it, so the packed columns `rows` caches on first use stay
-    valid for the whole build.
+    rule. When `entries[k]` is a product `(a) x (b)`, `lefts[k]` and
+    `rights[k]` are the stored entries a and b, read by the interchange
+    rule; for any other word both are None. A run is filled by its length's
+    one insertion batch, before any scan reads it, so the packed columns
+    `rows` caches on first use stay valid for the whole build.
     """
 
     dom: FinObject
@@ -316,7 +336,7 @@ class _Interchange:
 
     def kept(self, run: _Run, a: StoredMorphism, b: StoredMorphism):
         """`(rows, entries)` of the members of `run` to compose `(a) x (b)`
-        with, in order, or None when the rule drops them all."""
+        with, in order."""
         group = self.groups_of(run).get(a.relation.dom.arity)
         if group is None:
             return run.rows, run.entries
@@ -325,8 +345,6 @@ class _Interchange:
             return run.rows, run.entries
         n = len(run.entries)
         kept = ((1 << n) - 1) & ~drop
-        if not kept:
-            return None
         sub = self.subruns.get((id(run), kept))
         if sub is None:
             picks = [k for k in range(n) if kept >> k & 1]
@@ -461,9 +479,11 @@ def generate_closure(
                         continue
                     after = run_composer(e1.relation.rows)
                     for run2, dom, cod in meeting:
-                        kept = (run2.rows, run2.entries) if a is None else interchange.kept(run2, a, b)
-                        if kept is not None:
-                            pool_new(pool, after(kept[0]), kept[1], dom, cod, ";", e1)
+                        rows, entries = (
+                            (run2.rows, run2.entries) if a is None else interchange.kept(run2, a, b)
+                        )
+                        if entries:
+                            pool_new(pool, after(rows), entries, dom, cod, ";", e1)
             # tensor: any pair whose product stays within the cap; a left
             # entry's spreads are made once per width of a fitting run's domain
             for run1 in left:
