@@ -291,7 +291,7 @@ class _Interchange:
         self.items = items
         self.absorbs: dict[tuple[int, int], bool] = {}
         self.groups: dict[int, dict] = {}
-        self.drops: dict[tuple[int, int, int], int] = {}
+        self.drops: dict[tuple[int, int], int] = {}
         self.subruns: dict[tuple[int, int], tuple[RowRun, list]] = {}
 
     def absorbing(self, x: StoredMorphism, y: StoredMorphism) -> bool:
@@ -322,9 +322,10 @@ class _Interchange:
                         slot[1] |= 1 << k
         return groups
 
-    def dropped(self, run: _Run, by: dict, side: int, x: StoredMorphism) -> int:
-        """The mask of the products in `by` whose factor on `side` x absorbs."""
-        key = id(run), side, id(x)
+    def dropped(self, by: dict, x: StoredMorphism) -> int:
+        """The mask of the products in `by` (one side of one split of a run)
+        whose factor on that side x absorbs."""
+        key = id(by), id(x)
         mask = self.drops.get(key)
         if mask is None:
             mask = 0
@@ -334,13 +335,15 @@ class _Interchange:
             self.drops[key] = mask
         return mask
 
-    def kept(self, run: _Run, a: StoredMorphism, b: StoredMorphism):
+    def kept(
+        self, run: _Run, a: StoredMorphism, b: StoredMorphism
+    ) -> tuple[RowRun, list[StoredMorphism]]:
         """`(rows, entries)` of the members of `run` to compose `(a) x (b)`
         with, in order."""
         group = self.groups_of(run).get(a.relation.dom.arity)
         if group is None:
             return run.rows, run.entries
-        drop = self.dropped(run, group[0], 0, a) | self.dropped(run, group[1], 1, b)
+        drop = self.dropped(group[0], a) | self.dropped(group[1], b)
         if not drop:
             return run.rows, run.entries
         n = len(run.entries)
