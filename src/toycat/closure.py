@@ -22,12 +22,12 @@ shape, cut once as they are inserted (a round inserts in key order, so
 each shape is one run) and kept for the whole build; the last round that
 `max_rounds` allows builds none, as no later round reads them. Each left
 entry is prepared once per (round, left length) with the `relcore` kernels.
-`run_composer` maps a run to the rows of all its composites: by one
-gather per member when each row of the left entry has a single set bit
-(every permutation does), or else by ORing the run's packed columns
-(`RowRun.packed`: row j of every member side by side, in slots of 1 to 8
-bytes), which forms every member's composite at once; rows wider than 64
-bits are not packed and are ORed member by member. `spreads` gives the
+`run_composer` maps a run's rows to the rows of all its composites: by
+one gather per member when each row of the left entry has a single set bit
+(every permutation does), or else by ORing the run's columns (row j of
+every member, as a tuple) that each row of the left entry picks, which
+forms every member's composite at once for rows of any width; the columns
+are made per call, so a run caches nothing. `spreads` gives the
 left half of a product, once per width of the right domain. A left run's
 composites visit only the right runs whose codomain is its domain, and
 its products only the runs that fit beside it within the cap; both lists
@@ -108,7 +108,6 @@ from .relcore import (
     FinObject,
     Relation,
     UNIT,
-    RowRun,
     compose,
     dagger,
     identity,
@@ -240,18 +239,17 @@ def _is_identifier(name: str) -> bool:
 class _Run:
     """The entries of one word length and one shape, in key order.
 
-    `rows` holds their rows for the `relcore` kernels, and `tops[k]` is the
-    top operation of `entries[k]`'s word (`_top`), read by the left-operand
-    rule. When `entries[k]` is a product `(a) x (b)`, `lefts[k]` and
-    `rights[k]` are the stored entries a and b, read by the interchange
-    rule; for any other word both are None. A run is filled by its length's
-    one insertion batch, before any scan reads it, so the packed columns
-    `rows` caches on first use stay valid for the whole build.
+    `rows[k]` holds the rows of `entries[k]` for the `relcore` kernels, and
+    `tops[k]` is the top operation of its word (`_top`), read by the
+    left-operand rule. When `entries[k]` is a product `(a) x (b)`,
+    `lefts[k]` and `rights[k]` are the stored entries a and b, read by the
+    interchange rule; for any other word both are None. A run is filled by
+    its length's one insertion batch, before any scan reads it.
     """
 
     dom: FinObject
     cod: FinObject
-    rows: RowRun
+    rows: list[tuple[int, ...]] = field(default_factory=list)
     entries: list[StoredMorphism] = field(default_factory=list)
     tops: list[str | None] = field(default_factory=list)
     lefts: list[StoredMorphism | None] = field(default_factory=list)
@@ -284,6 +282,9 @@ class _Interchange:
     equals c.cod exactly when the two splits of the run's codomain agree),
     then masked by each left factor and by each right factor, so a left
     entry costs one `absorbing` test per distinct factor, not per member.
+    The kept sub-lists are cached per (run, kept mask), as many left entries
+    share a mask: without that cache the cap-2 round-4 build took 0.21 s,
+    not 0.16 s (median of 7, 2-core VM).
     Every cache lives on the object, and a round drops it before inserting.
     """
 
@@ -292,7 +293,7 @@ class _Interchange:
         self.absorbs: dict[tuple[int, int], bool] = {}
         self.groups: dict[int, dict] = {}
         self.drops: dict[tuple[int, int], int] = {}
-        self.subruns: dict[tuple[int, int], tuple[RowRun, list]] = {}
+        self.subruns: dict[tuple[int, int], tuple[list, list]] = {}
 
     def absorbing(self, x: StoredMorphism, y: StoredMorphism) -> bool:
         """True iff the store holds x after y with a word shorter than both summed."""
@@ -337,7 +338,7 @@ class _Interchange:
 
     def kept(
         self, run: _Run, a: StoredMorphism, b: StoredMorphism
-    ) -> tuple[RowRun, list[StoredMorphism]]:
+    ) -> tuple[list[tuple[int, ...]], list[StoredMorphism]]:
         """`(rows, entries)` of the members of `run` to compose `(a) x (b)`
         with, in order."""
         group = self.groups_of(run).get(a.relation.dom.arity)
@@ -352,7 +353,7 @@ class _Interchange:
         if sub is None:
             picks = [k for k in range(n) if kept >> k & 1]
             sub = self.subruns[id(run), kept] = (
-                RowRun([run.rows.rows[k] for k in picks], run.rows.width),
+                [run.rows[k] for k in picks],
                 [run.entries[k] for k in picks],
             )
         return sub
@@ -414,9 +415,9 @@ def generate_closure(
                 continue
             if key[:2] != shape:
                 shape = key[:2]
-                run = _Run(rel.dom, rel.cod, RowRun([], rel.dom.cardinality))
+                run = _Run(rel.dom, rel.cod)
                 length_runs.append(run)
-            run.rows.rows.append(rel.rows)
+            run.rows.append(rel.rows)
             run.entries.append(entry)
             run.tops.append(_top(rel, op))
             product = op == "x"
@@ -485,8 +486,7 @@ def generate_closure(
                         rows, entries = (
                             (run2.rows, run2.entries) if a is None else interchange.kept(run2, a, b)
                         )
-                        if entries:
-                            pool_new(pool, after(rows), entries, dom, cod, ";", e1)
+                        pool_new(pool, after(rows), entries, dom, cod, ";", e1)
             # tensor: any pair whose product stays within the cap; a left
             # entry's spreads are made once per width of a fitting run's domain
             for run1 in left:
@@ -497,14 +497,14 @@ def generate_closure(
                 ]
                 if not fitting:
                     continue
-                widths = {run2.rows.width for run2, _, _ in fitting}
+                widths = {run2.dom.cardinality for run2, _, _ in fitting}
                 for e1, top in zip(run1.entries, run1.tops):
                     if top in _TENSOR_SKIP:
                         continue
                     by_width = {w: spreads(e1.relation.rows, w) for w in widths}
                     for run2, dom, cod in fitting:
-                        fspreads = by_width[run2.rows.width]
-                        cands = [tensor_rows(fspreads, rows) for rows in run2.rows.rows]
+                        fspreads = by_width[run2.dom.cardinality]
+                        cands = [tensor_rows(fspreads, rows) for rows in run2.rows]
                         pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
         del interchange
         added = insert_batch(pool, length)
@@ -552,7 +552,7 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
 
     One walk over the store picks the states (I -> obj) and the
     endomorphisms of obj; each unitary one is prepared once as a gather and
-    applied to a whole breadth-first frontier, taken as one `RowRun`.
+    applied to a whole breadth-first frontier.
     """
     items = store.items
     target = obj.factors
@@ -578,8 +578,7 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
         orbit = {seed_key: remaining.pop(seed_key)}
         frontier = [seed_key[2]]
         while frontier:
-            run = RowRun(frontier, UNIT.cardinality)
-            frontier = []
+            run, frontier = frontier, []
             for move in moves:
                 for rows in move(run):
                     key = ((), target, rows)
@@ -719,7 +718,8 @@ def store_from_json(data: Mapping) -> MorphismStore:
     agree: `morphism_count` and the sum of `growth` both equal the number
     of morphisms listed, and each round's `growth` count equals the number
     of records of that length. A `fixpoint` flag must fit the growth record
-    (`_check_fixpoint`).
+    (`_check_fixpoint`), and re-running the closure of the store's own
+    generators must give the same store (`_check_rebuild`).
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -786,6 +786,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
             )
     if store.fixpoint:
         _check_fixpoint(store)
+        _check_rebuild(store)
     return store
 
 
@@ -796,7 +797,8 @@ def _check_fixpoint(store: MorphismStore) -> None:
     up to twice the last round that added a morphism (round 1 at least),
     all of them adding nothing, and only when `max_rounds` let it run that
     far. The record shows whether that happened; it cannot show that the
-    rounds really found nothing, which only re-running them can check.
+    rounds really found nothing, which `_check_rebuild` checks by re-running
+    them. This cheap check comes first and bounds that re-run.
     """
     last = max([1] + [r for r, n in store.growth if n])
     max_rounds = store.config.max_rounds
@@ -810,6 +812,48 @@ def _check_fixpoint(store: MorphismStore) -> None:
         raise ValueError(
             f"store file field 'fixpoint' is true, but max_rounds {max_rounds} "
             f"stops the run before it can check round {store.rounds_run + 1}"
+        )
+
+
+def _check_rebuild(store: MorphismStore) -> None:
+    """Refuse a fixpoint store that its own generators do not rebuild.
+
+    The generators are the store's `symbols` less the identities and swaps
+    that `generate_closure` seeds on their base factors at the store's cap.
+    The re-run stops one round after `rounds_run` and at the store's size,
+    so even for a wrong file it does no more work than building the store
+    did; it must reach a fixpoint with the same morphisms, growth and
+    symbols.
+    """
+    config = store.config
+    base = sorted(
+        {f for rel in store.symbols.values() for f in rel.dom.factors + rel.cod.factors}
+    )
+    seeds = structural_symbols(base, config.max_arity)
+    generators = {n: rel for n, rel in store.symbols.items() if n not in seeds}
+    bounds = ClosureConfig(
+        max_arity=config.max_arity,
+        max_morphisms=min(config.max_morphisms, len(store)),
+        # at most config.max_rounds, as `_check_fixpoint` has checked
+        max_rounds=store.rounds_run + 1,
+    )
+    prefix = "store file field 'fixpoint' is true, but"
+    try:
+        rebuilt = generate_closure(generators, bounds)
+    except ValueError as exc:
+        raise ValueError(f"{prefix} its generators cannot be closed again: {exc}") from None
+    if rebuilt.symbols != store.symbols:
+        raise ValueError(f"{prefix} its symbols are not its generators' seeded symbols")
+    if not rebuilt.fixpoint:
+        raise ValueError(
+            f"{prefix} closing its generators again does not reach a fixpoint "
+            f"within {len(store)} morphisms and {store.rounds_run + 1} rounds"
+        )
+    if rebuilt.growth != store.growth or rebuilt.items != store.items:
+        raise ValueError(
+            f"{prefix} closing its generators again gives other morphisms "
+            f"(growth {[n for _, n in rebuilt.growth]}, "
+            f"not {[n for _, n in store.growth]})"
         )
 
 

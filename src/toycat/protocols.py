@@ -117,7 +117,7 @@ def phase_unitaries(b: BasisStructure) -> PhaseGroup:
 def phase_pool(*structures: BasisStructure) -> tuple[Relation, ...]:
     """The phase unitaries of all the structures, closed under composition."""
     return _composition_closure(
-        u for b in structures for u in phase_unitaries(b).closed
+        u for b in structures for u in phase_unitaries(b).phases
     )
 
 

@@ -14,11 +14,9 @@ so relations can be shared freely, hashed, and used as dictionary keys.
 from __future__ import annotations
 
 import itertools
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "ShapeMismatchError",
     "UNIT",
     "compose",
-    "RowRun",
     "run_composer",
     "tensor",
     "spreads",
@@ -257,15 +254,29 @@ def compose(g: Relation, f: Relation) -> Relation:
     return Relation._raw(f.dom, g.cod, tuple(rows))
 
 
-def _or_picked(picks: tuple[tuple[int, ...], ...], frows: tuple[int, ...]) -> tuple[int, ...]:
-    """Rows of g after f, each row of g given as the indices of its set bits."""
-    rows = []
+def _or_picked(
+    picks: tuple[tuple[int, ...], ...], run: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Rows of g after each member of `run`, each row of g given as the indices
+    of its set bits.
+
+    Column j of the run is a tuple of row j of every member, so row i of
+    every composite at once is the OR of the columns that row i of g picks.
+    """
+    if not run:
+        return []
+    columns = list(zip(*run))
+    zeros = (0,) * len(run)
+    out = []
     for pick in picks:
-        acc = 0
-        for j in pick:
-            acc |= frows[j]
-        rows.append(acc)
-    return tuple(rows)
+        if not pick:
+            out.append(zeros)
+            continue
+        acc = columns[pick[0]]
+        for j in pick[1:]:
+            acc = map(or_, acc, columns[j])
+        out.append(acc)
+    return list(zip(*out))
 
 
 def bit_indices(row: int) -> tuple[int, ...]:
@@ -295,72 +306,20 @@ def _gather(grows: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ..
     return itemgetter(*indices)
 
 
-# Slot of a packed column, by the width of the rows it holds: the array
-# typecode of each item size, so `memoryview.cast` reads the slots back.
-_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
-_SLOT_BYTES = (1, 2, 4, 8)
-
-
-class RowRun:
-    """The rows of several relations of one shape, for composing them at once.
-
-    `rows` lists each member's rows in order; `width` is the size of their
-    domain, so every row is below 2**width.
-    """
-
-    def __init__(self, rows: list[tuple[int, ...]], width: int) -> None:
-        self.rows = rows
-        self.width = width
-
-    @cached_property
-    def packed(self) -> tuple[list[int], int, str] | None:
-        """`(columns, bytes, typecode)`, or None when rows are wider than 64 bits.
-
-        Column j holds row j of every member side by side, member k in the
-        k-th slot of 1, 2, 4 or 8 bytes, laid out as a native array of that
-        typecode read as one integer; `bytes` is the length of that array.
-        """
-        size = next((n for n in _SLOT_BYTES if self.width <= 8 * n), None)
-        if size is None:
-            return None
-        code = _SLOT_CODES[size]
-        columns = [
-            int.from_bytes(array(code, col), sys.byteorder) for col in zip(*self.rows)
-        ]
-        return columns, size * len(self.rows), code
-
-
-def _or_columns(picks: tuple[tuple[int, ...], ...], run: RowRun) -> list[tuple[int, ...]]:
-    """Rows of g after every member of `run`, each row of g given by its bit indices.
-
-    Each output row ORs the packed columns its bits pick, for all members
-    at once, and is read back slot by slot; zipping the output rows gives
-    each member's composite. Rows wider than 64 bits are not packed, and
-    each member's rows are ORed in turn.
-    """
-    packed = run.packed
-    if packed is None:
-        return [_or_picked(picks, frows) for frows in run.rows]
-    columns, nbytes, code = packed
-    views = []
-    for pick in picks:
-        acc = 0
-        for j in pick:
-            acc |= columns[j]
-        views.append(memoryview(acc.to_bytes(nbytes, sys.byteorder)).cast(code))
-    return list(zip(*views))
-
-
-def run_composer(grows: tuple[int, ...]) -> Callable[[RowRun], list[tuple[int, ...]]]:
+def run_composer(
+    grows: tuple[int, ...],
+) -> Callable[[list[tuple[int, ...]]], list[tuple[int, ...]]]:
     """Prepare g for many runs: returns the map run -> rows of g after each member.
 
-    A gather maps each member in turn; otherwise the members' composites
-    come from the run's packed columns (`_or_columns`).
+    A run is a list of the rows of relations whose codomain is g's domain.
+    A gather maps each member when every row of g has one set bit; otherwise
+    the run's columns that g picks are ORed (`_or_picked`), for rows of any
+    width.
     """
     gather = _gather(grows)
     if gather is not None:
-        return lambda run: list(map(gather, run.rows))
-    return partial(_or_columns, tuple(map(bit_indices, grows)))
+        return lambda run: list(map(gather, run))
+    return partial(_or_picked, tuple(map(bit_indices, grows)))
 
 
 def tensor(f: Relation, g: Relation) -> Relation:

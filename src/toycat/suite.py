@@ -85,16 +85,12 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def _check(results: list, name: str, fn: Callable[[], tuple[bool, str] | bool]) -> None:
+def _check(results: list, name: str, fn: Callable[[], tuple[bool, str]]) -> None:
     try:
-        out = fn()
+        passed, detail = fn()
     except Exception as exc:  # a crashed check is a failed check
         results.append(CheckResult(name, False, f"error: {exc}"))
         return
-    if isinstance(out, tuple):
-        passed, detail = out
-    else:
-        passed, detail = out, ""
     results.append(CheckResult(name, bool(passed), detail))
 
 

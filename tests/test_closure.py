@@ -496,7 +496,7 @@ def test_interchange_rule_keeps_firing(monkeypatch):
 
         def count(run):
             nonlocal handed
-            handed += len(run.rows)
+            handed += len(run)
             return after(run)
         return count
 
@@ -597,7 +597,10 @@ def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
     for store in (arity1_store, qubit_store, capped):
         assert store.fixpoint and store.rounds_run == 2 * max(r for r, n in store.growth if n)
         blob = json.loads(store_to_json_str(store))
-        assert store_to_json_str(store_from_json(blob)) == store_to_json_str(store)
+        loaded = store_from_json(blob)
+        assert store_to_json_str(loaded) == store_to_json_str(store)
+        widest = max((cod for _, cod, _ in store.items), key=len)
+        assert contains(loaded, identity(FinObject(*widest * 2))).status == "no"
         # max_rounds one above rounds_run still lets the run find its fixpoint
         edited = {**blob, "config": {**blob["config"], "max_rounds": store.rounds_run + 1}}
         assert store_from_json(edited).fixpoint
@@ -612,6 +615,40 @@ def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
             with pytest.raises(ValueError, match="'fixpoint' is true, but the last round"):
                 store_from_json(bad)
         assert not store_from_json({**longer, "fixpoint": False}).fixpoint
+
+
+def _without_record(blob, i):
+    """The store file `blob` less morphism record i, its counts lowered to fit."""
+    length = blob["morphisms"][i]["length"]
+    return {
+        **blob,
+        "morphisms": blob["morphisms"][:i] + blob["morphisms"][i + 1:],
+        "morphism_count": blob["morphism_count"] - 1,
+        "growth": [[r, n - (r == length)] for r, n in blob["growth"]],
+    }
+
+
+def test_a_fixpoint_store_its_generators_do_not_rebuild_is_refused(arity1_store):
+    blob = json.loads(store_to_json_str(arity1_store))
+    fourth = [i for i, rec in enumerate(blob["morphisms"]) if rec["length"] == 4]
+    # a record deleted with its counts lowered fits the growth record, and
+    # would make `contains` answer "no" for a morphism of the closure
+    deleted = _without_record(blob, fourth[0])
+    assert store_from_json({**deleted, "fixpoint": False}).growth[3] == (4, 27)
+    with pytest.raises(ValueError, match="'fixpoint' is true, but closing its generators "
+                       "again does not reach a fixpoint within 76 morphisms"):
+        store_from_json(deleted)
+    # two words of one length swapped: every count still fits
+    morphisms = [dict(rec) for rec in blob["morphisms"]]
+    a, b = morphisms[fourth[0]], morphisms[fourth[1]]
+    a["word"], b["word"] = b["word"], a["word"]
+    with pytest.raises(ValueError, match="'fixpoint' is true, but closing its generators "
+                       "again gives other morphisms"):
+        store_from_json({**blob, "morphisms": morphisms})
+    # a seeded identity that is not the identity
+    symbols = {**blob["symbols"], "id_IV": blob["symbols"]["sigma_12"]}
+    with pytest.raises(ValueError, match="'fixpoint' is true, but its symbols"):
+        store_from_json({**blob, "symbols": symbols})
 
 
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):

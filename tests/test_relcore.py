@@ -18,7 +18,6 @@ from toycat.relcore import (
     least_diff_cell,
     relation_from_json,
     relation_to_json,
-    RowRun,
     run_composer,
     scalar_empty,
     scalar_identity,
@@ -458,8 +457,7 @@ def test_composer_matches_oracle(dom, cod):
                 assert compose(g, f) == compose_oracle(g, f)
 
 
-# Run domains: 3 and 9 are not byte multiples, 9 and 16 take the 16-bit slot,
-# 25 the 32-bit one, 64 fills the 64-bit slot and 81 is not packed.
+# Run domains from the unit to rows of 81 bits, wider than a machine word.
 RUN_SOURCES = [UNIT, III, IV, FinObject(9), IV * IV, FinObject(5, 5), IV * IV * IV,
                FinObject(9, 9)]
 
@@ -477,20 +475,9 @@ def test_run_composer_matches_oracle(dom, cod):
                 one_bit_rows(rng, source, dom),
                 with_empty_rows(rng, random_relation(rng, source, dom, 0.2)),
             ]
-            for members in (many[:1], many):
-                run = RowRun([f.rows for f in members], source.cardinality)
+            for members in ([], many[:1], many):
+                run = [f.rows for f in members]
                 assert after(run) == [compose_oracle(g, f).rows for f in members]
-
-
-def test_row_runs_pack_rows_of_up_to_64_bits_in_the_narrowest_slot():
-    slots = [1, 1, 1, 2, 2, 4, 8]
-    for source, size in zip(RUN_SOURCES, slots):
-        full = (1 << source.cardinality) - 1
-        run = RowRun([(full, 0), (0, full), (full, full)], source.cardinality)
-        columns, nbytes, _ = run.packed
-        assert nbytes == 3 * size and len(columns) == 2
-    wide = RUN_SOURCES[-1].cardinality
-    assert wide > 64 and RowRun([(1, 2)], wide).packed is None
 
 
 def test_composer_gathers_for_one_bit_rows_only():

@@ -14,7 +14,15 @@ from hypothesis import given, settings, strategies as st
 import toycat
 from toycat.cli import build_parser, main
 from toycat.models import spek
-from toycat.relcore import ShapeMismatchError, compose, dagger, tensor
+from toycat.relcore import (
+    FinObject,
+    Relation,
+    ShapeMismatchError,
+    compose,
+    dagger,
+    relation_to_json,
+    tensor,
+)
 from toycat.terms import (
     Atom,
     Compose,
@@ -714,6 +722,45 @@ def test_cli_contains_refuses_a_fixpoint_flag_its_growth_contradicts(tmp_path, c
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'fixpoint' is true" in err and "Traceback" not in err
+
+
+def test_cli_contains_refuses_a_fixpoint_store_missing_a_record(tmp_path, capsys):
+    # the arity-1 fixpoint: the permutations of IV and eps_Z, from the dump
+    code, out, _ = run_cli(capsys, "dump", "--model", "spek")
+    assert code == 0
+    symbols = json.loads(out)
+    gens = {n: r for n, r in symbols.items() if n.startswith("sigma_") or n == "eps_Z"}
+    (tmp_path / "gens.json").write_text(json.dumps({"generators": gens}))
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(capsys, "close", "--generators", str(tmp_path / "gens.json"),
+                         "--max-arity", "1", "--out", str(store_path))
+    assert code == 0
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"dom": [4], "cod": [4],
+                                "pairs": [[j, i] for j in range(4) for i in range(4)]}))
+    code, out, _ = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(full))
+    assert code == 1 and json.loads(out)["contains"] == "no"
+    # one length-4 record deleted, and its round's count and the total lowered
+    blob = json.loads(store_path.read_text())
+    i = next(i for i, rec in enumerate(blob["morphisms"]) if rec["length"] == 4)
+    deleted = blob["morphisms"][i]
+    rel = tmp_path / "deleted.json"
+    rel.write_text(json.dumps(relation_to_json(
+        Relation(FinObject(*deleted["dom"]), FinObject(*deleted["cod"]), tuple(deleted["rows"]))
+    )))
+    code, out, _ = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel))
+    assert code == 0 and json.loads(out)["contains"] == "yes"
+    store_path.write_text(json.dumps({
+        **blob,
+        "morphisms": blob["morphisms"][:i] + blob["morphisms"][i + 1:],
+        "morphism_count": blob["morphism_count"] - 1,
+        "growth": [[r, n - (r == 4)] for r, n in blob["growth"]],
+    }))
+    code, out, err = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'fixpoint' is true, but closing its generators again" in err
+    assert "Traceback" not in err
 
 
 def test_cli_close_rejects_a_generator_name_that_is_not_an_identifier(tmp_path, capsys):
