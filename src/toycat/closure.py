@@ -112,6 +112,7 @@ from .relcore import (
     dagger,
     identity,
     is_unitary,
+    reachable,
     run_composer,
     spreads,
     structural_symbols,
@@ -551,8 +552,9 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
     """All stored states of `obj`, with orbits under stored permutations.
 
     One walk over the store picks the states (I -> obj) and the
-    endomorphisms of obj; each unitary one is prepared once as a gather and
-    applied to a whole breadth-first frontier.
+    endomorphisms of obj; each unitary one is prepared once by
+    `run_composer`, and each orbit is one `reachable` walk from its least
+    state not yet in an orbit.
     """
     items = store.items
     target = obj.factors
@@ -571,22 +573,12 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
         for k in endo_keys
         if is_unitary(items[k].relation)
     ]
-    remaining = {e.relation.key: e.relation for e in states}
+    remaining = {e.relation.rows for e in states}
     orbits: list[tuple[Relation, ...]] = []
     while remaining:
-        seed_key = min(remaining)
-        orbit = {seed_key: remaining.pop(seed_key)}
-        frontier = [seed_key[2]]
-        while frontier:
-            run, frontier = frontier, []
-            for move in moves:
-                for rows in move(run):
-                    key = ((), target, rows)
-                    if key not in orbit:
-                        orbit[key] = Relation._raw(UNIT, obj, rows)
-                        remaining.pop(key, None)
-                        frontier.append(rows)
-        orbits.append(tuple(orbit[k] for k in sorted(orbit)))
+        orbit = sorted(reachable(moves, [min(remaining)]))
+        remaining.difference_update(orbit)
+        orbits.append(tuple(Relation._raw(UNIT, obj, rows) for rows in orbit))
     return StateCensus(obj, tuple(states), tuple(orbits))
 
 

@@ -25,12 +25,15 @@ from .basis import BasisStructure, check_complementary, enumerate_points, lambda
 from .relcore import (
     FinObject,
     Relation,
+    ShapeMismatchError,
     all_permutations,
     compose,
     dagger,
     identity,
     is_unitary,
+    reachable,
     relation_to_json,
+    run_composer,
     scalar_kind,
     snake_holds,
     swap,
@@ -41,7 +44,6 @@ __all__ = [
     "ComplementarityRequired",
     "BellBasis",
     "bell_basis",
-    "PhaseGroup",
     "phase_unitaries",
     "phase_pool",
     "BranchSearchResult",
@@ -94,52 +96,29 @@ def bell_basis(bx: BasisStructure, bz: BasisStructure) -> BellBasis:
     return BellBasis(product, bell)
 
 
-@dataclass(frozen=True)
-class PhaseGroup:
-    """Unitaries induced by unbiased points, and their composition closure."""
-
-    phases: tuple[Relation, ...]
-    closed: tuple[Relation, ...]
-
-
-def phase_unitaries(b: BasisStructure) -> PhaseGroup:
-    report = enumerate_points(b)
-    phases = {}
-    for psi in report.unbiased:
-        u = lambda_map(b, psi)
-        phases[u.key] = u
-    return PhaseGroup(
-        tuple(phases[k] for k in sorted(phases)),
-        _composition_closure(phases.values()),
-    )
+def phase_unitaries(b: BasisStructure) -> tuple[Relation, ...]:
+    """The unitaries the unbiased points of `b` induce, in canonical order."""
+    phases = {lambda_map(b, psi) for psi in enumerate_points(b).unbiased}
+    return tuple(sorted(phases, key=lambda u: u.key))
 
 
 def phase_pool(*structures: BasisStructure) -> tuple[Relation, ...]:
-    """The phase unitaries of all the structures, closed under composition."""
-    return _composition_closure(
-        u for b in structures for u in phase_unitaries(b).phases
-    )
+    """The phase unitaries of all the structures, closed under composition.
 
-
-def _composition_closure(gens) -> tuple[Relation, ...]:
-    """Every composite of `gens`, in canonical order.
-
-    Each composite is some generator after a shorter one, so new members
-    need composing only with the generators.
+    Every composite is some phase after a shorter one, so the closure is
+    the `reachable` walk from the phases with each phase as a move. The
+    members come in canonical order; structures on different objects
+    raise ShapeMismatchError.
     """
-    gens = {u.key: u for u in gens}
-    closed = dict(gens)
-    frontier = list(closed.values())
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for g in gens.values():
-                w = compose(g, u)
-                if w.key not in closed:
-                    closed[w.key] = w
-                    fresh.append(w)
-        frontier = fresh
-    return tuple(closed[k] for k in sorted(closed))
+    phases = [u for b in structures for u in phase_unitaries(b)]
+    if not phases:
+        return ()
+    obj = phases[0].dom
+    if any(u.dom != obj for u in phases):
+        raise ShapeMismatchError("cannot pool phases on different objects")
+    moves = [run_composer(u.rows) for u in phases]
+    closed = reachable(moves, (u.rows for u in phases))
+    return tuple(Relation._raw(obj, obj, rows) for rows in sorted(closed))
 
 
 def all_unitary_permutations(obj: FinObject) -> tuple[Relation, ...]:
@@ -202,11 +181,10 @@ def find_branch_unitaries(eta: Relation, pool: tuple[Relation, ...] | list[Relat
 
 @dataclass(frozen=True)
 class Branch:
-    unitary: Relation
+    unitary: Relation    # also the classical correction
     state: Relation      # (U x 1) o eta
     effect: Relation     # its dagger
     branch_map: Relation  # (effect x 1) o (1 x eta)
-    correction: Relation  # the unitary itself
     ok: bool
 
 
@@ -233,7 +211,7 @@ class TeleportationCertificate:
                     "unitary": relation_to_json(b.unitary),
                     "effect": relation_to_json(b.effect),
                     "branch_map": relation_to_json(b.branch_map),
-                    "correction": relation_to_json(b.correction),
+                    "correction": relation_to_json(b.unitary),
                     "ok": b.ok,
                 }
                 for b in self.branches
@@ -254,7 +232,7 @@ def check_teleportation(
         effect = dagger(state)
         branch_map = compose(tensor(effect, ida), tensor(ida, eta))
         ok = branch_map == dagger(u) and compose(u, branch_map) == ida
-        branches.append(Branch(u, state, effect, branch_map, u, ok))
+        branches.append(Branch(u, state, effect, branch_map, ok))
         union |= effect.rows[0]
         support_total += effect.rows[0].bit_count()
     disjoint = union.bit_count() == support_total

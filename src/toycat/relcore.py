@@ -26,6 +26,7 @@ __all__ = [
     "UNIT",
     "compose",
     "run_composer",
+    "reachable",
     "tensor",
     "spreads",
     "tensor_rows",
@@ -320,6 +321,25 @@ def run_composer(
     if gather is not None:
         return lambda run: list(map(gather, run))
     return partial(_or_picked, tuple(map(bit_indices, grows)))
+
+
+def reachable(moves: Sequence[Callable], start: Iterable[tuple]) -> set[tuple]:
+    """Every row tuple reached from `start` under `moves`, `start` included.
+
+    The moves are maps prepared by `run_composer`. The walk is breadth
+    first, and each frontier goes through every move as one run.
+    """
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for move in moves:
+            for rows in move(frontier):
+                if rows not in seen:
+                    seen.add(rows)
+                    fresh.append(rows)
+        frontier = fresh
+    return seen
 
 
 def tensor(f: Relation, g: Relation) -> Relation:

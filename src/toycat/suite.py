@@ -22,6 +22,7 @@ it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,7 +50,6 @@ from .protocols import (
     find_branch_unitaries,
     measurement_projector,
     phase_pool,
-    phase_unitaries,
 )
 from .relcore import (
     Relation,
@@ -60,7 +60,9 @@ from .relcore import (
     is_unitary,
     scalar_kind,
     snake_holds,
+    swap,
     tensor,
+    transpose_star,
 )
 from .terms import assert_equal, parse_term, signature_of
 
@@ -108,10 +110,6 @@ def spek_generator_symbols() -> dict[str, Relation]:
 # -- ambient category spot checks ---------------------------------------------------
 
 def core_checks() -> list[CheckResult]:
-    import random
-
-    from .relcore import swap, transpose_star
-
     res: list[CheckResult] = []
     rng = random.Random(31)
 
@@ -139,7 +137,7 @@ def core_checks() -> list[CheckResult]:
     ))
     _check(res, "core.swap.self_inverse_and_natural", lambda: (
         compose(swap(IV, II), swap(II, IV)) == identity(II * IV)
-        and _swap_naturality(rng),
+        and _swap_naturality(rand_rel),
         "",
     ))
     _check(res, "core.structural.identity_scalar", lambda: (
@@ -169,19 +167,11 @@ def core_checks() -> list[CheckResult]:
     return res
 
 
-def _swap_naturality(rng) -> bool:
-    from .relcore import swap
-
+def _swap_naturality(rand_rel) -> bool:
     II, IV = M.II, M.IV
     for _ in range(20):
-        f = Relation.from_pairs(
-            II, II,
-            [(j, i) for j in range(2) for i in range(2) if rng.random() < 0.5],
-        )
-        g = Relation.from_pairs(
-            IV, IV,
-            [(j, i) for j in range(4) for i in range(4) if rng.random() < 0.5],
-        )
+        f = rand_rel(II, II)
+        g = rand_rel(IV, IV)
         if compose(swap(II, IV), tensor(f, g)) != compose(tensor(g, f), swap(II, IV)):
             return False
     return True
@@ -453,7 +443,7 @@ def spek_checks(store: MorphismStore | None = None) -> list[CheckResult]:
 
     def teleport_negative():
         eta_iv = basis_eta(Z.representative)
-        bad = find_branch_unitaries(eta_iv, phase_unitaries(Z.representative).closed)
+        bad = find_branch_unitaries(eta_iv, phase_pool(Z.representative))
         return (not bad.ok and bad.coverage == 8 and bad.total == 16,
                 f"coverage {bad.coverage} of {bad.total}")
 

@@ -54,7 +54,7 @@ from toycat.protocols import (
     check_dense_coding,
     check_teleportation,
     find_branch_unitaries,
-    phase_unitaries,
+    phase_pool,
 )
 from toycat.relcore import (
     FinObject,
@@ -319,9 +319,7 @@ def test_criterion_07_teleportation_and_dense_coding(qubit, spek_model):
     # II: branches {id, NOT}
     Zq = qubit.structures["Z"]
     eta_q = basis_eta(Zq)
-    pool_q = {u.key: u for u in phase_unitaries(Zq).closed}
-    pool_q.update({u.key: u for u in phase_unitaries(qubit.structures["X"]).closed})
-    found_q = find_branch_unitaries(eta_q, list(pool_q.values()))
+    found_q = find_branch_unitaries(eta_q, phase_pool(Zq, qubit.structures["X"]))
     assert found_q.ok and len(found_q.unitaries) == 2
     assert {u.pairs for u in found_q.unitaries} == {
         identity(II).pairs, qubit.symbols["sigma_01"].pairs,
@@ -352,7 +350,7 @@ def test_criterion_07_teleportation_and_dense_coding(qubit, spek_model):
                 tensor_oracle(branch.effect, ida), tensor_oracle(ida, cert.eta)
             )
             assert branch_map == branch.branch_map == dagger_oracle(branch.unitary)
-            assert compose_oracle(branch.correction, branch_map) == ida
+            assert compose_oracle(branch.unitary, branch_map) == ida
     for dc, n in ((dc_q, 2), (dc_s, 4)):
         for i in range(n):
             for j in range(n):

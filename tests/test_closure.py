@@ -23,7 +23,7 @@ from toycat.closure import (
     store_to_json,
     store_to_json_str,
 )
-from toycat.models import IV, II, frel_qubit, perm_name, spek_generators
+from toycat.models import IV, II, frel_qubit, perm_name, spek, spek_generators
 from toycat.relcore import (
     FinObject,
     Relation,
@@ -40,7 +40,7 @@ from toycat.relcore import (
     swap,
     tensor,
 )
-from toycat.suite import spek_generator_symbols
+from toycat.suite import CheckResult, _check, closure_checks, spek_generator_symbols
 from toycat.terms import Atom, Compose, Dagger, parse_term
 
 from oracle import (
@@ -241,6 +241,22 @@ def test_morphism_cap_edges(arity1_gens, cap, growth, fixpoint):
     assert store.fixpoint is fixpoint
     assert store.rounds_run == len(growth)
     assert len(store) == sum(n for _, n in growth)
+
+
+def test_closure_checks_certify_exclusion_on_a_fixpoint_store(arity1_store):
+    results = {r.name: r for r in closure_checks(arity1_store, spek())}
+    oplus = results["closure.delta_oplus_excluded"]
+    assert oplus.passed
+    assert oplus.detail == "definitively excluded (fixpoint store)"
+
+
+def test_a_raising_check_is_a_failed_check():
+    def crash():
+        raise ValueError("no such morphism")
+
+    results = []
+    _check(results, "crash", crash)
+    assert results == [CheckResult("crash", False, "error: no such morphism")]
 
 
 # -- determinism -------------------------------------------------------------------------

@@ -10,10 +10,12 @@ from toycat.protocols import (
     check_teleportation,
     find_branch_unitaries,
     measurement_projector,
+    phase_pool,
     phase_unitaries,
 )
 from toycat.relcore import (
     Relation,
+    ShapeMismatchError,
     compose,
     dagger,
     identity,
@@ -36,10 +38,8 @@ def s():
 
 
 def closed_pool(*structures):
-    pool = {}
-    for b in structures:
-        for u in phase_unitaries(b).closed:
-            pool[u.key] = u
+    """Every composite of the structures' phases, by a plain pairwise closure."""
+    pool = {u.key: u for b in structures for u in phase_unitaries(b)}
     changed = True
     while changed:
         changed = False
@@ -84,19 +84,22 @@ def test_bell_refuses_non_complementary_pair(q):
 
 def test_phase_unitaries_on_II(q):
     pz = phase_unitaries(q.structures["Z"])
-    assert [u.pairs for u in pz.phases] == [identity(II).pairs]
+    assert [u.pairs for u in pz] == [identity(II).pairs]
     px = phase_unitaries(q.structures["X"])
     flip = q.symbols["sigma_01"]
-    assert {u.pairs for u in px.phases} == {identity(II).pairs, flip.pairs}
-    assert {u.pairs for u in px.closed} == {identity(II).pairs, flip.pairs}
+    assert {u.pairs for u in px} == {identity(II).pairs, flip.pairs}
+    assert list(px) == sorted(px, key=lambda r: r.key)
+    assert {u.pairs for u in phase_pool(q.structures["X"])} == {
+        identity(II).pairs, flip.pairs,
+    }
 
 
 def test_phase_unitaries_on_IV_are_klein_groups(s):
     Z = s.observables["Z"].representative
-    names = sorted(perm_name(u) for u in phase_unitaries(Z).phases)
+    names = sorted(perm_name(u) for u in phase_unitaries(Z))
     assert names == ["id_IV", "sigma_12", "sigma_12_34", "sigma_34"]
     X = s.observables["X"].representative
-    names_x = sorted(perm_name(u) for u in phase_unitaries(X).phases)
+    names_x = sorted(perm_name(u) for u in phase_unitaries(X))
     assert names_x == ["id_IV", "sigma_13", "sigma_13_24", "sigma_24"]
 
 
@@ -105,6 +108,22 @@ def test_phase_pool_closure_is_all_permutations(s):
         s.observables["Z"].representative, s.observables["X"].representative
     )
     assert len(pool) == 24
+
+
+def test_phase_pool_matches_a_pairwise_closure(q, s):
+    Zs, Xs = s.observables["Z"].representative, s.observables["X"].representative
+    Zq, Xq = q.structures["Z"], q.structures["X"]
+    for structures, size in (((Zs, Xs), 24), ((Zs,), 4), ((Zq, Xq), 2)):
+        for order in (structures, structures[::-1]):
+            pool = phase_pool(*order)
+            assert isinstance(pool, tuple) and len(pool) == size
+            assert list(pool) == closed_pool(*order)
+
+
+def test_phase_pool_refuses_structures_on_different_objects(q, s):
+    with pytest.raises(ShapeMismatchError):
+        phase_pool(q.structures["Z"], s.observables["Z"].representative)
+    assert phase_pool() == ()
 
 
 # -- branch search ------------------------------------------------------------------
@@ -131,7 +150,7 @@ def test_branch_search_on_IV_finds_klein_four(s):
 
 def test_branch_search_fails_with_z_phases_only(s):
     Z = s.observables["Z"].representative
-    found = find_branch_unitaries(basis_eta(Z), phase_unitaries(Z).closed)
+    found = find_branch_unitaries(basis_eta(Z), phase_pool(Z))
     assert not found.ok
     assert (found.coverage, found.total) == (8, 16)
 
@@ -140,6 +159,12 @@ def test_branch_search_rejects_bad_eta(s):
     z0 = s.states["z0"]
     with pytest.raises(ValueError):
         find_branch_unitaries(tensor(z0, z0), [identity(IV)])
+
+
+def test_branch_search_refuses_a_non_unitary_pool(s):
+    Z = s.observables["Z"].representative
+    with pytest.raises(ValueError, match="non-unitary"):
+        find_branch_unitaries(basis_eta(Z), [identity(IV), measurement_projector(s.states["z0"])])
 
 
 # -- teleportation -------------------------------------------------------------------
@@ -161,7 +186,7 @@ def test_teleportation_on_II(q):
     assert len(cert.branches) == 2
     for branch in cert.branches:
         assert branch.branch_map == dagger(branch.unitary)
-        assert compose(branch.correction, branch.branch_map) == identity(II)
+        assert compose(branch.unitary, branch.branch_map) == identity(II)
 
 
 def test_teleportation_on_IV_klein_four(s):
@@ -191,7 +216,7 @@ def test_teleportation_branches_cross_checked_by_pairlist_oracle(s):
         branch_map = pairlist_compose(tensor_oracle(effect, ida), tensor_oracle(ida, eta))
         assert branch_map == branch.branch_map
         assert branch_map == dagger_oracle(branch.unitary)
-        assert pairlist_compose(branch.correction, branch_map) == ida
+        assert pairlist_compose(branch.unitary, branch_map) == ida
 
 
 def test_teleportation_fails_without_coverage(s):

@@ -16,6 +16,7 @@ from toycat.relcore import (
     identity,
     is_unitary,
     least_diff_cell,
+    reachable,
     relation_from_json,
     relation_to_json,
     run_composer,
@@ -59,6 +60,10 @@ def test_object_names():
     assert str(UNIT) == "I"
     assert str(II) == "II"
     assert str(IV * IV) == "IVxIV"
+
+
+def test_object_parse_reads_digits_and_numerals_alike():
+    assert FinObject.parse("4x4") == FinObject.parse("IVxIV") == IV * IV
 
 
 def test_bad_factor_rejected():
@@ -485,6 +490,48 @@ def test_composer_gathers_for_one_bit_rows_only():
     for dom, cod in KERNEL_SHAPES:
         assert not isinstance(run_composer(one_bit_rows(rng, dom, cod).rows), partial)
         assert isinstance(run_composer(Relation.empty(dom, cod).rows), partial)
+
+
+def two_bit_row(rng, r):
+    """r with bits 0 and 1 set in one random row, so `run_composer` takes the OR path."""
+    rows = list(r.rows)
+    rows[rng.randrange(len(rows))] |= 0b11
+    return Relation(r.dom, r.cod, tuple(rows))
+
+
+def brute_force_reach(moves, start):
+    """`start` closed under composing with `moves`, by the pair-set oracle."""
+    reached = set(start)
+    while True:
+        more = {compose_oracle(g, f) for g in moves for f in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@pytest.mark.parametrize("obj", [II, IV], ids=str)
+@pytest.mark.parametrize("kind", ["permutations", "relations"])
+def test_reachable_matches_a_brute_force_closure(obj, kind):
+    rng = random.Random(59)
+    for _ in range(6):
+        count = rng.randint(1, 3)
+        if kind == "permutations":
+            moves = [permutation_rows(rng, obj) for _ in range(count)]
+        else:
+            moves = [two_bit_row(rng, random_relation(rng, obj, obj, 0.3))
+                     for _ in range(count)]
+        prepared = [run_composer(g.rows) for g in moves]
+        assert all(isinstance(m, partial) == (kind == "relations") for m in prepared)
+        for source in (UNIT, II, obj):
+            start = [random_relation(rng, source, obj, 0.3) for _ in range(rng.randint(1, 3))]
+            expected = {f.rows for f in brute_force_reach(moves, start)}
+            assert reachable(prepared, [f.rows for f in start]) == expected
+
+
+def test_reachable_without_moves_or_start():
+    start = [identity(IV).rows]
+    assert reachable([], start) == set(start)
+    assert reachable([run_composer(swap(II, II).rows)], []) == set()
 
 
 @pytest.mark.parametrize("dom, cod", KERNEL_SHAPES, ids=lambda o: str(o))

@@ -560,6 +560,18 @@ def test_cli_census_object_parses_the_names_it_prints(tmp_path, capsys, factors)
     assert json.loads(out)["object"] == list(factors)
 
 
+def test_cli_census_refuses_an_object_it_cannot_parse(tmp_path, capsys):
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    code, out, err = run_cli(capsys, "census", "--store", str(store_path), "--object", "bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'bogus'" in err
+
+
 def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     store_path = tmp_path / "old.json"
     code, _, _ = run_cli(
@@ -775,6 +787,15 @@ def test_cli_close_rejects_a_generator_name_that_is_not_an_identifier(tmp_path, 
     assert code == 2 and out == ""
     assert "'not-gate'" in err
     assert "Traceback" not in err
+
+
+def test_cli_close_refuses_a_generator_named_like_a_seed(tmp_path, capsys):
+    gens = {"generators": {"id_IV": {"dom": [4], "cod": [4], "pairs": [[0, 1], [1, 0]]}}}
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(gens))
+    code, out, err = run_cli(capsys, "close", "--generators", str(path), "--max-arity", "1")
+    assert code == 2 and out == ""
+    assert err == "error: generator name 'id_IV' collides with a seed\n"
 
 
 @pytest.mark.parametrize(
