@@ -5,11 +5,12 @@ protocol (teleport | densecode), eval, assert, bloch, suite, dump.
 
 Each `cmd_*` returns `(report, text form or None, passed)`. `main` alone
 prints it (JSON, or the text form under `--text`) and picks the exit code:
-0 pass, 1 check failure, 2 usage or input error (a bad argument, term,
-relation or store file). Commands that read a model take `--model`,
-default `spek`, resolved once in `main`. Output is byte-stable for identical
-inputs and flags. `close` takes its defaults from `ClosureConfig`; `suite
-spek` builds the cap-3, round-4 store unless `--store` names another.
+0 pass, 1 check failure, 2 usage, input or output error (a bad argument,
+term, relation or store file, or a stdout closed by its reader). Commands
+that read a model take `--model`, default `spek`, resolved once in `main`.
+Output is byte-stable for identical inputs and flags. `close` takes its
+defaults from `ClosureConfig`; `suite spek` builds the cap-3, round-4
+store unless `--store` names another.
 
 The parser is built on the first `main` call and reused by every later one
 in the process; each call parses into a fresh namespace, and nothing
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import models as M
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toycat",
         description="verification engine for toy categorical quantum mechanics over finite relations",
-        epilog="exit codes: 0 pass, 1 check failed, 2 usage or input error",
+        epilog="exit codes: 0 pass, 1 check failed, 2 usage, input or output error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     reads_model = argparse.ArgumentParser(add_help=False)
@@ -352,17 +354,24 @@ def main(argv: list[str] | None = None) -> int:
         if "model" in args:
             args.model = _model(args.model)
         report, text, passed = args.fn(args)
+        if report is not None:
+            print(text if args.text and text is not None
+                  else json.dumps(report, sort_keys=True, indent=2))
+        sys.stdout.flush()
     except (TypeError, ValueError, KeyError, OSError, RecursionError) as exc:
         # RecursionError: a term or JSON file nested deeper than the stack allows
+        if isinstance(exc, BrokenPipeError):
+            # the reader of stdout has gone: whatever is still buffered goes
+            # to devnull, so the interpreter's last flush raises nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
         # a relation file whose objects are too large to hold
         print("error: out of memory reading the input", file=sys.stderr)
         return EXIT_USAGE
-    if report is not None:
-        print(text if args.text and text is not None
-              else json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

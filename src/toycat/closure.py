@@ -176,7 +176,7 @@ class ClosureConfig:
             raise ValueError(f"max_rounds must be None or >= 1, got {self.max_rounds}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredMorphism:
     relation: Relation
     word: str
@@ -213,15 +213,17 @@ class MorphismStore:
         return [self.items[k] for k in sorted(self.items)]
 
 
+def _base_factors(symbols: Mapping[str, Relation]) -> list[int]:
+    """The sorted base factors of the symbols' domains and codomains."""
+    return sorted({f for rel in symbols.values() for f in rel.dom.factors + rel.cod.factors})
+
+
 def _seed_symbols(
     generators: Mapping[str, Relation], cap: int
 ) -> dict[str, Relation]:
     """Generators plus identities and swaps on every object within the cap."""
     symbols = dict(generators)
-    base = sorted(
-        {f for rel in generators.values() for f in rel.dom.factors + rel.cod.factors}
-    )
-    for name, rel in structural_symbols(base, cap).items():
+    for name, rel in structural_symbols(_base_factors(generators), cap).items():
         if name in symbols:
             raise ValueError(f"generator name {name!r} collides with a seed")
         symbols[name] = rel
@@ -241,20 +243,18 @@ class _Run:
     """The entries of one word length and one shape, in key order.
 
     `rows[k]` holds the rows of `entries[k]` for the `relcore` kernels, and
-    `tops[k]` is the top operation of its word (`_top`), read by the
-    left-operand rule. When `entries[k]` is a product `(a) x (b)`,
-    `lefts[k]` and `rights[k]` are the stored entries a and b, read by the
-    interchange rule; for any other word both are None. A run is filled by
-    its length's one insertion batch, before any scan reads it.
+    `parts[k]` is `(top, a, b)` for its word `(a) op (b)`: `top` is the top
+    operation (`_top`), read by the left-operand rule, and a and b are the
+    stored factor entries when the word is a product, read by the
+    interchange rule, else None. A run is filled by its length's one
+    insertion batch, before any scan reads it.
     """
 
     dom: FinObject
     cod: FinObject
     rows: list[tuple[int, ...]] = field(default_factory=list)
     entries: list[StoredMorphism] = field(default_factory=list)
-    tops: list[str | None] = field(default_factory=list)
-    lefts: list[StoredMorphism | None] = field(default_factory=list)
-    rights: list[StoredMorphism | None] = field(default_factory=list)
+    parts: list[tuple] = field(default_factory=list)
 
 
 # The left-operand rule (module docstring): a left entry whose word has one
@@ -283,28 +283,23 @@ class _Interchange:
     equals c.cod exactly when the two splits of the run's codomain agree),
     then masked by each left factor and by each right factor, so a left
     entry costs one `absorbing` test per distinct factor, not per member.
-    The kept sub-lists are cached per (run, kept mask), as many left entries
-    share a mask: without that cache the cap-2 round-4 build took 0.21 s,
-    not 0.16 s (median of 7, 2-core VM).
-    Every cache lives on the object, and a round drops it before inserting.
+    The caches live on the object, and a round drops them before inserting:
+    `groups` per run, `drops` per (factor table, factor), and `subruns`,
+    the kept sub-lists, per (run, kept mask), as many left entries share a
+    mask (without it the cap-2 round-4 build took 0.21 s, not 0.16 s:
+    median of 7, 2-core VM).
     """
 
     def __init__(self, items: dict[tuple, StoredMorphism]) -> None:
         self.items = items
-        self.absorbs: dict[tuple[int, int], bool] = {}
         self.groups: dict[int, dict] = {}
         self.drops: dict[tuple[int, int], int] = {}
         self.subruns: dict[tuple[int, int], tuple[list, list]] = {}
 
     def absorbing(self, x: StoredMorphism, y: StoredMorphism) -> bool:
         """True iff the store holds x after y with a word shorter than both summed."""
-        pair = id(x), id(y)
-        hit = self.absorbs.get(pair)
-        if hit is None:
-            found = self.items.get(compose(x.relation, y.relation).key)
-            hit = found is not None and found.length < x.length + y.length
-            self.absorbs[pair] = hit
-        return hit
+        found = self.items.get(compose(x.relation, y.relation).key)
+        return found is not None and found.length < x.length + y.length
 
     def groups_of(self, run: _Run) -> dict[int, tuple[dict, dict]]:
         """Split -> (by left factor, by right factor), each mapping a factor's
@@ -312,8 +307,8 @@ class _Interchange:
         groups = self.groups.get(id(run))
         if groups is None:
             groups = self.groups[id(run)] = {}
-            for k, (c, d) in enumerate(zip(run.lefts, run.rights)):
-                if c is None:
+            for k, (top, c, d) in enumerate(run.parts):
+                if top != "x":
                     continue
                 by_c, by_d = groups.setdefault(c.relation.cod.arity, ({}, {}))
                 for by, f in ((by_c, c), (by_d, d)):
@@ -420,10 +415,8 @@ def generate_closure(
                 length_runs.append(run)
             run.rows.append(rel.rows)
             run.entries.append(entry)
-            run.tops.append(_top(rel, op))
-            product = op == "x"
-            run.lefts.append(left if product else None)
-            run.rights.append(right if product else None)
+            top = _top(rel, op)
+            run.parts.append((top, left, right) if top == "x" else (top, None, None))
         return len(keys)
 
     def pool_new(pool, cands, entries, dom, cod, op, e1) -> None:
@@ -479,13 +472,13 @@ def generate_closure(
                 ]
                 if not meeting:
                     continue
-                for e1, top, a, b in zip(run1.entries, run1.tops, run1.lefts, run1.rights):
+                for e1, (top, a, b) in zip(run1.entries, run1.parts):
                     if top in _COMPOSE_SKIP:
                         continue
                     after = run_composer(e1.relation.rows)
                     for run2, dom, cod in meeting:
                         rows, entries = (
-                            (run2.rows, run2.entries) if a is None else interchange.kept(run2, a, b)
+                            interchange.kept(run2, a, b) if top == "x" else (run2.rows, run2.entries)
                         )
                         pool_new(pool, after(rows), entries, dom, cod, ";", e1)
             # tensor: any pair whose product stays within the cap; a left
@@ -499,7 +492,7 @@ def generate_closure(
                 if not fitting:
                     continue
                 widths = {run2.dom.cardinality for run2, _, _ in fitting}
-                for e1, top in zip(run1.entries, run1.tops):
+                for e1, (top, _, _) in zip(run1.entries, run1.parts):
                     if top in _TENSOR_SKIP:
                         continue
                     by_width = {w: spreads(e1.relation.rows, w) for w in widths}
@@ -818,10 +811,7 @@ def _check_rebuild(store: MorphismStore) -> None:
     symbols.
     """
     config = store.config
-    base = sorted(
-        {f for rel in store.symbols.values() for f in rel.dom.factors + rel.cod.factors}
-    )
-    seeds = structural_symbols(base, config.max_arity)
+    seeds = structural_symbols(_base_factors(store.symbols), config.max_arity)
     generators = {n: rel for n, rel in store.symbols.items() if n not in seeds}
     bounds = ClosureConfig(
         max_arity=config.max_arity,

@@ -340,7 +340,7 @@ def ghz_invariance() -> tuple[str, ...]:
 _AXES = {"z0": "Z+", "z1": "Z-", "x0": "X+", "x1": "X-", "y0": "Y+", "y1": "Y-"}
 
 
-def bloch_table(model: str | Model) -> list[dict]:
+def bloch_table(model: Model) -> list[dict]:
     """Rows (state, axis, classical-for, unbiased-for) for a model.
 
     Each observable contributes its two directions, tested against its
@@ -348,13 +348,12 @@ def bloch_table(model: str | Model) -> list[dict]:
     to X); unbiased includes the overlap, as in `check_complementary`. A
     direction with no state, the qubit's X-, gets an explicit absent row.
     """
-    m = get_model(model) if isinstance(model, str) else model
-    axes = {label: ob.representative.points for label, ob in m.observables.items()}
+    axes = {label: ob.representative.points for label, ob in model.observables.items()}
     rows = []
     for name, axis in _AXES.items():
         if axis[0] not in axes:
             continue
-        st = m.states.get(name)
+        st = model.states.get(name)
         tested = [] if st is None else sorted(axes)
         rows.append(
             {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from operator import itemgetter, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -151,7 +151,7 @@ def element_labels(obj: FinObject) -> list[str]:
     return labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """A relation dom -> cod stored as bit-packed rows keyed by codomain index.
 
@@ -202,12 +202,12 @@ class Relation:
     def empty(cls, dom: FinObject, cod: FinObject) -> "Relation":
         return cls(dom, cod, (0,) * cod.cardinality)
 
-    @cached_property
+    @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted (domain index, codomain index) pairs.
 
-        This is the JSON and display form, built on first use and cached;
-        the bit-packed rows are the canonical form (see `key`).
+        This is the JSON and display form, built on each call; the
+        bit-packed rows are the canonical form (see `key`).
         """
         out = []
         for i, row in enumerate(self.rows):

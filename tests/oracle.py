@@ -64,14 +64,18 @@ def dagger_oracle(f: Relation) -> Relation:
     return from_pairset(f.cod, f.dom, {(b, a) for a, b in to_pairset(f)})
 
 
-def random_relation(rng, dom: FinObject, cod: FinObject, density: float = 0.5) -> Relation:
-    pairs = [
+def random_pairs(rng, dom: FinObject, cod: FinObject, density: float = 0.5) -> set:
+    """A random set of (domain index, codomain index) pairs."""
+    return {
         (j, i)
         for j in range(dom.cardinality)
         for i in range(cod.cardinality)
         if rng.random() < density
-    ]
-    return Relation.from_pairs(dom, cod, pairs)
+    }
+
+
+def random_relation(rng, dom: FinObject, cod: FinObject, density: float = 0.5) -> Relation:
+    return Relation.from_pairs(dom, cod, random_pairs(rng, dom, cod, density))
 
 
 def all_relations(dom: FinObject, cod: FinObject):

@@ -146,9 +146,13 @@ def spek_store_r4_proof(spek_store_r4):
 def test_criterion_01_qubit_structures(qubit):
     elapsed = []
     for label, s in qubit.structures.items():
-        start = time.perf_counter()
-        laws = verify_basis_structure(s.obj, s.delta, s.epsilon)
-        elapsed.append(time.perf_counter() - start)
+        # the least of 5 calls, as timeit reports: a busy machine only adds time
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            laws = verify_basis_structure(s.obj, s.delta, s.epsilon)
+            times.append(time.perf_counter() - start)
+        elapsed.append(min(times))
         assert all(r.holds for r in laws), f"{label}: {[r.law for r in laws if not r.holds]}"
     mean_ms = 1000 * sum(elapsed) / len(elapsed)
     report("1", True, f"Z, X, X' pass all six laws exactly (mean {mean_ms:.3f} ms)")

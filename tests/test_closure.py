@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -717,13 +718,24 @@ def test_store_record_round_trips_the_rows(rel):
     assert store_to_json_str(restored) == text
 
 
-def test_store_file_is_written_without_building_pairs(arity1_gens):
-    # fresh relations, so no pairs are cached from another test
-    gens = {name: Relation(r.dom, r.cod, r.rows) for name, r in arity1_gens.items()}
-    store = generate_closure(gens, ClosureConfig(max_arity=1))
-    store_to_json(store)
-    stored = [e.relation for e in store.items.values()] + list(store.symbols.values())
-    assert not [rel for rel in stored if "pairs" in vars(rel)]
+def test_store_file_is_written_without_building_pairs(arity1_store, monkeypatch):
+    calls = []
+    pairs = Relation.pairs
+    monkeypatch.setattr(Relation, "pairs", property(lambda rel: calls.append(rel) or pairs.fget(rel)))
+    store_to_json(arity1_store)
+    assert calls == []
+    # the probe sees a call that does build them
+    relation_to_json(arity1_store.symbols["eps_Z"])
+    assert len(calls) == 1
+
+
+def test_relations_and_stored_morphisms_are_slotted_frozen_values(arity1_store):
+    entry = next(iter(arity1_store.items.values()))
+    built = Relation.from_pairs(IV, II, [(0, 1)])
+    for value, name in ((entry, "word"), (entry.relation, "rows"), (built, "rows")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 def test_loaded_store_writes_back_the_same_bytes(tmp_path):

@@ -35,6 +35,7 @@ from oracle import (
     all_relations,
     compose_oracle,
     dagger_oracle,
+    random_pairs,
     random_relation,
     tensor_oracle,
 )
@@ -77,6 +78,16 @@ def test_pairs_round_trip_and_sorted():
     r = rel(IV, II, [(3, 1), (0, 0), (2, 0)])
     assert r.pairs == ((0, 0), (2, 0), (3, 1))
     assert Relation.from_pairs(IV, II, r.pairs) == r
+
+
+@pytest.mark.parametrize("cod", [UNIT, IV, IV * IV], ids=str)
+@pytest.mark.parametrize("dom", [UNIT, IV, IV * IV], ids=str)
+def test_pairs_are_the_sorted_pair_set_on_every_call(dom, cod):
+    rng = random.Random(17)
+    for density in (0.0, 0.3, 1.0):
+        expected = random_pairs(rng, dom, cod, density)
+        r = Relation.from_pairs(dom, cod, expected)
+        assert r.pairs == r.pairs == tuple(sorted(expected))
 
 
 def test_row_validation():

@@ -397,6 +397,14 @@ def test_cli_deep_input_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def run_child(argv: list[str], env=os.environ, **kwargs) -> subprocess.CompletedProcess:
+    """`main(argv)` in a fresh interpreter that imports this checkout's toycat."""
+    src = str(Path(toycat.__file__).parents[1])
+    cli = "import sys; from toycat.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", cli, *argv], env={**env, "PYTHONPATH": src},
+                          text=True, timeout=60, **kwargs)
+
+
 def _limit_address_space():
     # 1.5 GB: ample for the interpreter, far too little for 2**40 rows
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
@@ -415,14 +423,31 @@ def test_cli_huge_codomain_exits_2(tmp_path, command):
     else:
         huge.write_text(json.dumps({"generators": {"f": rel}}))
         argv = ["close", "--generators", str(huge), "--out", str(tmp_path / "out.json")]
-    src = str(Path(toycat.__file__).parents[1])
-    cli = "import sys; from toycat.cli import main; sys.exit(main(sys.argv[1:]))"
-    child = subprocess.run(
-        [sys.executable, "-c", cli, *argv],
-        env={**os.environ, "PYTHONPATH": src}, preexec_fn=_limit_address_space,
-        capture_output=True, text=True, timeout=60,
-    )
+    child = run_child(argv, preexec_fn=_limit_address_space, capture_output=True)
     assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("command", ["dump", "close"])
+def test_cli_closed_stdout_exits_2(tmp_path, command):
+    # dump prints its report in `main`; close without --out writes the store itself
+    if command == "dump":
+        argv = ["dump", "--model", "spek"]
+    else:
+        gens = tmp_path / "gens.json"
+        gens.write_text(json.dumps({"generators": {"f": {"dom": [2], "cod": [2],
+                                                         "pairs": [[0, 1], [1, 0]]}}}))
+        argv = ["close", "--generators", str(gens), "--max-arity", "1"]
+    # buffered stdout, so a small output fails only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        child = run_child(argv, env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2
     assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
     assert "Traceback" not in child.stderr
 
