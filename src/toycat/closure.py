@@ -64,7 +64,11 @@ composite is stored with a length below its two factors' sum and the
 other with a length at most its sum, so their product has a length below
 L and was stored before round L. A skipped candidate is thus a duplicate
 of a stored morphism, not of a pooled one, so it never wins and skipping
-it leaves the pool, the words and the store bytes as they were. The rules
+it leaves the pool, the words and the store bytes as they were. The
+absorbing test runs on the kernels too: one `run_composer` call for x maps
+the rows of every factor y on one side of a run's split at once, and each
+composite's rows are looked up under its key; no `Relation` is built. The
+split already makes the shapes meet, as x.dom == y.cod. The rules
 go no further: skipping a candidate that is only a duplicate of one
 found earlier in the same round, such as a composite left entry of a
 product, could move it later in scan order and change a winning word.
@@ -108,7 +112,6 @@ from .relcore import (
     FinObject,
     Relation,
     UNIT,
-    compose,
     dagger,
     identity,
     is_unitary,
@@ -282,7 +285,8 @@ class _Interchange:
     grouped by the arity of their left factor's codomain (the split: a.dom
     equals c.cod exactly when the two splits of the run's codomain agree),
     then masked by each left factor and by each right factor, so a left
-    entry costs one `absorbing` test per distinct factor, not per member.
+    entry costs one composite per distinct factor, not per member: `dropped`
+    maps a factor table's rows through one `run_composer` call.
     The caches live on the object, and a round drops them before inserting:
     `groups` per run, `drops` per (factor table, factor), and `subruns`,
     the kept sub-lists, per (run, kept mask), as many left entries share a
@@ -295,11 +299,6 @@ class _Interchange:
         self.groups: dict[int, dict] = {}
         self.drops: dict[tuple[int, int], int] = {}
         self.subruns: dict[tuple[int, int], tuple[list, list]] = {}
-
-    def absorbing(self, x: StoredMorphism, y: StoredMorphism) -> bool:
-        """True iff the store holds x after y with a word shorter than both summed."""
-        found = self.items.get(compose(x.relation, y.relation).key)
-        return found is not None and found.length < x.length + y.length
 
     def groups_of(self, run: _Run) -> dict[int, tuple[dict, dict]]:
         """Split -> (by left factor, by right factor), each mapping a factor's
@@ -326,8 +325,12 @@ class _Interchange:
         mask = self.drops.get(key)
         if mask is None:
             mask = 0
-            for f, members in by.values():
-                if self.absorbing(x, f):
+            after = run_composer(x.relation.rows)
+            cod = x.relation.cod.factors
+            composites = after([f.relation.rows for f, _ in by.values()])
+            for (f, members), rows in zip(by.values(), composites):
+                found = self.items.get((f.relation.dom.factors, cod, rows))
+                if found is not None and found.length < x.length + f.length:
                     mask |= members
             self.drops[key] = mask
         return mask
@@ -355,6 +358,34 @@ class _Interchange:
         return sub
 
 
+@contextmanager
+def _collector_paused():
+    """Hold the cyclic garbage collector off during a closure build and while
+    a store file is built or read.
+
+    The cap-3 round-3 store file is a tree of about 94,000 lists and dicts
+    (a dict and three lists per record). Each allocation counts toward the
+    collector's thresholds, so building or reading it with the collector
+    running triggers collections that walk the whole heap: about a third of
+    the time of `store_to_json`, and a fifth of `store_from_json`.
+    The tree holds no cycles, so reference counting still frees all of it;
+    `store_to_json_str` frees it before the collector resumes. A build
+    allocates hundreds of thousands of row tuples, candidates and entries,
+    and none of them form cycles either. The first young collection after
+    a pause walks all that the paused code kept: 0.30 s after the cap-3
+    round-4 build, which without the pause ran 1,085 collections for
+    0.55 s.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def generate_closure(
     generators: Mapping[str, Relation],
     config: ClosureConfig = ClosureConfig(),
@@ -576,27 +607,6 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
 
 
 # -- serialization -------------------------------------------------------------
-
-@contextmanager
-def _collector_paused():
-    """Hold the cyclic garbage collector off while a store file is built or read.
-
-    The cap-3 round-3 store file is a tree of about 94,000 lists and dicts
-    (a dict and three lists per record). Each allocation counts toward the
-    collector's thresholds, so building or reading it with the collector
-    running triggers collections that walk the whole heap: about a third of
-    the time of `store_to_json`, and a fifth of `store_from_json`.
-    The tree holds no cycles, so reference counting still frees all of it;
-    `store_to_json_str` frees it before the collector resumes.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
 
 @_collector_paused()
 def store_to_json(store: MorphismStore) -> dict:

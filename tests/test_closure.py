@@ -505,21 +505,60 @@ def test_interchange_rule_skips_only_stored_composites(spek_cap2_r4):
 
 def test_interchange_rule_keeps_firing(monkeypatch):
     # the right-run members handed to the composer in the cap-2 round-4
-    # build: 440,344 without the rule, which skips the 389,508 covered above
-    handed = 0
+    # build: by the scan, 440,344 without the rule, which skips the 389,508
+    # covered above; by the rule's drop masks, each factor of each factor
+    # table that a left factor is tested against
+    handed = {"scan": 0, "interchange": 0}
+    in_dropped = False
+    dropped = closure._Interchange.dropped
+
+    def flagged(self, by, x):
+        nonlocal in_dropped
+        in_dropped = True
+        try:
+            return dropped(self, by, x)
+        finally:
+            in_dropped = False
 
     def counting(grows):
         after = run_composer(grows)
 
         def count(run):
-            nonlocal handed
-            handed += len(run)
+            handed["interchange" if in_dropped else "scan"] += len(run)
             return after(run)
         return count
 
+    monkeypatch.setattr(closure._Interchange, "dropped", flagged)
     monkeypatch.setattr(closure, "run_composer", counting)
     generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=4))
-    assert handed == 50_836
+    assert handed == {"scan": 50_836, "interchange": 3_864}
+
+
+@pytest.mark.parametrize("generators", [spek_generator_symbols, wide_row_generators])
+def test_interchange_drop_masks_match_the_oracle(generators, monkeypatch):
+    # each mask the rule uses, recomputed pair by pair: x after f by the
+    # oracle, looked up in the store as it stands at that call
+    dropped = closure._Interchange.dropped
+    after: dict[tuple[int, int], tuple] = {}
+    masks = []
+
+    def checked(self, by, x):
+        mask = dropped(self, by, x)
+        expected = 0
+        for f, members in by.values():
+            pair = id(x), id(f)
+            if pair not in after:
+                after[pair] = compose_oracle(x.relation, f.relation).key
+            found = self.items.get(after[pair])
+            if found is not None and found.length < x.length + f.length:
+                expected |= members
+        assert mask == expected, (x.word, [f.word for f, _ in by.values()])
+        masks.append(mask)
+        return mask
+
+    monkeypatch.setattr(closure._Interchange, "dropped", checked)
+    generate_closure(generators(), ClosureConfig(max_arity=2, max_rounds=4))
+    assert any(masks)
 
 
 def _atoms(term) -> int:
@@ -767,6 +806,33 @@ def test_store_io_leaves_the_collector_as_it_found_it(arity1_store, enabled, tmp
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_leaves_the_collector_as_it_found_it(arity1_gens, enabled, monkeypatch):
+    _, delta_z, eps_z = spek_generators()
+    during = set()
+
+    def watching(grows):
+        during.add(gc.isenabled())
+        return run_composer(grows)
+
+    monkeypatch.setattr(closure, "run_composer", watching)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert generate_closure(arity1_gens, ClosureConfig(max_arity=1)).fixpoint
+        assert gc.isenabled() is enabled
+        with pytest.raises(GeneratorOutsideCapError):
+            generate_closure({"delta_Z": delta_z, "eps_Z": eps_z}, ClosureConfig(max_arity=1))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="not a term identifier"):
+            generate_closure({"delta_Z": delta_z, "not-gate": eps_z}, ClosureConfig(max_arity=2))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the build ran with the collector paused
+    assert during == {False}
 
 
 def test_user_generator_file_round_trip(tmp_path):
