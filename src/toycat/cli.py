@@ -148,11 +148,14 @@ def cmd_close(args):
         max_rounds=args.max_rounds,
     )
     store = generate_closure(gens, config)
+    # the whole string before the file is opened: a writer that fails (out
+    # of memory, Ctrl-C) leaves an existing file as it was, not truncated
+    text = store_to_json_str(store)
     if not args.out:  # the store string itself is the output, so no report
-        sys.stdout.write(store_to_json_str(store))
+        sys.stdout.write(text)
         return None, None, True
     with open(args.out, "w") as fh:
-        fh.write(store_to_json_str(store))
+        fh.write(text)
     summary = {
         "out": args.out,
         "morphisms": len(store),

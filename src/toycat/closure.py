@@ -78,6 +78,11 @@ record holding its key's factors and rows as JSON integers with its word
 and length, so writing one builds no pairs and reading one builds each
 shape's objects once; the reader refuses records out of order, rows that
 do not fit the shape, and growth counts that disagree with the lengths.
+`store_to_json_str` is the one writer. It writes the text of `json.dumps`
+with sorted keys and no spaces, but builds no JSON tree: each record is
+formatted straight from its key, and each distinct row integer is turned
+into decimal once per call (a store holds few distinct rows).
+`store_to_json` is the parse of that text.
 
 Objects are capped per side: every domain and codomain in the store has
 at most `max_arity` base factors, and composition never routes through an
@@ -106,6 +111,7 @@ import json
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 from .relcore import (
@@ -361,20 +367,34 @@ class _Interchange:
 @contextmanager
 def _collector_paused():
     """Hold the cyclic garbage collector off during a closure build and while
-    a store file is built or read.
+    a store file is written or read, then hand what the paused code kept to
+    the oldest generation.
 
-    The cap-3 round-3 store file is a tree of about 94,000 lists and dicts
-    (a dict and three lists per record). Each allocation counts toward the
-    collector's thresholds, so building or reading it with the collector
-    running triggers collections that walk the whole heap: about a third of
-    the time of `store_to_json`, and a fifth of `store_from_json`.
-    The tree holds no cycles, so reference counting still frees all of it;
-    `store_to_json_str` frees it before the collector resumes. A build
-    allocates hundreds of thousands of row tuples, candidates and entries,
-    and none of them form cycles either. The first young collection after
-    a pause walks all that the paused code kept: 0.30 s after the cap-3
-    round-4 build, which without the pause ran 1,085 collections for
-    0.55 s.
+    A build allocates hundreds of thousands of row tuples, candidates and
+    entries, and reading the cap-3 round-3 store file parses a tree of
+    about 94,000 lists and dicts; none of them form cycles, so reference
+    counting frees what is dropped. Each allocation counts toward the
+    collector's thresholds: with the collector running, the cap-3 round-4
+    build ran 1,085 collections for 0.55 s, and reading a store lost a
+    fifth of its time to them.
+
+    The handoff: when the pause ends and the collector was on, the young
+    generations hold all that the paused code kept, the returned store
+    among it, and the first young collections would walk it all (about
+    0.25 s after the cap-3 round-4 build, and 35 ms after loading the
+    cap-3 round-3 store, on a 2-core VM). `gc.freeze()` moves every
+    tracked object into the permanent generation and zeroes the young
+    count, and `gc.unfreeze()` moves them all back into the oldest
+    generation, each in constant time. They stay collectable: the next
+    full collection walks them, as it would have after young ones promoted
+    them, and untracks the tuples that hold only ints, as the first young
+    collection did before; so that one collection costs more (0.27 s
+    against 0.04 s after the cap-3 round-4 build), and a `toycat close`
+    run makes none. The handoff is skipped when the process has frozen
+    objects of its own, since `gc.unfreeze()` would release those too; the
+    collector is then re-enabled as before. A nested pause finds the
+    collector off, so only the outermost one hands off. The collector is
+    left on or off, and the freeze count, as they were found.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -382,6 +402,9 @@ def _collector_paused():
         yield
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -608,40 +631,71 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
 
 # -- serialization -------------------------------------------------------------
 
-@_collector_paused()
-def store_to_json(store: MorphismStore) -> dict:
-    """The store file: morphisms in key order, each record holding its key.
+class _Decimal(dict):
+    """Row integer -> its decimal text; each distinct value is converted once."""
 
-    A record is `{"dom", "cod", "rows"}` (plus `word` and `length` for a
-    morphism), written straight from the rows key: no pairs are built.
+    __slots__ = ()
+
+    def __missing__(self, row: int) -> str:
+        text = self[row] = str(row)
+        return text
+
+
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@_collector_paused()
+def store_to_json_str(store: MorphismStore) -> str:
+    """The store file text: morphisms in key order, each record holding its key.
+
+    The bytes are those of `json.dumps(..., sort_keys=True, separators=(",",
+    ":"))` over the file's tree, but the tree is never built. `json.dumps`
+    writes the small fields around `morphisms`, and each morphism record
+    `{"cod", "dom", "length", "rows", "word"}` is one f-string written
+    straight from the rows key, so no pairs are built. A store holds few
+    distinct row integers (543 of 1,221,908 in the cap-3 round-3 store), so
+    each is converted to decimal once per call. Words are escaped as
+    `json.dumps` escapes them, and all parts are joined once.
     """
-    return {
-        "format": STORE_FORMAT,
+    head = _json({
         "config": {
             "max_arity": store.config.max_arity,
             "max_morphisms": store.config.max_morphisms,
             "max_rounds": store.config.max_rounds,
         },
         "fixpoint": store.fixpoint,
-        "rounds_run": store.rounds_run,
+        "format": STORE_FORMAT,
         "growth": [[r, n] for r, n in store.growth],
+        "morphism_count": len(store.items),
+    })
+    tail = _json({
+        "rounds_run": store.rounds_run,
         "symbols": {
             name: {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors),
                    "rows": list(rel.rows)}
-            for name, rel in sorted(store.symbols.items())
+            for name, rel in store.symbols.items()
         },
-        "morphism_count": len(store.items),
-        "morphisms": [
-            {"dom": list(dom_f), "cod": list(cod_f), "rows": list(rows),
-             "word": e.word, "length": e.length}
-            for (dom_f, cod_f, rows), e in sorted(store.items.items())
-        ],
-    }
+    })
+    decimal = _Decimal().__getitem__
+    quote = encode_basestring_ascii
+    parts = [head[:-1], ',"morphisms":[']
+    sep = ""
+    for (dom_f, cod_f, rows), e in sorted(store.items.items()):
+        parts.append(
+            f'{sep}{{"cod":[{",".join(map(decimal, cod_f))}],'
+            f'"dom":[{",".join(map(decimal, dom_f))}],"length":{e.length},'
+            f'"rows":[{",".join(map(decimal, rows))}],"word":{quote(e.word)}}}'
+        )
+        sep = ","
+    parts += ("],", tail[1:])
+    return "".join(parts)
 
 
 @_collector_paused()
-def store_to_json_str(store: MorphismStore) -> str:
-    return json.dumps(store_to_json(store), sort_keys=True, separators=(",", ":"))
+def store_to_json(store: MorphismStore) -> dict:
+    """The store file as a JSON tree: the parse of `store_to_json_str`."""
+    return json.loads(store_to_json_str(store))
 
 
 def _typed(data: Mapping, name: str, kind):
@@ -660,7 +714,7 @@ def _typed(data: Mapping, name: str, kind):
 _INT = frozenset((int,))
 
 
-def _record_relation(rec, shapes: dict, where: str) -> Relation:
+def _record_relation(rec, shapes: dict, where: str, label) -> Relation:
     """The relation of a store record `{"dom", "cod", "rows"}`, checked.
 
     `shapes` maps a record's (dom, cod) factors to the shape's objects,
@@ -668,9 +722,11 @@ def _record_relation(rec, shapes: dict, where: str) -> Relation:
     Only factors that are all exactly ints are looked up there: JSON `true`
     equals 1 and 4.0 equals 4 as dict keys, and `FinObject` refuses both.
     Each row must be an int in [0, 2**|dom|), one per codomain element.
+    `where.format(label)` names the record in an error, and is formatted
+    only when one is raised.
     """
     if type(rec) is not dict:
-        raise ValueError(f"store file {where} is not a JSON object")
+        raise ValueError(f"store file {where.format(label)} is not a JSON object")
     dom_raw = _typed(rec, "dom", list)
     cod_raw = _typed(rec, "cod", list)
     rows = _typed(rec, "rows", list)
@@ -682,23 +738,25 @@ def _record_relation(rec, shapes: dict, where: str) -> Relation:
             try:
                 objects.append(FinObject(*factors))
             except ValueError as exc:
-                raise ValueError(f"store file field {name!r} of {where}: {exc}") from None
+                raise ValueError(
+                    f"store file field {name!r} of {where.format(label)}: {exc}"
+                ) from None
         dom, cod = objects
         shape = shapes[raw] = (dom, cod, cod.cardinality, 1 << dom.cardinality)
     dom, cod, n_rows, bound = shape
     if len(rows) != n_rows:
         raise ValueError(
-            f"store file field 'rows' of {where} has {len(rows)} rows, "
+            f"store file field 'rows' of {where.format(label)} has {len(rows)} rows, "
             f"but codomain {cod} has {n_rows} elements"
         )
     if not _INT.issuperset(map(type, rows)):
         bad = next(r for r in rows if type(r) is not int)
         raise ValueError(
-            f"store file field 'rows' of {where} holds {bad!r}, not an integer"
+            f"store file field 'rows' of {where.format(label)} holds {bad!r}, not an integer"
         )
     if min(rows) < 0 or max(rows) >= bound:
         raise ValueError(
-            f"store file field 'rows' of {where} has a row that is negative "
+            f"store file field 'rows' of {where.format(label)} has a row that is negative "
             f"or has bits outside domain {dom}"
         )
     return Relation._raw(dom, cod, tuple(rows))
@@ -733,7 +791,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
             max_rounds=_typed(cfg, "max_rounds", (int, type(None))),
         )
         symbols = {
-            name: _record_relation(rec, shapes, f"symbol {name!r}")
+            name: _record_relation(rec, shapes, "symbol {!r}", name)
             for name, rec in _typed(data, "symbols", dict).items()
         }
         rounds_run = _typed(data, "rounds_run", int)
@@ -747,7 +805,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
         items = store.items
         last: tuple = ()
         for i, rec in enumerate(_typed(data, "morphisms", list)):
-            rel = _record_relation(rec, shapes, f"morphism record {i}")
+            rel = _record_relation(rec, shapes, "morphism record {}", i)
             key = rel.key
             if not key > last:
                 raise ValueError(

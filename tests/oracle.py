@@ -6,6 +6,8 @@ and every operation is written as a direct set comprehension. Nothing
 here imports the matrix code paths beyond the public data types, except
 `first_wins_words_oracle`: it pins the closure's scan order, not its
 arithmetic, and calls the public `compose` and `tensor` pair by pair.
+`store_tree_oracle` is the store file written the plain way, as the dict
+tree that `json.dumps` encodes.
 """
 
 from __future__ import annotations
@@ -355,3 +357,36 @@ def first_wins_words_oracle(
                         offer(tensor(r1, r2), f"({w1}) x ({w2})")
         add(pool, length)
     return found
+
+
+# -- the store file ----------------------------------------------------------------
+
+def store_tree_oracle(store) -> dict:
+    """The `toycat-store/3` file of `store` as a JSON tree, field by field.
+
+    `json.dumps(tree, sort_keys=True, separators=(",", ":"))` gives the
+    bytes that `store_to_json_str` writes without building the tree.
+    """
+    def record(dom_f, cod_f, rows) -> dict:
+        return {"dom": list(dom_f), "cod": list(cod_f), "rows": list(rows)}
+
+    return {
+        "format": "toycat-store/3",
+        "config": {
+            "max_arity": store.config.max_arity,
+            "max_morphisms": store.config.max_morphisms,
+            "max_rounds": store.config.max_rounds,
+        },
+        "fixpoint": store.fixpoint,
+        "rounds_run": store.rounds_run,
+        "growth": [[r, n] for r, n in store.growth],
+        "symbols": {
+            name: record(rel.dom.factors, rel.cod.factors, rel.rows)
+            for name, rel in store.symbols.items()
+        },
+        "morphism_count": len(store.items),
+        "morphisms": [
+            {**record(*key), "word": e.word, "length": e.length}
+            for key, e in sorted(store.items.items())
+        ],
+    }

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -49,6 +50,7 @@ from oracle import (
     closure_rounds_oracle,
     compose_oracle,
     first_wins_words_oracle,
+    store_tree_oracle,
     tensor_oracle,
 )
 
@@ -635,6 +637,36 @@ def test_store_json_round_trip(arity1_store):
     assert len(restored) == len(arity1_store)
 
 
+def _reference_text(store: MorphismStore) -> str:
+    return json.dumps(store_tree_oracle(store), sort_keys=True, separators=(",", ":"))
+
+
+def test_store_writer_gives_the_bytes_of_the_reference_tree(arity1_store, arity1_gens, tmp_path):
+    capped = generate_closure(
+        spek_generator_symbols(), ClosureConfig(max_arity=2, max_morphisms=1000)
+    )
+    assert len(capped) == 1000 and not capped.fixpoint
+    assert arity1_store.config.max_rounds is None and arity1_store.fixpoint
+    # words over these names need \u escapes
+    renamed = {"sigma_12": "\u03c3_1", "eps_Z": "\u03b5"}
+    greek = generate_closure(
+        {renamed.get(name, name): rel for name, rel in arity1_gens.items()},
+        ClosureConfig(max_arity=1),
+    )
+    wide = generate_closure(wide_row_generators(), ClosureConfig(max_arity=2, max_rounds=4))
+    assert max(row.bit_length() for _, _, rows in wide.items for row in rows) > 64
+    path = tmp_path / "capped.json"
+    path.write_text(store_to_json_str(capped))
+    loaded = load_store(path)
+    for store in (arity1_store, capped, greek, wide, loaded):
+        text = store_to_json_str(store)
+        assert text == _reference_text(store)
+        assert store_to_json(store) == store_tree_oracle(store)
+    assert text == path.read_text()
+    text = store_to_json_str(greek)
+    assert text.isascii() and '"word":"(\\u03c3_1) ; (\\u03b5^)"' in text
+
+
 def test_truncated_store_round_trips_with_its_growth():
     store = generate_closure(
         spek_generator_symbols(),
@@ -833,6 +865,73 @@ def test_build_leaves_the_collector_as_it_found_it(arity1_gens, enabled, monkeyp
         (gc.enable if was else gc.disable)()
     # the build ran with the collector paused
     assert during == {False}
+
+
+def test_paused_calls_hand_what_they_kept_to_the_oldest_generation(
+    arity1_gens, arity1_store, tmp_path
+):
+    path = tmp_path / "a1.json"
+    path.write_text(store_to_json_str(arity1_store))
+    text = path.read_text()
+    calls = (
+        lambda: generate_closure(arity1_gens, ClosureConfig(max_arity=1)),
+        lambda: store_from_json(json.loads(text)),
+        lambda: load_store(path),
+    )
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        frozen = gc.get_freeze_count()
+        for call in calls:
+            store = call()
+            young_count = gc.get_count()[0]
+            assert gc.isenabled() and gc.get_freeze_count() == frozen
+            # no young collection is due, and none walks the store
+            assert young_count < gc.get_threshold()[0]
+            young = {id(obj) for gen in (0, 1) for obj in gc.get_objects(generation=gen)}
+            assert id(store.items) not in young
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_what_the_handoff_moved_stays_collectable():
+    class Node:
+        pass
+
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        with closure._collector_paused():
+            node = Node()
+            node.cycle = node
+            ref = weakref.ref(node)
+            del node
+        gc.collect(1)
+        assert ref() is not None  # in the oldest generation, past young collections
+        gc.collect()
+        assert ref() is None
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def frozen_heap():
+    """The process's objects frozen, as a forking server might freeze them."""
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+def test_a_build_leaves_the_process_frozen_objects_frozen(arity1_gens, frozen_heap):
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        frozen = gc.get_freeze_count()
+        store = generate_closure(arity1_gens, ClosureConfig(max_arity=1))
+        assert gc.isenabled() and gc.get_freeze_count() == frozen > 0
+        assert store.fixpoint
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_user_generator_file_round_trip(tmp_path):

@@ -883,6 +883,28 @@ def test_cli_close_out_file_holds_the_store_string(tmp_path, capsys):
     assert path.read_text() == store_to_json_str(load_store(path))
 
 
+@pytest.mark.parametrize("failure", [MemoryError, KeyboardInterrupt])
+def test_cli_close_out_keeps_the_old_file_when_the_writer_fails(
+    tmp_path, capsys, monkeypatch, failure
+):
+    import toycat.cli
+
+    def failing(store):
+        raise failure
+
+    path = tmp_path / "store.json"
+    path.write_text("the old store")
+    monkeypatch.setattr(toycat.cli, "store_to_json_str", failing)
+    argv = ("close", "--max-arity", "2", "--max-rounds", "1", "--out", str(path))
+    if failure is MemoryError:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: ")
+    else:
+        with pytest.raises(failure):
+            run_cli(capsys, *argv)
+    assert path.read_text() == "the old store"
+
+
 def test_cli_suite_negative_control_with_injected_diagonal(tmp_path, capsys):
     # a store seeded with the diagonal copy map must fail the exclusion check
     import toycat.models as M
