@@ -286,12 +286,12 @@ class HopfReport:
         return {"holds": self.holds, "laws": [r.to_json() for r in self.laws]}
 
 
-def _bialgebra(a: BasisStructure, b: BasisStructure) -> tuple[Relation, Relation]:
-    obj = a.obj
-    ida = identity(obj)
+def _bialgebra(
+    a: BasisStructure, b: BasisStructure, mid: Relation
+) -> tuple[Relation, Relation]:
+    """Both sides of the bialgebra law; `mid` is the interchange 1 x swap x 1."""
     mu = dagger(a.delta)
     lhs = compose(b.delta, mu)
-    mid = tensor(ida, tensor(swap(obj, obj), ida))
     rhs = compose(tensor(mu, mu), compose(mid, tensor(b.delta, b.delta)))
     return lhs, rhs
 
@@ -311,10 +311,12 @@ def check_hopf(a: BasisStructure, b: BasisStructure) -> HopfReport:
     """
     if a.obj != b.obj:
         raise ShapeMismatchError(f"structures live on {a.obj} and {b.obj}")
+    ida = identity(a.obj)
+    mid = tensor(ida, tensor(swap(a.obj, a.obj), ida))
     laws = (
-        _law("bialgebra_ab", *_bialgebra(a, b)),
+        _law("bialgebra_ab", *_bialgebra(a, b, mid)),
         _law("antipode_ab", *_antipode(a, b)),
-        _law("bialgebra_ba", *_bialgebra(b, a)),
+        _law("bialgebra_ba", *_bialgebra(b, a, mid)),
         _law("antipode_ba", *_antipode(b, a)),
     )
     return HopfReport(all(r.holds for r in laws), laws)

@@ -372,8 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:
-        # a relation file whose objects are too large to hold
-        print("error: out of memory reading the input", file=sys.stderr)
+        # a relation file whose objects are too large to hold, or a store
+        # too large to build or write
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

@@ -9,6 +9,12 @@ relational converse.
 
 All values are immutable after construction and every operation is pure,
 so relations can be shared freely, hashed, and used as dictionary keys.
+
+Objects are interned: one `FinObject` instance exists per factor tuple, so
+object equality is identity, and copies and pickles give back that
+instance. An object's hash is the hash of its factor tuple, which does not
+depend on the run, so sets and dicts of relations iterate in the same
+order in every process.
 """
 
 from __future__ import annotations
@@ -60,28 +66,49 @@ _FACTOR_NAMES = {1: "I", 2: "II", 3: "III", 4: "IV", 5: "V", 6: "VI", 8: "VIII"}
 _FACTOR_SIZES = {name: n for n, name in _FACTOR_NAMES.items()}
 
 
-@dataclass(frozen=True, init=False)
+# The one instance of each object, by kept factor tuple (see FinObject.__new__).
+_INTERNED: dict[tuple[int, ...], FinObject] = {}
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FinObject:
     """A finite set given as an ordered product of base factors.
 
     Factors of size 1 are erased eagerly, so objects related by the unit
-    congruence (A x I = I x A = A) compare equal; the empty factor list is
+    congruence (A x I = I x A = A) are one object; the empty factor list is
     the tensor unit I itself.
+
+    Objects are interned: there is one instance per kept factor tuple, so
+    equality is identity. The hash is that of the factor tuple, the same in
+    every run.
     """
 
     factors: tuple[int, ...]
 
-    def __init__(self, *factors: int) -> None:
+    def __new__(cls, *factors: int) -> "FinObject":
         for n in factors:
             # `type(n) is int` also refuses bools, which are ints to isinstance
             if type(n) is not int or n < 1:
                 raise ValueError(f"factors must be integers >= 1, got {factors!r}")
         kept = tuple(n for n in factors if n > 1)
+        self = _INTERNED.get(kept)
+        if self is not None:
+            return self
         card = 1
         for n in kept:
             card *= n
+        self = object.__new__(cls)
         object.__setattr__(self, "factors", kept)
         object.__setattr__(self, "_card", card)
+        object.__setattr__(self, "_hash", hash(kept))
+        # setdefault keeps the first instance stored if two threads race here
+        return _INTERNED.setdefault(kept, self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (FinObject, self.factors)
 
     @property
     def cardinality(self) -> int:
@@ -177,10 +204,10 @@ class Relation:
     @classmethod
     def _raw(cls, dom: FinObject, cod: FinObject, rows: tuple[int, ...]) -> "Relation":
         """Internal constructor for rows already known to be valid."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "rows", rows)
+        self = _new_object(cls)
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_rows(self, rows)
         return self
 
     @classmethod
@@ -235,9 +262,16 @@ class Relation:
         return format_relation(self)
 
 
+# The slot descriptors set a frozen Relation's fields without its __setattr__.
+_new_object = object.__new__
+_set_dom = Relation.dom.__set__
+_set_cod = Relation.cod.__set__
+_set_rows = Relation.rows.__set__
+
+
 def compose(g: Relation, f: Relation) -> Relation:
     """g after f: the boolean matrix product (exists-intermediate)."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom:
         raise ShapeMismatchError(
             f"cannot compose: inner objects differ "
             f"(first argument has domain {g.dom}, second has codomain {f.cod})"
@@ -245,6 +279,10 @@ def compose(g: Relation, f: Relation) -> Relation:
     rows = []
     frows = f.rows
     for grow in g.rows:
+        if not grow & (grow - 1):
+            # at most one set bit: a gather, or the empty row
+            rows.append(frows[grow.bit_length() - 1] if grow else 0)
+            continue
         acc = 0
         m = grow
         while m:
@@ -344,8 +382,10 @@ def reachable(moves: Sequence[Callable], start: Iterable[tuple]) -> set[tuple]:
 
 def tensor(f: Relation, g: Relation) -> Relation:
     """Cartesian product of relations; first factor is most significant."""
-    rows = tensor_rows(spreads(f.rows, g.dom.cardinality), g.rows)
-    return Relation._raw(f.dom * g.dom, f.cod * g.cod, rows)
+    rows = tensor_rows(spreads(f.rows, g.dom._card), g.rows)
+    return Relation._raw(
+        _product(f.dom.factors, g.dom.factors), _product(f.cod.factors, g.cod.factors), rows
+    )
 
 
 def spreads(frows: tuple[int, ...], width: int) -> list[int]:
@@ -374,13 +414,14 @@ def tensor_rows(fspreads: list[int], grows: tuple[int, ...]) -> tuple[int, ...]:
 
 def dagger(f: Relation) -> Relation:
     """The relational converse (matrix transpose)."""
-    rows = [0] * f.dom.cardinality
-    for i, row in enumerate(f.rows):
-        m = row
-        while m:
-            b = m & -m
-            rows[b.bit_length() - 1] |= 1 << i
-            m ^= b
+    rows = [0] * f.dom._card
+    bit = 1
+    for row in f.rows:
+        while row:
+            b = row & -row
+            rows[b.bit_length() - 1] |= bit
+            row ^= b
+        bit <<= 1
     return Relation._raw(f.cod, f.dom, tuple(rows))
 
 

@@ -1,10 +1,18 @@
+import copy
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import toycat
 from toycat.relcore import (
     FinObject,
     Relation,
@@ -68,8 +76,75 @@ def test_object_parse_reads_digits_and_numerals_alike():
 
 
 def test_bad_factor_rejected():
-    with pytest.raises(ValueError):
-        FinObject(0)
+    for bad in (0, True, "4"):
+        with pytest.raises(ValueError, match="factors must be integers"):
+            FinObject(bad)
+
+
+def test_objects_are_interned():
+    assert FinObject(1, 4) is FinObject(4) is IV
+    assert FinObject() is UNIT and FinObject(1, 1) is UNIT
+    assert IV * IV is FinObject(4, 4) is FinObject.parse("IVx4")
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_of_an_object_are_the_object(clone):
+    for obj in (UNIT, IV, IV * II):
+        assert clone(obj) is obj
+    # a copy made by calling __new__ with no factors would have replaced the unit
+    assert UNIT.factors == () and UNIT.cardinality == 1 and FinObject() is UNIT
+
+
+def test_threads_building_new_objects_get_one_instance():
+    # Eight rounds of 2,000 factor tuples that nothing else builds, so each is
+    # new to the table. A table filled without setdefault gave two instances
+    # of some tuple in about three rounds of four.
+    for base in range(97, 105):
+        tuples = [(base, k) for k in range(2, 2002)]
+        barrier = threading.Barrier(8)
+        built: list[list[FinObject]] = []
+
+        def build():
+            barrier.wait(timeout=30)
+            built.append([FinObject(*t) for t in tuples])
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == len(threads)
+        for objs in zip(*built):
+            assert all(o is objs[0] for o in objs)
+
+
+def test_hashes_are_the_same_in_every_run():
+    code = (
+        "from toycat.relcore import FinObject, Relation\n"
+        "o = FinObject(4, 4)\n"
+        "print(hash(o), hash(Relation.from_pairs(FinObject(4), o, [(0, 0), (3, 5)])))"
+    )
+    src = str(Path(toycat.__file__).parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    here = f"{hash(IV * IV)} {hash(Relation.from_pairs(IV, IV * IV, [(0, 0), (3, 5)]))}\n"
+    assert outs == [here, here]
 
 
 # -- constructors and canonical form ------------------------------------------
@@ -471,6 +546,40 @@ def test_composer_matches_oracle(dom, cod):
         for source in (UNIT, II, IV):
             for f in (random_relation(rng, source, dom, 0.3), Relation.empty(source, dom)):
                 assert compose(g, f) == compose_oracle(g, f)
+
+
+def row_kind_cases(rng, dom, cod):
+    """g with only empty rows, with only one-bit rows, and with empty, one-bit
+    and several-bit rows mixed (where the domain has two elements or more)."""
+    cases = [Relation.empty(dom, cod), one_bit_rows(rng, dom, cod)]
+    if dom.cardinality > 1:
+        full = (1 << dom.cardinality) - 1
+        kinds = [0, 1 << rng.randrange(dom.cardinality), full]
+        cases.append(Relation(dom, cod, tuple(kinds[i % 3] for i in range(cod.cardinality))))
+    return cases
+
+
+# scalars I -> I, states I -> IV^2, and 64 rows of 64 bits
+ROW_KIND_SHAPES = [(UNIT, UNIT), (UNIT, IV * IV), (IV * IV * IV, IV * IV * IV)]
+
+
+@pytest.mark.parametrize("dom, cod", ROW_KIND_SHAPES, ids=lambda o: str(o))
+def test_compose_tensor_dagger_match_oracle_on_each_row_kind(dom, cod):
+    rng = random.Random(53)
+    for g in row_kind_cases(rng, dom, cod):
+        assert dagger(g) == dagger_oracle(g)
+        for source in (UNIT, IV, dom):
+            for f in (random_relation(rng, source, dom, 0.3), one_bit_rows(rng, source, dom)):
+                assert compose(g, f) == compose_oracle(g, f)
+        for h in (random_relation(rng, UNIT, II, 0.5), random_relation(rng, II, II, 0.5)):
+            assert tensor(g, h) == tensor_oracle(g, h)
+            assert tensor(h, g) == tensor_oracle(h, g)
+
+
+def test_compose_refuses_objects_of_equal_size_and_other_factors():
+    for g, f in ((identity(IV), identity(II * II)), (identity(II * II), identity(IV))):
+        with pytest.raises(ShapeMismatchError):
+            compose(g, f)
 
 
 # Run domains from the unit to rows of 81 bits, wider than a machine word.

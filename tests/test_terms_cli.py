@@ -898,7 +898,7 @@ def test_cli_close_out_keeps_the_old_file_when_the_writer_fails(
     argv = ("close", "--max-arity", "2", "--max-rounds", "1", "--out", str(path))
     if failure is MemoryError:
         code, _, err = run_cli(capsys, *argv)
-        assert code == 2 and err.startswith("error: ")
+        assert code == 2 and err == "error: out of memory\n"
     else:
         with pytest.raises(failure):
             run_cli(capsys, *argv)
