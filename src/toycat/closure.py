@@ -34,8 +34,13 @@ its products only the runs that fit beside it within the cap; both lists
 are found once per left run. Dedup works a run at a time: `known` holds,
 per shape, the rows of every stored morphism and of the round's pool, so
 a run whose candidates are all known is passed over with one
-`set.issuperset` test, and any other run's candidates are taken in order,
-the first for a key winning.
+`set.issuperset` test. Any other run's candidates are each added to
+`known` once, and one is new when the set grows. The round's pool holds,
+per shape, the new candidates in scan order, so the first for a key wins
+and no key tuple is built before insertion, which sorts each shape's
+list by rows: within one shape, that is key order. A tuple does not cache its hash, and
+an IV^3 -> IV^3 candidate's rows are 64 ints, so each new candidate's rows
+are hashed once when pooled and once when stored.
 
 Left-operand rule: the compose section skips a left entry whose word is a
 composite `(a) ; (b)` or an identity, and the tensor section one whose
@@ -112,6 +117,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Mapping
 
 from .relcore import (
@@ -192,6 +198,24 @@ class StoredMorphism:
     length: int
 
 
+# The slot descriptors set a frozen StoredMorphism's fields without its
+# __setattr__, as `Relation._raw` does: half the cost of the dataclass
+# constructor, paid once per stored or loaded morphism.
+_new_object = object.__new__
+_set_relation = StoredMorphism.relation.__set__
+_set_word = StoredMorphism.word.__set__
+_set_length = StoredMorphism.length.__set__
+
+
+def _stored(rel: Relation, word: str, length: int) -> StoredMorphism:
+    """A `StoredMorphism` of fields already known to be valid."""
+    entry = _new_object(StoredMorphism)
+    _set_relation(entry, rel)
+    _set_word(entry, word)
+    _set_length(entry, length)
+    return entry
+
+
 @dataclass(frozen=True)
 class ContainsResult:
     status: str  # "yes", "no", or "unknown"
@@ -270,6 +294,9 @@ class _Run:
 # of these tops makes only candidates that an earlier one already found.
 _COMPOSE_SKIP = frozenset((";", "id", "unit"))
 _TENSOR_SKIP = frozenset(("x", "unit"))
+
+# A pooled candidate's rows, its sort key within its shape.
+_first = itemgetter(0)
 
 
 def _top(rel: Relation, op: str | None) -> str | None:
@@ -432,74 +459,90 @@ def generate_closure(
 
     # runs[L] = the entries with word length L, cut into `_Run`s as they
     # are inserted. known[(dom factors, cod factors)] holds the rows of
-    # every stored morphism of that shape and of this round's pool: the
-    # seeds' after round 1, and each later candidate when it is pooled.
+    # every stored morphism of that shape and of this round's pool: each
+    # candidate is added when it is pooled, round 1's seeds too.
     runs: dict[int, list[_Run]] = {}
     known: defaultdict[tuple, set] = defaultdict(set)
 
-    def insert_batch(pool: dict[tuple, tuple], length: int) -> int:
-        """Insert the pool's keys in sorted key order, up to the morphism cap.
+    def insert_batch(pool: dict[tuple, list], length: int) -> int:
+        """Insert the pool in key order, up to the morphism cap.
 
-        Returns how many were inserted: fewer than `len(pool)` exactly when
-        the cap cut the batch short.
+        Returns how many were inserted: fewer than the pool holds exactly
+        when the cap cut the batch short.
 
-        A pool value is `(relation, op, left, right)`: the word is
-        `(left) op (right)` over the two entries' words, formatted here for
-        the inserted keys only; a round-1 value has op None and its word as
-        `left`. Sorted insertion makes truncation at the morphism cap
-        deterministic, and puts each shape's entries in one run; a
-        truncated store may lose converse-closure and is flagged
-        non-fixpoint.
+        The pool maps a shape, (dom factors, cod factors), to its new
+        candidates in scan order, each `(rows, relation, op, left, right)`:
+        the word is `(left) op (right)` over the two entries' words,
+        formatted here for the inserted candidates only; a round-1
+        candidate has op None and its word as `left`. A shape's rows are
+        distinct, so the shapes in sorted order, each sorted by rows, come
+        in key order: truncation at the morphism cap is deterministic, and
+        each shape's entries form one run. `items[key]` is the one hash of
+        a candidate's rows here. A truncated store may lose
+        converse-closure and is flagged non-fixpoint.
         """
-        keys = sorted(pool)[: config.max_morphisms - len(items)]
+        before = len(items)
+        room = config.max_morphisms - before
         # only a later round reads the runs, and none follows the last one
         scanned = config.max_rounds is None or length < config.max_rounds
         length_runs = runs[length] = []
-        shape = None
-        for key in keys:
-            rel, op, left, right = pool[key]
-            word = left if op is None else f"({left.word}) {op} ({right.word})"
-            entry = StoredMorphism(rel, word, length)
-            items[key] = entry
-            if not scanned:
-                continue
-            if key[:2] != shape:
-                shape = key[:2]
+        for shape in sorted(pool):
+            if not room:
+                break
+            cands = pool[shape]
+            cands.sort(key=_first)
+            if len(cands) > room:
+                cands = cands[:room]
+            room -= len(cands)
+            dom_f, cod_f = shape
+            if scanned:
+                rel = cands[0][1]
                 run = _Run(rel.dom, rel.cod)
                 length_runs.append(run)
-            run.rows.append(rel.rows)
-            run.entries.append(entry)
-            top = _top(rel, op)
-            run.parts.append((top, left, right) if top == "x" else (top, None, None))
-        return len(keys)
+            for rows, rel, op, left, right in cands:
+                word = left if op is None else f"({left.word}) {op} ({right.word})"
+                entry = items[dom_f, cod_f, rows] = _stored(rel, word, length)
+                if not scanned:
+                    continue
+                run.rows.append(rows)
+                run.entries.append(entry)
+                top = _top(rel, op)
+                run.parts.append((top, left, right) if top == "x" else (top, None, None))
+        return len(items) - before
 
     def pool_new(pool, cands, entries, dom, cod, op, e1) -> None:
         """Pool the candidates of one run whose rows their shape has not seen.
 
         `cands[k]` holds the rows of `e1 op entries[k]`. A run whose
-        candidates are all known costs one set test; otherwise they are
-        taken in order, so the first candidate for a key wins.
+        candidates are all known costs one set test; otherwise each is
+        added to `known` once, and is new when that grows the set. New
+        ones join their shape's list in scan order, so the first candidate
+        for a key wins. A round-1 seed is pooled as a run of one, with op
+        None and its word as e1.
         """
-        seen = known[dom.factors, cod.factors]
+        shape = dom.factors, cod.factors
+        seen = known[shape]
         if seen.issuperset(cands):
             return
+        found = pool[shape]
+        add = seen.add
+        n = len(seen)
         for rows, e2 in zip(cands, entries):
-            if rows not in seen:
-                seen.add(rows)
-                rel = Relation._raw(dom, cod, rows)
-                pool[dom.factors, cod.factors, rows] = (rel, op, e1, e2)
+            add(rows)
+            if len(seen) != n:
+                n += 1
+                found.append((rows, Relation._raw(dom, cod, rows), op, e1, e2))
 
-    # Round 1: the seeds, then the converse of each seed not already there;
-    # later rounds need no converse step (see the module docstring).
-    seed_pool: dict[tuple, tuple] = {}
-    for name in sorted(symbols):
-        seed_pool.setdefault(symbols[name].key, (symbols[name], None, name, None))
-    for name in sorted(symbols):
-        drel = dagger(symbols[name])
-        seed_pool.setdefault(drel.key, (drel, None, f"{name}^", None))
-    overflow = insert_batch(seed_pool, 1) < len(seed_pool)
-    for dom_f, cod_f, rows in items:
-        known[dom_f, cod_f].add(rows)
+    # Round 1: the seeds by sorted name, then the converse of each seed not
+    # already there; later rounds need no converse step (see the module
+    # docstring).
+    names = sorted(symbols)
+    seeds = [(symbols[name], name) for name in names]
+    seeds += [(dagger(symbols[name]), f"{name}^") for name in names]
+    pool: defaultdict[tuple, list] = defaultdict(list)
+    for rel, word in seeds:
+        pool_new(pool, [rel.rows], [None], rel.dom, rel.cod, None, word)
+    overflow = insert_batch(pool, 1) < sum(map(len, pool.values()))
     store.growth.append((1, len(items)))
     store.rounds_run = 1
 
@@ -513,7 +556,7 @@ def generate_closure(
         if length > 2 * max_len:
             store.fixpoint = True
             break
-        pool: dict[tuple, tuple] = {}
+        pool = defaultdict(list)
         interchange = _Interchange(items)
         for la in range(1, length):
             left = runs[la]
@@ -556,7 +599,7 @@ def generate_closure(
                         pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
         del interchange
         added = insert_batch(pool, length)
-        overflow = added < len(pool)
+        overflow = added < sum(map(len, pool.values()))
         store.growth.append((length, added))
         store.rounds_run = length
         if added > 0:
@@ -814,7 +857,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
                     f"store file field 'morphisms' lists record {i} out of key order"
                 )
             length = _typed(rec, "length", int)
-            items[key] = StoredMorphism(rel, _typed(rec, "word", str), length)
+            items[key] = _stored(rel, _typed(rec, "word", str), length)
             per_length[length] = per_length.get(length, 0) + 1
             last = key
         count = _typed(data, "morphism_count", int)

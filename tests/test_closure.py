@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toycat import closure
 from toycat.closure import (
@@ -361,6 +361,32 @@ def test_cap2_round4_spek_store_bytes_are_pinned(spek_cap2_r4):
     )
 
 
+def test_morphism_cap_cuts_a_later_round_inside_a_shape(spek_cap2_r4):
+    # 3,000 morphisms leave room for 629 of round 4's 2,955: whole shapes
+    # first, in key order, then the first keys of the one the cap cuts
+    store = generate_closure(
+        spek_generator_symbols(),
+        ClosureConfig(max_arity=2, max_rounds=4, max_morphisms=3000),
+    )
+    assert [n for _, n in store.growth] == [31, 737, 1603, 629]
+    assert not store.fixpoint
+    full = spek_cap2_r4.items
+    round4 = sorted(k for k, e in full.items() if e.length == 4)
+    kept = round4[:629]
+    cut_shape = kept[-1][:2]
+    assert cut_shape == ((4, 4), (4,))
+    assert round4[629][:2] == cut_shape
+    assert len({k[:2] for k in kept if k[:2] != cut_shape}) == 6
+    expected = [k for k, e in full.items() if e.length < 4] + kept
+    assert sorted(store.items) == sorted(expected)
+    assert all(
+        (e.word, e.length) == (full[k].word, full[k].length) for k, e in store.items.items()
+    )
+    assert _store_digest(store) == (
+        "4919cdc876e91c475613adf21c1a26e965e8d83c4eb7812f36ae0ded2e769dc6"
+    )
+
+
 def test_cap2_round5_spek_store_bytes_are_pinned():
     # the deepest cap-2 build in the tests: most (product ; product)
     # candidates here have a factor pair that is stored shorter
@@ -403,20 +429,50 @@ def wide_row_generators() -> dict[str, Relation]:
     }
 
 
-def test_wide_row_store_matches_the_reference_closure_and_is_pinned():
-    store = generate_closure(wide_row_generators(), ClosureConfig(max_arity=2, max_rounds=4))
-    reference = closure_rounds_oracle(store.symbols, 2, 4)
+def _assert_matches_the_oracles(store: MorphismStore) -> None:
+    """Each round's members and each key's word are the oracles'."""
+    cap, rounds_run = store.config.max_arity, store.rounds_run
+    reference = closure_rounds_oracle(store.symbols, cap, rounds_run)
     rounds = [set() for _ in reference]
     for entry in store.items.values():
         rounds[entry.length - 1].add(closure_member(entry.relation))
     assert rounds == reference
+    assert [n for _, n in store.growth] == [len(r) for r in reference]
     assert {k: (e.word, e.length) for k, e in store.items.items()} == (
-        first_wins_words_oracle(store.symbols, 2, 4)
+        first_wins_words_oracle(store.symbols, cap, rounds_run)
     )
+
+
+def test_wide_row_store_matches_the_reference_closure_and_is_pinned():
+    store = generate_closure(wide_row_generators(), ClosureConfig(max_arity=2, max_rounds=4))
+    _assert_matches_the_oracles(store)
     assert [n for _, n in store.growth] == [10, 38, 83, 106]
     assert _store_digest(store) == (
         "876c6917d3de31916d665552b3d40d851bdecfa8df8a5b8592ffa2d1d590f283"
     )
+
+
+MIXED_OBJECTS = [II, FinObject(3), II * FinObject(3)]
+
+
+@st.composite
+def mixed_generators(draw):
+    """One to three relations between II, III and II x III, named g0, g1, ..."""
+    gens = {}
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        dom, cod = draw(st.sampled_from(MIXED_OBJECTS)), draw(st.sampled_from(MIXED_OBJECTS))
+        row = st.integers(min_value=0, max_value=(1 << dom.cardinality) - 1)
+        rows = draw(st.lists(row, min_size=cod.cardinality, max_size=cod.cardinality))
+        gens[f"g{i}"] = Relation(dom, cod, tuple(rows))
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_generators())
+def test_mixed_factor_stores_match_the_reference_closure(gens):
+    # shapes with factors of two sizes, such as II x III -> III x II, which
+    # no Spek build meets
+    _assert_matches_the_oracles(generate_closure(gens, ClosureConfig(max_arity=2, max_rounds=3)))
 
 
 # -- the interchange rule ------------------------------------------------------------------
