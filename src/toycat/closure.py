@@ -27,7 +27,7 @@ one gather per member when each row of the left entry has a single set bit
 (every permutation does), or else by ORing the run's columns (row j of
 every member, as a tuple) that each row of the left entry picks, which
 forms every member's composite at once for rows of any width; the columns
-are made per call, so a run caches nothing. `spreads` gives the
+are made per call, so a run holds none. `spreads` gives the
 left half of a product, once per width of the right domain. A left run's
 composites visit only the right runs whose codomain is its domain, and
 its products only the runs that fit beside it within the cap; both lists
@@ -70,13 +70,20 @@ other with a length at most its sum, so their product has a length below
 L and was stored before round L. A skipped candidate is thus a duplicate
 of a stored morphism, not of a pooled one, so it never wins and skipping
 it leaves the pool, the words and the store bytes as they were. The
-absorbing test runs on the kernels too: one `run_composer` call for x maps
-the rows of every factor y on one side of a run's split at once, and each
-composite's rows are looked up under its key; no `Relation` is built. The
-split already makes the shapes meet, as x.dom == y.cod. The rules
-go no further: skipping a candidate that is only a duplicate of one
-found earlier in the same round, such as a composite left entry of a
-product, could move it later in scan order and change a winning word.
+absorbing test runs on the kernels too: a run's products are put in two
+factor tables per split (the arity of c.cod) as the run is inserted, one
+by left factor and one by right factor, and one `run_composer` call for x
+maps the rows of every factor y of a table at once, each composite's rows
+looked up under its key; no `Relation` is built. The split already makes
+the shapes meet, as x.dom == y.cod. The masks found and the sub-lists they
+keep stay on the run for the whole build. That is sound: round L tests x
+after y only when len x + len y <= L - 2, as the other two factors have a
+length of at least 1 each, so by the invariant the store already holds x
+after y, and a stored key keeps its length; the answer cannot change in a
+later round. The rules go no further: skipping a candidate that is only
+a duplicate of one found earlier in the same round, such as a composite
+left entry of a product, could move it later in scan order and change a
+winning word.
 
 A store file (`toycat-store/3`) lists the morphisms in key order, each
 record holding its key's factors and rows as JSON integers with its word
@@ -280,7 +287,13 @@ class _Run:
     operation (`_top`), read by the left-operand rule, and a and b are the
     stored factor entries when the word is a product, read by the
     interchange rule, else None. A run is filled by its length's one
-    insertion batch, before any scan reads it.
+    insertion batch, before any scan reads it. The interchange rule's data
+    on the run as a right operand: `splits` maps a split (the arity of
+    c.cod for a member `(c) x (d)`) to two factor tables, by c and by d,
+    each `(members, drops)`: `members` maps a factor's id to `[factor, mask
+    of the members with it]`, and `drops` maps an entry x's id to
+    `_dropped`'s mask for x. `kept` maps a drop mask to `_kept`'s sub-lists.
+    Both are kept for the whole build (module docstring).
     """
 
     dom: FinObject
@@ -288,6 +301,8 @@ class _Run:
     rows: list[tuple[int, ...]] = field(default_factory=list)
     entries: list[StoredMorphism] = field(default_factory=list)
     parts: list[tuple] = field(default_factory=list)
+    splits: dict[int, tuple[tuple[dict, dict], ...]] = field(default_factory=dict)
+    kept: dict[int, tuple[list, list]] = field(default_factory=dict)
 
 
 # The left-operand rule (module docstring): a left entry whose word has one
@@ -310,85 +325,54 @@ def _top(rel: Relation, op: str | None) -> str | None:
     return op
 
 
-class _Interchange:
-    """The interchange rule of one round (module docstring).
+def _dropped(
+    items: dict[tuple, StoredMorphism], table: tuple[dict, dict], x: StoredMorphism
+) -> int:
+    """The mask of the members in a factor table whose factor x absorbs.
 
-    `kept(run, a, b)` gives the members of a right run that a left entry
-    `(a) x (b)` must still be composed with. A run's product members are
-    grouped by the arity of their left factor's codomain (the split: a.dom
-    equals c.cod exactly when the two splits of the run's codomain agree),
-    then masked by each left factor and by each right factor, so a left
-    entry costs one composite per distinct factor, not per member: `dropped`
-    maps a factor table's rows through one `run_composer` call.
-    The caches live on the object, and a round drops them before inserting:
-    `groups` per run, `drops` per (factor table, factor), and `subruns`,
-    the kept sub-lists, per (run, kept mask), as many left entries share a
-    mask (without it the cap-2 round-4 build took 0.21 s, not 0.16 s:
-    median of 7, 2-core VM).
+    One `run_composer` call for x maps every factor's rows at once, and each
+    composite's rows are looked up under its key; the mask is kept in the
+    table's `drops`.
     """
+    members, drops = table
+    mask = drops.get(id(x))
+    if mask is None:
+        mask = 0
+        after = run_composer(x.relation.rows)
+        cod = x.relation.cod.factors
+        composites = after([f.relation.rows for f, _ in members.values()])
+        for (f, bits), rows in zip(members.values(), composites):
+            found = items.get((f.relation.dom.factors, cod, rows))
+            if found is not None and found.length < x.length + f.length:
+                mask |= bits
+        drops[id(x)] = mask
+    return mask
 
-    def __init__(self, items: dict[tuple, StoredMorphism]) -> None:
-        self.items = items
-        self.groups: dict[int, dict] = {}
-        self.drops: dict[tuple[int, int], int] = {}
-        self.subruns: dict[tuple[int, int], tuple[list, list]] = {}
 
-    def groups_of(self, run: _Run) -> dict[int, tuple[dict, dict]]:
-        """Split -> (by left factor, by right factor), each mapping a factor's
-        id to [factor, mask of the products with it on that side]."""
-        groups = self.groups.get(id(run))
-        if groups is None:
-            groups = self.groups[id(run)] = {}
-            for k, (top, c, d) in enumerate(run.parts):
-                if top != "x":
-                    continue
-                by_c, by_d = groups.setdefault(c.relation.cod.arity, ({}, {}))
-                for by, f in ((by_c, c), (by_d, d)):
-                    slot = by.get(id(f))
-                    if slot is None:
-                        by[id(f)] = [f, 1 << k]
-                    else:
-                        slot[1] |= 1 << k
-        return groups
+def _kept(
+    items: dict[tuple, StoredMorphism], run: _Run, a: StoredMorphism, b: StoredMorphism
+) -> tuple[list[tuple[int, ...]], list[StoredMorphism]]:
+    """`(rows, entries)` of the members of `run` to compose `(a) x (b)` with, in order.
 
-    def dropped(self, by: dict, x: StoredMorphism) -> int:
-        """The mask of the products in `by` (one side of one split of a run)
-        whose factor on that side x absorbs."""
-        key = id(by), id(x)
-        mask = self.drops.get(key)
-        if mask is None:
-            mask = 0
-            after = run_composer(x.relation.rows)
-            cod = x.relation.cod.factors
-            composites = after([f.relation.rows for f, _ in by.values()])
-            for (f, members), rows in zip(by.values(), composites):
-                found = self.items.get((f.relation.dom.factors, cod, rows))
-                if found is not None and found.length < x.length + f.length:
-                    mask |= members
-            self.drops[key] = mask
-        return mask
-
-    def kept(
-        self, run: _Run, a: StoredMorphism, b: StoredMorphism
-    ) -> tuple[list[tuple[int, ...]], list[StoredMorphism]]:
-        """`(rows, entries)` of the members of `run` to compose `(a) x (b)`
-        with, in order."""
-        group = self.groups_of(run).get(a.relation.dom.arity)
-        if group is None:
-            return run.rows, run.entries
-        drop = self.dropped(group[0], a) | self.dropped(group[1], b)
-        if not drop:
-            return run.rows, run.entries
-        n = len(run.entries)
-        kept = ((1 << n) - 1) & ~drop
-        sub = self.subruns.get((id(run), kept))
-        if sub is None:
-            picks = [k for k in range(n) if kept >> k & 1]
-            sub = self.subruns[id(run), kept] = (
-                [run.rows[k] for k in picks],
-                [run.entries[k] for k in picks],
-            )
-        return sub
+    a.dom equals c.cod for a member `(c) x (d)` exactly when the splits
+    agree, so one split is masked. Many left entries share a mask, so each
+    sub-list is kept (without that the cap-2 round-4 build took 0.21 s, not
+    0.16 s: median of 7, 2-core VM).
+    """
+    tables = run.splits.get(a.relation.dom.arity)
+    if tables is None:
+        return run.rows, run.entries
+    drop = _dropped(items, tables[0], a) | _dropped(items, tables[1], b)
+    if not drop:
+        return run.rows, run.entries
+    sub = run.kept.get(drop)
+    if sub is None:
+        picks = [k for k in range(len(run.entries)) if not drop >> k & 1]
+        sub = run.kept[drop] = (
+            [run.rows[k] for k in picks],
+            [run.entries[k] for k in picks],
+        )
+    return sub
 
 
 @contextmanager
@@ -504,10 +488,18 @@ def generate_closure(
                 entry = items[dom_f, cod_f, rows] = _stored(rel, word, length)
                 if not scanned:
                     continue
+                top = _top(rel, op)
+                if top == "x":
+                    split = left.relation.cod.arity
+                    tables = run.splits.get(split)
+                    if tables is None:
+                        tables = run.splits[split] = ({}, {}), ({}, {})
+                    bit = 1 << len(run.entries)
+                    for (members, _), f in zip(tables, (left, right)):
+                        members.setdefault(id(f), [f, 0])[1] |= bit
+                run.parts.append((top, left, right) if top == "x" else (top, None, None))
                 run.rows.append(rows)
                 run.entries.append(entry)
-                top = _top(rel, op)
-                run.parts.append((top, left, right) if top == "x" else (top, None, None))
         return len(items) - before
 
     def pool_new(pool, cands, entries, dom, cod, op, e1) -> None:
@@ -557,7 +549,6 @@ def generate_closure(
             store.fixpoint = True
             break
         pool = defaultdict(list)
-        interchange = _Interchange(items)
         for la in range(1, length):
             left = runs[la]
             right = runs[length - la]
@@ -575,7 +566,7 @@ def generate_closure(
                     after = run_composer(e1.relation.rows)
                     for run2, dom, cod in meeting:
                         rows, entries = (
-                            interchange.kept(run2, a, b) if top == "x" else (run2.rows, run2.entries)
+                            _kept(items, run2, a, b) if top == "x" else (run2.rows, run2.entries)
                         )
                         pool_new(pool, after(rows), entries, dom, cod, ";", e1)
             # tensor: any pair whose product stays within the cap; a left
@@ -597,7 +588,6 @@ def generate_closure(
                         fspreads = by_width[run2.dom.cardinality]
                         cands = [tensor_rows(fspreads, rows) for rows in run2.rows]
                         pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
-        del interchange
         added = insert_batch(pool, length)
         overflow = added < sum(map(len, pool.values()))
         store.growth.append((length, added))

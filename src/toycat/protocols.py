@@ -147,8 +147,10 @@ def _cup_identity(eta: Relation) -> Relation:
 def find_branch_unitaries(eta: Relation, pool: tuple[Relation, ...] | list[Relation]) -> BranchSearchResult:
     """Smallest pool subset whose shifted cups tile A x A.
 
-    The subsets are scanned in size order and, within a size, in
-    lexicographic order over the canonically sorted pool, so the result is
+    Each shifted cup's support has as many points as the cup's (a unitary
+    moves points one to one), and `_cup_identity` refuses an empty cup, so
+    only subsets of one size can tile. They are scanned in lexicographic
+    order over the canonically sorted pool, so the result is
     deterministic; on failure the result reports how much of A x A the
     whole pool can cover.
     """
@@ -160,10 +162,8 @@ def find_branch_unitaries(eta: Relation, pool: tuple[Relation, ...] | list[Relat
     supports = [dagger(compose(tensor(u, ida), eta)).rows[0] for u in pool]
     total = eta.cod.cardinality
     full = (1 << total) - 1
-    per_branch = dagger(eta).rows[0].bit_count()
-    min_size = -(-total // per_branch) if per_branch else 1
-    max_size = total // per_branch if per_branch else 0
-    for size in range(min_size, max_size + 1):
+    size, rest = divmod(total, dagger(eta).rows[0].bit_count())
+    if not rest:
         for combo in itertools.combinations(range(len(pool)), size):
             acc = 0
             for idx in combo:

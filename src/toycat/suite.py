@@ -58,6 +58,8 @@ from .relcore import (
     dagger,
     identity,
     is_unitary,
+    reachable,
+    run_composer,
     scalar_kind,
     snake_holds,
     swap,
@@ -527,18 +529,16 @@ def closure_checks(store: MorphismStore, model: M.Model) -> list[CheckResult]:
 
     def two_system():
         sc = state_census(store, M.IV * M.IV)
-        found = {e.relation.pairs for e in sc.states}
-        if eta_iv.pairs not in found or tensor(z0, z0).pairs not in found:
+        found = {e.relation.rows for e in sc.states}
+        if eta_iv.rows not in found or tensor(z0, z0).rows not in found:
             return False, "missing eta or z0 x z0"
         # every maximal (4-element) state must be a local-permutation image
-        # of eta or of z0 x z0
-        orbit = set()
-        for p in perms:
-            for q in perms:
-                shift = tensor(p, q)
-                orbit.add(compose(shift, eta_iv).pairs)
-                orbit.add(compose(shift, tensor(z0, z0)).pairs)
-        maximal = {pairs for pairs in found if len(pairs) == 4}
+        # of eta or of z0 x z0: the orbits under the moves p x id and id x p
+        id_iv = identity(M.IV)
+        moves = [run_composer(tensor(p, id_iv).rows) for p in perms]
+        moves += [run_composer(tensor(id_iv, p).rows) for p in perms]
+        orbit = reachable(moves, [eta_iv.rows, tensor(z0, z0).rows])
+        maximal = {rows for rows in found if sum(r.bit_count() for r in rows) == 4}
         stray = maximal - orbit
         return not stray, f"{len(maximal)} maximal two-system states, {len(orbit)} in the two orbits"
 

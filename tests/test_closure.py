@@ -568,13 +568,13 @@ def test_interchange_rule_keeps_firing(monkeypatch):
     # table that a left factor is tested against
     handed = {"scan": 0, "interchange": 0}
     in_dropped = False
-    dropped = closure._Interchange.dropped
+    dropped = closure._dropped
 
-    def flagged(self, by, x):
+    def flagged(items, table, x):
         nonlocal in_dropped
         in_dropped = True
         try:
-            return dropped(self, by, x)
+            return dropped(items, table, x)
         finally:
             in_dropped = False
 
@@ -586,7 +586,7 @@ def test_interchange_rule_keeps_firing(monkeypatch):
             return after(run)
         return count
 
-    monkeypatch.setattr(closure._Interchange, "dropped", flagged)
+    monkeypatch.setattr(closure, "_dropped", flagged)
     monkeypatch.setattr(closure, "run_composer", counting)
     generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=4))
     assert handed == {"scan": 50_836, "interchange": 3_864}
@@ -595,28 +595,43 @@ def test_interchange_rule_keeps_firing(monkeypatch):
 @pytest.mark.parametrize("generators", [spek_generator_symbols, wide_row_generators])
 def test_interchange_drop_masks_match_the_oracle(generators, monkeypatch):
     # each mask the rule uses, recomputed pair by pair: x after f by the
-    # oracle, looked up in the store as it stands at that call
-    dropped = closure._Interchange.dropped
+    # oracle, looked up in the store as it stands at that call; a table
+    # keeps its masks for the whole build (round 5 reuses masks of round 4),
+    # so after it each kept mask is recomputed against the final store and
+    # must not have changed
+    dropped = closure._dropped
     after: dict[tuple[int, int], tuple] = {}
     masks = []
+    tested: dict[int, tuple] = {}
 
-    def checked(self, by, x):
-        mask = dropped(self, by, x)
-        expected = 0
-        for f, members in by.values():
+    def expected(items, table, x):
+        mask = 0
+        for f, members in table[0].values():  # table = (members, drops)
             pair = id(x), id(f)
             if pair not in after:
                 after[pair] = compose_oracle(x.relation, f.relation).key
-            found = self.items.get(after[pair])
+            found = items.get(after[pair])
             if found is not None and found.length < x.length + f.length:
-                expected |= members
-        assert mask == expected, (x.word, [f.word for f, _ in by.values()])
-        masks.append(mask)
+                mask |= members
         return mask
 
-    monkeypatch.setattr(closure._Interchange, "dropped", checked)
-    generate_closure(generators(), ClosureConfig(max_arity=2, max_rounds=4))
+    def checked(items, table, x):
+        mask = dropped(items, table, x)
+        assert mask == expected(items, table, x), (
+            x.word, [f.word for f, _ in table[0].values()]
+        )
+        masks.append(mask)
+        tested.setdefault(id(table), (table, {}))[1][id(x)] = x
+        return mask
+
+    monkeypatch.setattr(closure, "_dropped", checked)
+    store = generate_closure(generators(), ClosureConfig(max_arity=2, max_rounds=5))
     assert any(masks)
+    for table, xs in tested.values():
+        drops = table[1]
+        assert drops.keys() == xs.keys()
+        for key, mask in drops.items():
+            assert mask == expected(store.items, table, xs[key]), xs[key].word
 
 
 def _atoms(term) -> int:

@@ -2,9 +2,10 @@
 
 `lagrangian_defect` works on whole rows (cosets of one kernel, an affine
 map on the occupied rows); `oracle.lagrangian_defect_oracle` works on
-coordinate tuples. Inputs cover every shape up to IV^3 -> IV^3, relations
-with empty rows, stored morphisms moved off the class by one point, and
-affine subspaces that are not isotropic.
+coordinate tuples. Inputs cover every relation I -> IV and IV -> IV, every
+shape up to IV^3 -> IV^3, relations with empty rows, stored morphisms
+moved off the class by one point, and affine subspaces that are not
+isotropic.
 """
 
 import random
@@ -15,9 +16,9 @@ from toycat.closure import ClosureConfig, generate_closure
 from toycat.models import IV
 from toycat.relcore import FinObject, Relation, UNIT
 from toycat.suite import spek_generator_symbols
-from toycat.symplectic import lagrangian_defect
+from toycat.symplectic import affine_lagrangian_count, lagrangian_defect
 
-from oracle import lagrangian_defect_oracle, random_relation
+from oracle import all_relations, lagrangian_defect_oracle, random_relation
 
 POWERS = [UNIT, IV, IV * IV, IV * IV * IV]
 
@@ -44,6 +45,19 @@ def affine_subspace(rng, dom: FinObject, cod: FinObject) -> Relation:
     shift = 2 * cod.arity
     pairs = [((p ^ offset) >> shift, (p ^ offset) & ((1 << shift) - 1)) for p in span]
     return Relation.from_pairs(dom, cod, pairs)
+
+
+@pytest.mark.parametrize(
+    "dom, cod, members", [(UNIT, IV, 7), (IV, IV, 61)], ids=["I-IV", "IV-IV"]
+)
+def test_every_relation_on_one_system(dom, cod, members):
+    # 16 and 65,536 relations; the class counts include the empty relation
+    count = 0
+    for rel in all_relations(dom, cod):
+        defect = lagrangian_defect(rel)
+        assert defect == lagrangian_defect_oracle(rel), rel
+        count += defect is None
+    assert count == members == 1 + affine_lagrangian_count(dom.arity + cod.arity)
 
 
 @pytest.mark.parametrize("dom", POWERS[:3])
