@@ -75,26 +75,30 @@ factor tables per split (the arity of c.cod) as the run is inserted, one
 by left factor and one by right factor, and one `run_composer` call for x
 maps the rows of every factor y of a table at once, each composite's rows
 looked up under its key; no `Relation` is built. The split already makes
-the shapes meet, as x.dom == y.cod. The masks found and the sub-lists they
-keep stay on the run for the whole build. That is sound: round L tests x
-after y only when len x + len y <= L - 2, as the other two factors have a
-length of at least 1 each, so by the invariant the store already holds x
-after y, and a stored key keeps its length; the answer cannot change in a
-later round. The rules go no further: skipping a candidate that is only
-a duplicate of one found earlier in the same round, such as a composite
-left entry of a product, could move it later in scan order and change a
-winning word.
+the shapes meet, as x.dom == y.cod. The masks found stay on the run for
+the whole build, and the sub-lists they keep for the one round that scans
+the run as a right operand at that length. Keeping a mask is sound: round
+L tests x after y only when len x + len y <= L - 2, as the other two
+factors have a length of at least 1 each, so by the invariant the store
+already holds x after y, and a stored key keeps its length; the answer
+cannot change in a later round. The rules go no further: skipping a
+candidate that is only a duplicate of one found earlier in the same round,
+such as a composite left entry of a product, could move it later in scan
+order and change a winning word.
 
-A store file (`toycat-store/3`) lists the morphisms in key order, each
-record holding its key's factors and rows as JSON integers with its word
-and length, so writing one builds no pairs and reading one builds each
-shape's objects once; the reader refuses records out of order, rows that
-do not fit the shape, and growth counts that disagree with the lengths.
-`store_to_json_str` is the one writer. It writes the text of `json.dumps`
-with sorted keys and no spaces, but builds no JSON tree: each record is
-formatted straight from its key, and each distinct row integer is turned
-into decimal once per call (a store holds few distinct rows).
-`store_to_json` is the parse of that text.
+A store file (`toycat-store/4`) holds one block per shape, the hom-set of
+its morphisms, in shape order: the shape's factors once, then its
+members' rows as one flat list of JSON integers, member after member in
+rows order, with their words and lengths. So writing one builds no pairs,
+and reading one builds each shape's objects once and a few lists per
+shape, not per morphism. The reader checks each block with C-level scans
+(types, row range, counts, member order) and refuses blocks out of order,
+a shape in two blocks, rows that do not fit the shape, and growth counts
+that disagree with the lengths. `store_to_json_str` is the one writer. It
+writes the text of `json.dumps` with sorted keys and no spaces, but builds
+no JSON tree: each block is formatted straight from its members' keys, and
+each distinct row integer is turned into decimal once per call (a store
+holds few distinct rows). `store_to_json` is the parse of that text.
 
 Objects are capped per side: every domain and codomain in the store has
 at most `max_arity` base factors, and composition never routes through an
@@ -120,11 +124,12 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter, lt
 from typing import Mapping
 
 from .relcore import (
@@ -162,10 +167,11 @@ __all__ = [
 ]
 
 
-# A store file lists its morphisms in `Relation.key` order (shape, then
-# rows), and each record holds the key's rows as JSON integers; the version
-# changes whenever that order or the record form does.
-STORE_FORMAT = "toycat-store/3"
+# A store file holds one block per shape, the shapes in order, and each
+# block its members' rows as JSON integers in rows order, with their words
+# and lengths; the version changes whenever that order or the block form
+# does.
+STORE_FORMAT = "toycat-store/4"
 
 
 class GeneratorOutsideCapError(ValueError):
@@ -292,8 +298,10 @@ class _Run:
     c.cod for a member `(c) x (d)`) to two factor tables, by c and by d,
     each `(members, drops)`: `members` maps a factor's id to `[factor, mask
     of the members with it]`, and `drops` maps an entry x's id to
-    `_dropped`'s mask for x. `kept` maps a drop mask to `_kept`'s sub-lists.
-    Both are kept for the whole build (module docstring).
+    `_dropped`'s mask for x; the masks are kept for the whole build (module
+    docstring). `kept` maps a drop mask to `_kept`'s sub-lists, and is
+    cleared when the round's scan of the run ends, so sub-lists do not add
+    up over a long build.
     """
 
     dom: FinObject
@@ -355,9 +363,10 @@ def _kept(
     """`(rows, entries)` of the members of `run` to compose `(a) x (b)` with, in order.
 
     a.dom equals c.cod for a member `(c) x (d)` exactly when the splits
-    agree, so one split is masked. Many left entries share a mask, so each
-    sub-list is kept (without that the cap-2 round-4 build took 0.21 s, not
-    0.16 s: median of 7, 2-core VM).
+    agree, so one split is masked. Many left entries of a round share a
+    mask, so each sub-list is kept until the round's scan of the run ends
+    (without that the cap-2 round-4 build took 0.21 s, not 0.16 s: median
+    of 7, 2-core VM).
     """
     tables = run.splits.get(a.relation.dom.arity)
     if tables is None:
@@ -382,8 +391,8 @@ def _collector_paused():
     the oldest generation.
 
     A build allocates hundreds of thousands of row tuples, candidates and
-    entries, and reading the cap-3 round-3 store file parses a tree of
-    about 94,000 lists and dicts; none of them form cycles, so reference
+    entries, and reading a store builds a key, a `Relation` and a
+    `StoredMorphism` per morphism; none of them form cycles, so reference
     counting frees what is dropped. Each allocation counts toward the
     collector's thresholds: with the collector running, the cap-3 round-4
     build ran 1,085 collections for 0.55 s, and reading a store lost a
@@ -569,6 +578,9 @@ def generate_closure(
                             _kept(items, run2, a, b) if top == "x" else (run2.rows, run2.entries)
                         )
                         pool_new(pool, after(rows), entries, dom, cod, ";", e1)
+            # no other left length of this round scans these right runs
+            for run2 in right:
+                run2.kept.clear()
             # tensor: any pair whose product stays within the cap; a left
             # entry's spreads are made once per width of a fitting run's domain
             for run1 in left:
@@ -678,20 +690,31 @@ def _json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _shape(item: tuple) -> tuple:
+    """The (dom factors, cod factors) of an item `(key, entry)` of `store.items`."""
+    return item[0][:2]
+
+
+_rows_of = itemgetter(2)
+_length_of = attrgetter("length")
+_word_of = attrgetter("word")
+
+
 @_collector_paused()
 def store_to_json_str(store: MorphismStore) -> str:
-    """The store file text: morphisms in key order, each record holding its key.
+    """The store file text: one block per shape, the shapes in order.
 
     The bytes are those of `json.dumps(..., sort_keys=True, separators=(",",
     ":"))` over the file's tree, but the tree is never built. `json.dumps`
-    writes the small fields around `morphisms`, and each morphism record
-    `{"cod", "dom", "length", "rows", "word"}` is one f-string written
-    straight from the rows key, so no pairs are built. A store holds few
+    writes the small fields after `blocks`, and each block `{"cod", "dom",
+    "lengths", "rows", "words"}` is one f-string written straight from its
+    members' rows keys, in key order, so no pairs are built: `rows` holds
+    the members' rows one member after the other. A store holds few
     distinct row integers (543 of 1,221,908 in the cap-3 round-3 store), so
-    each is converted to decimal once per call. Words are escaped as
-    `json.dumps` escapes them, and all parts are joined once.
+    each is converted to decimal once per call, and a block's rows are
+    joined once. Words are escaped as `json.dumps` escapes them.
     """
-    head = _json({
+    rest = _json({
         "config": {
             "max_arity": store.config.max_arity,
             "max_morphisms": store.config.max_morphisms,
@@ -701,8 +724,6 @@ def store_to_json_str(store: MorphismStore) -> str:
         "format": STORE_FORMAT,
         "growth": [[r, n] for r, n in store.growth],
         "morphism_count": len(store.items),
-    })
-    tail = _json({
         "rounds_run": store.rounds_run,
         "symbols": {
             name: {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors),
@@ -712,16 +733,19 @@ def store_to_json_str(store: MorphismStore) -> str:
     })
     decimal = _Decimal().__getitem__
     quote = encode_basestring_ascii
-    parts = [head[:-1], ',"morphisms":[']
+    parts = ['{"blocks":[']
     sep = ""
-    for (dom_f, cod_f, rows), e in sorted(store.items.items()):
+    for (dom_f, cod_f), block in groupby(sorted(store.items.items()), _shape):
+        keys, entries = zip(*block)
         parts.append(
             f'{sep}{{"cod":[{",".join(map(decimal, cod_f))}],'
-            f'"dom":[{",".join(map(decimal, dom_f))}],"length":{e.length},'
-            f'"rows":[{",".join(map(decimal, rows))}],"word":{quote(e.word)}}}'
+            f'"dom":[{",".join(map(decimal, dom_f))}],'
+            f'"lengths":[{",".join(map(decimal, map(_length_of, entries)))}],'
+            f'"rows":[{",".join(map(decimal, chain.from_iterable(map(_rows_of, keys))))}],'
+            f'"words":[{",".join(map(quote, map(_word_of, entries)))}]}}'
         )
         sep = ","
-    parts += ("],", tail[1:])
+    parts += ("],", rest[1:])
     return "".join(parts)
 
 
@@ -744,66 +768,86 @@ def _typed(data: Mapping, name: str, kind):
     return value
 
 
-_INT = frozenset((int,))
+_KINDS = {int: "an integer", str: "a string"}
 
 
-def _record_relation(rec, shapes: dict, where: str, label) -> Relation:
-    """The relation of a store record `{"dom", "cod", "rows"}`, checked.
+def _typed_list(data: Mapping, name: str, kind: type, where: str) -> list:
+    """The list `data[name]`, each of whose values has exactly the type `kind`.
 
-    `shapes` maps a record's (dom, cod) factors to the shape's objects,
-    row count and row bound, so each shape's `FinObject`s are built once.
-    Only factors that are all exactly ints are looked up there: JSON `true`
-    equals 1 and 4.0 equals 4 as dict keys, and `FinObject` refuses both.
-    Each row must be an int in [0, 2**|dom|), one per codomain element.
-    `where.format(label)` names the record in an error, and is formatted
-    only when one is raised.
+    One C-level pass over the types checks the list; `where` names the
+    record or block in an error.
+    """
+    values = _typed(data, name, list)
+    if not {kind}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) is not kind)
+        raise ValueError(
+            f"store file field {name!r} of {where} holds {bad!r}, not {_KINDS[kind]}"
+        )
+    return values
+
+
+def _objects(rec, where: str) -> tuple[FinObject, FinObject]:
+    """The domain and codomain of a symbol record or block `rec`, checked.
+
+    `FinObject` refuses a factor that is not exactly an int of at least 1,
+    so JSON `true` and 4.0 are refused, not read as 1 and 4.
     """
     if type(rec) is not dict:
-        raise ValueError(f"store file {where.format(label)} is not a JSON object")
-    dom_raw = _typed(rec, "dom", list)
-    cod_raw = _typed(rec, "cod", list)
-    rows = _typed(rec, "rows", list)
-    raw = (tuple(dom_raw), tuple(cod_raw))
-    shape = shapes.get(raw) if _INT.issuperset(map(type, raw[0] + raw[1])) else None
-    if shape is None:
-        objects = []
-        for name, factors in zip(("dom", "cod"), raw):
-            try:
-                objects.append(FinObject(*factors))
-            except ValueError as exc:
-                raise ValueError(
-                    f"store file field {name!r} of {where.format(label)}: {exc}"
-                ) from None
-        dom, cod = objects
-        shape = shapes[raw] = (dom, cod, cod.cardinality, 1 << dom.cardinality)
-    dom, cod, n_rows, bound = shape
-    if len(rows) != n_rows:
+        raise ValueError(f"store file {where} is not a JSON object")
+    objects = []
+    for name in ("dom", "cod"):
+        factors = _typed(rec, name, list)
+        try:
+            objects.append(FinObject(*factors))
+        except ValueError as exc:
+            raise ValueError(f"store file field {name!r} of {where}: {exc}") from None
+    dom, cod = objects
+    return dom, cod
+
+
+def _rows(rec, members: int, dom: FinObject, cod: FinObject, where: str) -> list[int]:
+    """The `rows` of a symbol record or block of `members` members, checked.
+
+    It holds one row per codomain element for each member, and each row is
+    an int in [0, 2**|dom|). Only the list itself is scanned: the count is
+    compared with the codomain's size before anything is cut or built by
+    it, and the range by bit length, so 2**|dom| is never built.
+    """
+    rows = _typed_list(rec, "rows", int, where)
+    n = cod.cardinality
+    if len(rows) != members * n:
         raise ValueError(
-            f"store file field 'rows' of {where.format(label)} has {len(rows)} rows, "
-            f"but codomain {cod} has {n_rows} elements"
+            f"store file field 'rows' of {where} has {len(rows)} rows, but {members} "
+            f"member(s) on codomain {cod} need {members * n}, one per element"
         )
-    if not _INT.issuperset(map(type, rows)):
-        bad = next(r for r in rows if type(r) is not int)
+    if min(rows) < 0 or max(rows).bit_length() > dom.cardinality:
         raise ValueError(
-            f"store file field 'rows' of {where.format(label)} holds {bad!r}, not an integer"
-        )
-    if min(rows) < 0 or max(rows) >= bound:
-        raise ValueError(
-            f"store file field 'rows' of {where.format(label)} has a row that is negative "
+            f"store file field 'rows' of {where} has a row that is negative "
             f"or has bits outside domain {dom}"
         )
-    return Relation._raw(dom, cod, tuple(rows))
+    return rows
+
+
+def _symbol(rec, name) -> Relation:
+    """The relation of the store file's symbol record `name`, checked."""
+    where = f"symbol {name!r}"
+    dom, cod = _objects(rec, where)
+    return Relation._raw(dom, cod, tuple(_rows(rec, 1, dom, cod, where)))
 
 
 @_collector_paused()
 def store_from_json(data: Mapping) -> MorphismStore:
     """Build a store from its file form, refusing a malformed field.
 
-    Morphisms must be listed in strictly increasing key order, so a parsed
-    store writes back the same bytes and no record repeats. The counts must
-    agree: `morphism_count` and the sum of `growth` both equal the number
-    of morphisms listed, and each round's `growth` count equals the number
-    of records of that length. A `fixpoint` flag must fit the growth record
+    Blocks must come in strictly increasing shape order, each with at least
+    one member, as many words and lengths as members, and its members in
+    strictly increasing rows order; so a parsed store writes back the same
+    bytes and no morphism repeats. Each block is checked with C-level scans
+    of its lists (types, row range, row count, order), so the loop per
+    member only builds and inserts it. The counts must agree:
+    `morphism_count` and the sum of `growth` both equal the number of
+    members, and each round's `growth` count equals the number of members
+    of that length. A `fixpoint` flag must fit the growth record
     (`_check_fixpoint`), and re-running the closure of the store's own
     generators must give the same store (`_check_rebuild`).
     """
@@ -814,8 +858,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
         raise ValueError(
             f"unsupported store format {found!r}; expected {STORE_FORMAT!r}"
         )
-    shapes: dict[tuple, tuple] = {}
-    per_length: dict[int, int] = {}
+    per_length: Counter[int] = Counter()
     try:
         cfg = _typed(data, "config", dict)
         config = ClosureConfig(
@@ -824,8 +867,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
             max_rounds=_typed(cfg, "max_rounds", (int, type(None))),
         )
         symbols = {
-            name: _record_relation(rec, shapes, "symbol {!r}", name)
-            for name, rec in _typed(data, "symbols", dict).items()
+            name: _symbol(rec, name) for name, rec in _typed(data, "symbols", dict).items()
         }
         rounds_run = _typed(data, "rounds_run", int)
         store = MorphismStore(
@@ -837,19 +879,40 @@ def store_from_json(data: Mapping) -> MorphismStore:
         )
         items = store.items
         last: tuple = ()
-        for i, rec in enumerate(_typed(data, "morphisms", list)):
-            rel = _record_relation(rec, shapes, "morphism record {}", i)
-            key = rel.key
-            if not key > last:
+        for i, block in enumerate(_typed(data, "blocks", list)):
+            where = f"block {i}"
+            dom, cod = _objects(block, where)
+            shape = dom.factors, cod.factors
+            if not shape > last:
                 raise ValueError(
-                    f"store file field 'morphisms' repeats record {i - 1} as record {i}"
-                    if key == last else
-                    f"store file field 'morphisms' lists record {i} out of key order"
+                    f"store file field 'blocks' repeats the shape of block {i - 1} in block {i}"
+                    if shape == last else
+                    f"store file field 'blocks' lists block {i} out of shape order"
                 )
-            length = _typed(rec, "length", int)
-            items[key] = _stored(rel, _typed(rec, "word", str), length)
-            per_length[length] = per_length.get(length, 0) + 1
-            last = key
+            words = _typed_list(block, "words", str, where)
+            lengths = _typed_list(block, "lengths", int, where)
+            size = len(words)
+            if not size:
+                raise ValueError(f"store file {where} has no members")
+            if len(lengths) != size:
+                raise ValueError(
+                    f"store file {where} has {size} words but {len(lengths)} lengths"
+                )
+            # the count check in `_rows` bounds the codomain by the list's length
+            rows = _rows(block, size, dom, cod, where)
+            members = list(zip(*[iter(rows)] * cod.cardinality))
+            if not all(map(lt, members, members[1:])):
+                k = next(k for k in range(1, size) if not members[k - 1] < members[k])
+                raise ValueError(
+                    f"store file {where} repeats member {k - 1} as member {k}"
+                    if members[k - 1] == members[k] else
+                    f"store file {where} lists member {k} out of rows order"
+                )
+            dom_f, cod_f = shape
+            for rows_k, word, length in zip(members, words, lengths):
+                items[dom_f, cod_f, rows_k] = _stored(Relation._raw(dom, cod, rows_k), word, length)
+            per_length.update(lengths)
+            last = shape
         count = _typed(data, "morphism_count", int)
     except KeyError as exc:
         raise ValueError(f"store file lacks the field {exc.args[0]!r}") from None
@@ -865,10 +928,10 @@ def store_from_json(data: Mapping) -> MorphismStore:
             f"but the file holds {len(store)}"
         )
     for r, n in store.growth:
-        if per_length.get(r, 0) != n:
+        if per_length[r] != n:
             raise ValueError(
                 f"store file field 'growth' says round {r} added {n} morphisms, "
-                f"but the file holds {per_length.get(r, 0)} of length {r}"
+                f"but the file holds {per_length[r]} of length {r}"
             )
     if store.fixpoint:
         _check_fixpoint(store)

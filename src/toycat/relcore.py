@@ -53,6 +53,7 @@ __all__ = [
     "scalar_kind",
     "relation_to_json",
     "relation_from_json",
+    "MAX_RELATION_CELLS",
     "element_labels",
     "format_relation",
 ]
@@ -565,15 +566,29 @@ def relation_to_json(f: Relation) -> dict:
     }
 
 
+# The most cells (domain element, codomain element) that the shape of a
+# relation read from JSON may span. A relation holds one row per codomain
+# element, each as wide as the domain, so a larger shape is refused before
+# anything is allocated for it; IV^5 -> IV^5 has exactly this many.
+MAX_RELATION_CELLS = 1 << 20
+
+
 def relation_from_json(data: Mapping) -> Relation:
     """Parse the canonical JSON form; rejects unsorted or duplicated pairs.
 
     Pair entries must be JSON integers: a float, a string or a boolean is
-    refused, not converted.
+    refused, not converted. A shape of more than `MAX_RELATION_CELLS` cells
+    is refused before its rows are allocated.
     """
     try:
         dom = FinObject(*data["dom"])
         cod = FinObject(*data["cod"])
+        cells = dom.cardinality * cod.cardinality
+        if cells > MAX_RELATION_CELLS:
+            raise ValueError(
+                f"shape {dom} -> {cod} spans {cells} cells, "
+                f"above MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
+            )
         entries = data["pairs"]
         # `type(x) is int` also refuses bools, which are ints to isinstance
         raw = [(j, i) for j, i in entries if type(j) is int is type(i)]

@@ -6,8 +6,10 @@ and every operation is written as a direct set comprehension. Nothing
 here imports the matrix code paths beyond the public data types, except
 `first_wins_words_oracle`: it pins the closure's scan order, not its
 arithmetic, and calls the public `compose` and `tensor` pair by pair.
-`store_tree_oracle` is the store file written the plain way, as the dict
-tree that `json.dumps` encodes.
+`store_tree_oracle` and `store_block_tree_oracle` are the `toycat-store/3`
+and `toycat-store/4` files written the plain way, as the dict trees that
+`json.dumps` encodes; the `/3` one renders a store for the digests pinned
+before the block form.
 """
 
 from __future__ import annotations
@@ -364,8 +366,9 @@ def first_wins_words_oracle(
 def store_tree_oracle(store) -> dict:
     """The `toycat-store/3` file of `store` as a JSON tree, field by field.
 
-    `json.dumps(tree, sort_keys=True, separators=(",", ":"))` gives the
-    bytes that `store_to_json_str` writes without building the tree.
+    One record per morphism, in key order. `json.dumps(tree, sort_keys=True,
+    separators=(",", ":"))` gives the bytes that the `/3` writer wrote; the
+    digests pinned on those bytes are checked on this rendering.
     """
     def record(dom_f, cod_f, rows) -> dict:
         return {"dom": list(dom_f), "cod": list(cod_f), "rows": list(rows)}
@@ -390,3 +393,49 @@ def store_tree_oracle(store) -> dict:
             for key, e in sorted(store.items.items())
         ],
     }
+
+
+def store_block_tree_oracle(store) -> dict:
+    """The `toycat-store/4` file of `store` as a JSON tree, field by field.
+
+    The `/3` tree with its morphism records gathered into one block per
+    shape, in key order: the block's members' rows one after the other,
+    and their words and lengths. `json.dumps(tree, sort_keys=True,
+    separators=(",", ":"))` gives the bytes that `store_to_json_str`
+    writes without building the tree.
+    """
+    tree = store_tree_oracle(store)
+    blocks: dict[tuple, dict] = {}
+    for rec in tree.pop("morphisms"):
+        shape = tuple(rec["dom"]), tuple(rec["cod"])
+        block = blocks.setdefault(shape, {
+            "dom": rec["dom"], "cod": rec["cod"], "rows": [], "words": [], "lengths": [],
+        })
+        block["rows"] += rec["rows"]
+        block["words"].append(rec["word"])
+        block["lengths"].append(rec["length"])
+    return {**tree, "format": "toycat-store/4", "blocks": list(blocks.values())}
+
+
+def store_without_member(tree: dict, length: int) -> tuple[dict, dict]:
+    """A `toycat-store/4` tree less its first member of word length `length`.
+
+    The member's rows, word and length leave its block, and its round's
+    `growth` count and `morphism_count` are lowered to fit. Returns the new
+    tree and the member as a relation record `{"dom", "cod", "rows"}`.
+    """
+    blocks = [dict(block) for block in tree["blocks"]]
+    block, k = next(
+        (block, k) for block in blocks for k, n in enumerate(block["lengths"]) if n == length
+    )
+    n = len(block["rows"]) // len(block["lengths"])
+    member = {"dom": block["dom"], "cod": block["cod"], "rows": block["rows"][k * n:(k + 1) * n]}
+    block["rows"] = block["rows"][:k * n] + block["rows"][(k + 1) * n:]
+    block["words"] = block["words"][:k] + block["words"][k + 1:]
+    block["lengths"] = block["lengths"][:k] + block["lengths"][k + 1:]
+    return {
+        **tree,
+        "blocks": blocks,
+        "morphism_count": tree["morphism_count"] - 1,
+        "growth": [[r, c - (r == length)] for r, c in tree["growth"]],
+    }, member

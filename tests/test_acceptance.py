@@ -19,6 +19,7 @@ missing fixpoint.
 """
 
 import hashlib
+import json
 import random
 import time
 
@@ -37,6 +38,7 @@ from toycat.closure import (
     contains,
     evaluate_word,
     generate_closure,
+    store_from_json,
     store_to_json_str,
 )
 from toycat.models import (
@@ -76,6 +78,7 @@ from oracle import (
     compose_oracle,
     dagger_oracle,
     random_relation,
+    store_tree_oracle,
     tensor_oracle,
 )
 
@@ -453,5 +456,14 @@ def test_cap3_round4_spek_store_bytes_are_pinned(spek_store_r4):
     # not a criterion: pins every word, order and growth count of the
     # largest build the tests make, so a pair-scan change that alters one shows
     assert [n for _, n in spek_store_r4.growth] == [34, 941, 22463, 121287]
-    digest = hashlib.sha256(store_to_json_str(spek_store_r4).encode()).hexdigest()
-    assert digest == "88e763c1dd5f0acf6d27db7a6f5d5e9698e81796b67697efb80c477eb7abe488"
+    # the `toycat-store/4` text, and the `/3` rendering of the store read
+    # back from it, which is pinned by the digest taken before the block form
+    text = store_to_json_str(spek_store_r4)
+    loaded = store_from_json(json.loads(text))
+    v3 = json.dumps(store_tree_oracle(loaded), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cf785a847c01350779d05fd415c5df58143bb3b4269ceca574262720eebacd66"
+    )
+    assert hashlib.sha256(v3.encode()).hexdigest() == (
+        "88e763c1dd5f0acf6d27db7a6f5d5e9698e81796b67697efb80c477eb7abe488"
+    )

@@ -50,7 +50,9 @@ from oracle import (
     closure_rounds_oracle,
     compose_oracle,
     first_wins_words_oracle,
+    store_block_tree_oracle,
     store_tree_oracle,
+    store_without_member,
     tensor_oracle,
 )
 
@@ -345,19 +347,35 @@ def test_words_match_the_first_wins_scan(fixture, request):
 
 # -- pinned store bytes ----------------------------------------------------------------------
 #
-# The sha256 of the store file of two builds, so a change to the pair scan
+# The sha256 of the store file of several builds, so a change to the pair scan
 # that alters any word, order or growth count shows as a changed digest.
+# Each store has two pins: its `toycat-store/4` text, and the `toycat-store/3`
+# rendering of the store read back from that text, which is pinned by the
+# digest taken before the block form.
 
-def _store_digest(store: MorphismStore) -> str:
-    return hashlib.sha256(store_to_json_str(store).encode()).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _store_digests(store: MorphismStore) -> tuple[str, str]:
+    """(sha256 of the store's text, sha256 of the `/3` rendering of its read-back)."""
+    text = store_to_json_str(store)
+    loaded = store_from_json(json.loads(text))
+    assert store_to_json_str(loaded) == text
+    return _sha256(text), _sha256(_v3_text(loaded))
+
+
+def _v3_text(store: MorphismStore) -> str:
+    return json.dumps(store_tree_oracle(store), sort_keys=True, separators=(",", ":"))
 
 
 def test_cap2_round4_spek_store_bytes_are_pinned(spek_cap2_r4):
     # nearly every composite here has a left entry that is not a gather
     store = spek_cap2_r4
     assert [n for _, n in store.growth] == [31, 737, 1603, 2955]
-    assert _store_digest(store) == (
-        "895036c9a40f01e7d3d8ff85def991c0f64e4306e9bbd39f436ceffe0c8f6519"
+    assert _store_digests(store) == (
+        "fccb7c3e7df537817bd6d2a5e99df019c672627d3ddce610258317c0c24b2497",
+        "895036c9a40f01e7d3d8ff85def991c0f64e4306e9bbd39f436ceffe0c8f6519",
     )
 
 
@@ -382,8 +400,9 @@ def test_morphism_cap_cuts_a_later_round_inside_a_shape(spek_cap2_r4):
     assert all(
         (e.word, e.length) == (full[k].word, full[k].length) for k, e in store.items.items()
     )
-    assert _store_digest(store) == (
-        "4919cdc876e91c475613adf21c1a26e965e8d83c4eb7812f36ae0ded2e769dc6"
+    assert _store_digests(store) == (
+        "f4d51130856411c6e85ff2855da19d97ef62f24cb570f164fd60de8a6f904b98",
+        "4919cdc876e91c475613adf21c1a26e965e8d83c4eb7812f36ae0ded2e769dc6",
     )
 
 
@@ -394,16 +413,18 @@ def test_cap2_round5_spek_store_bytes_are_pinned():
         spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=5)
     )
     assert [n for _, n in store.growth] == [31, 737, 1603, 2955, 7056]
-    assert _store_digest(store) == (
-        "0a09d0c22c813cf91fcee6dbc9cc3620d2ce5740a4ad0e9105524a99704cf803"
+    assert _store_digests(store) == (
+        "fff8aaee806d8a757c1a74f5648bf1c53af4fcc9d09bf03b9411647a8ba455e1",
+        "0a09d0c22c813cf91fcee6dbc9cc3620d2ce5740a4ad0e9105524a99704cf803",
     )
 
 
 def test_cap3_round3_spek_store_bytes_are_pinned_and_words_first_win(spek_bounded):
     # products of products and composites of composites are most common here
     assert [n for _, n in spek_bounded.growth] == [34, 941, 22463]
-    assert _store_digest(spek_bounded) == (
-        "a853134041aaed61edc5a54d7b716f31f7ed390df9f971fd84cd85d5a57b25d8"
+    assert _store_digests(spek_bounded) == (
+        "052fc2338c276427f721545fdb62c19a3a6056130ed4941465e77a3f0625daa0",
+        "a853134041aaed61edc5a54d7b716f31f7ed390df9f971fd84cd85d5a57b25d8",
     )
     assert {k: (e.word, e.length) for k, e in spek_bounded.items.items()} == (
         first_wins_words_oracle(spek_bounded.symbols, 3, 3)
@@ -447,8 +468,9 @@ def test_wide_row_store_matches_the_reference_closure_and_is_pinned():
     store = generate_closure(wide_row_generators(), ClosureConfig(max_arity=2, max_rounds=4))
     _assert_matches_the_oracles(store)
     assert [n for _, n in store.growth] == [10, 38, 83, 106]
-    assert _store_digest(store) == (
-        "876c6917d3de31916d665552b3d40d851bdecfa8df8a5b8592ffa2d1d590f283"
+    assert _store_digests(store) == (
+        "6ee98bd94a24d83a4c471aa5b98117dc9dd7be85689873b6a94ccc343a60f5f2",
+        "876c6917d3de31916d665552b3d40d851bdecfa8df8a5b8592ffa2d1d590f283",
     )
 
 
@@ -709,7 +731,7 @@ def test_store_json_round_trip(arity1_store):
 
 
 def _reference_text(store: MorphismStore) -> str:
-    return json.dumps(store_tree_oracle(store), sort_keys=True, separators=(",", ":"))
+    return json.dumps(store_block_tree_oracle(store), sort_keys=True, separators=(",", ":"))
 
 
 def test_store_writer_gives_the_bytes_of_the_reference_tree(arity1_store, arity1_gens, tmp_path):
@@ -732,10 +754,11 @@ def test_store_writer_gives_the_bytes_of_the_reference_tree(arity1_store, arity1
     for store in (arity1_store, capped, greek, wide, loaded):
         text = store_to_json_str(store)
         assert text == _reference_text(store)
-        assert store_to_json(store) == store_tree_oracle(store)
+        assert store_to_json(store) == store_block_tree_oracle(store)
+        assert store_to_json_str(store_from_json(json.loads(text))) == text
     assert text == path.read_text()
     text = store_to_json_str(greek)
-    assert text.isascii() and '"word":"(\\u03c3_1) ; (\\u03b5^)"' in text
+    assert text.isascii() and '"(\\u03c3_1) ; (\\u03b5^)"' in text
 
 
 def test_truncated_store_round_trips_with_its_growth():
@@ -776,34 +799,23 @@ def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
         assert not store_from_json({**longer, "fixpoint": False}).fixpoint
 
 
-def _without_record(blob, i):
-    """The store file `blob` less morphism record i, its counts lowered to fit."""
-    length = blob["morphisms"][i]["length"]
-    return {
-        **blob,
-        "morphisms": blob["morphisms"][:i] + blob["morphisms"][i + 1:],
-        "morphism_count": blob["morphism_count"] - 1,
-        "growth": [[r, n - (r == length)] for r, n in blob["growth"]],
-    }
-
-
 def test_a_fixpoint_store_its_generators_do_not_rebuild_is_refused(arity1_store):
     blob = json.loads(store_to_json_str(arity1_store))
-    fourth = [i for i, rec in enumerate(blob["morphisms"]) if rec["length"] == 4]
-    # a record deleted with its counts lowered fits the growth record, and
+    # a member deleted with its counts lowered fits the growth record, and
     # would make `contains` answer "no" for a morphism of the closure
-    deleted = _without_record(blob, fourth[0])
+    deleted, _ = store_without_member(blob, 4)
     assert store_from_json({**deleted, "fixpoint": False}).growth[3] == (4, 27)
     with pytest.raises(ValueError, match="'fixpoint' is true, but closing its generators "
                        "again does not reach a fixpoint within 76 morphisms"):
         store_from_json(deleted)
     # two words of one length swapped: every count still fits
-    morphisms = [dict(rec) for rec in blob["morphisms"]]
-    a, b = morphisms[fourth[0]], morphisms[fourth[1]]
-    a["word"], b["word"] = b["word"], a["word"]
+    blocks = [{**block, "words": list(block["words"])} for block in blob["blocks"]]
+    block = next(block for block in blocks if block["lengths"].count(4) >= 2)
+    a, b = [k for k, n in enumerate(block["lengths"]) if n == 4][:2]
+    block["words"][a], block["words"][b] = block["words"][b], block["words"][a]
     with pytest.raises(ValueError, match="'fixpoint' is true, but closing its generators "
                        "again gives other morphisms"):
-        store_from_json({**blob, "morphisms": morphisms})
+        store_from_json({**blob, "blocks": blocks})
     # a seeded identity that is not the identity
     symbols = {**blob["symbols"], "id_IV": blob["symbols"]["sigma_12"]}
     with pytest.raises(ValueError, match="'fixpoint' is true, but its symbols"):
@@ -812,16 +824,25 @@ def test_a_fixpoint_store_its_generators_do_not_rebuild_is_refused(arity1_store)
 
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):
     blob = store_to_json(qubit_store)
-    assert blob["format"] == "toycat-store/3"
-    keys = [(tuple(rec["dom"]), tuple(rec["cod"]), tuple(rec["rows"])) for rec in blob["morphisms"]]
+    assert blob["format"] == "toycat-store/4"
+    keys = []
+    for block in blob["blocks"]:
+        n = len(block["rows"]) // len(block["words"])
+        assert len(block["rows"]) == n * len(block["words"]) == n * len(block["lengths"])
+        keys += [
+            (tuple(block["dom"]), tuple(block["cod"]), tuple(block["rows"][k:k + n]))
+            for k in range(0, len(block["rows"]), n)
+        ]
     assert keys == sorted(qubit_store.items)
+    # one block per shape
+    assert len(blob["blocks"]) == len({key[:2] for key in keys})
 
 
 def test_store_from_json_rejects_version_1(arity1_store):
-    for old in ("toycat-store/1", "toycat-store/2"):
+    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3"):
         blob = store_to_json(arity1_store)
         blob["format"] = old
-        with pytest.raises(ValueError, match=rf"'{old}'.*'toycat-store/3'"):
+        with pytest.raises(ValueError, match=rf"'{old}'.*'toycat-store/4'"):
             store_from_json(blob)
 
 
@@ -852,11 +873,50 @@ def test_store_record_round_trips_the_rows(rel):
     blob = json.loads(text)
     record = {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors), "rows": list(rel.rows)}
     assert blob["symbols"] == {"f": record}
-    assert blob["morphisms"] == [{**record, "word": "f", "length": 1}]
+    assert blob["blocks"] == [{**record, "words": ["f"], "lengths": [1]}]
     restored = store_from_json(blob)
     assert restored.symbols == {"f": rel}
     assert list(restored.items) == [rel.key]
     assert restored.items[rel.key].relation.pairs == rel.pairs
+    assert store_to_json_str(restored) == text
+
+
+STORE_OBJECTS = [UNIT, II, FinObject(3), II * FinObject(3), FinObject(9, 9)]
+
+
+@st.composite
+def mixed_stores(draw):
+    """A store of 1 to 12 morphisms between I, II, III, II x III and IX x IX.
+
+    Rows on IX x IX are up to 81 bits wide. Words are any text, so most
+    need `\\u` escapes, and `growth` counts the drawn lengths.
+    """
+    items = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        dom, cod = draw(st.sampled_from(STORE_OBJECTS)), draw(st.sampled_from(STORE_OBJECTS))
+        row = st.integers(min_value=0, max_value=(1 << dom.cardinality) - 1)
+        rows = draw(st.lists(row, min_size=cod.cardinality, max_size=cod.cardinality))
+        rel = Relation(dom, cod, tuple(rows))
+        word = draw(st.text(max_size=6))
+        items[rel.key] = StoredMorphism(rel, word, draw(st.integers(min_value=1, max_value=3)))
+    rounds = max(e.length for e in items.values())
+    lengths = [e.length for e in items.values()]
+    return MorphismStore(
+        config=ClosureConfig(max_arity=2, max_rounds=rounds),
+        symbols={"f": next(iter(items.values())).relation},
+        items=items,
+        rounds_run=rounds,
+        growth=[(r, lengths.count(r)) for r in range(1, rounds + 1)],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_stores())
+def test_store_text_round_trips_on_mixed_factor_stores(store):
+    text = store_to_json_str(store)
+    assert text == _reference_text(store)
+    restored = store_from_json(json.loads(text))
+    assert restored.items == store.items
     assert store_to_json_str(restored) == text
 
 

@@ -15,6 +15,7 @@ import toycat
 from toycat.cli import build_parser, main
 from toycat.models import spek
 from toycat.relcore import (
+    MAX_RELATION_CELLS,
     FinObject,
     Relation,
     ShapeMismatchError,
@@ -36,6 +37,8 @@ from toycat.terms import (
     parse_term,
     signature_of,
 )
+
+from oracle import store_without_member
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +268,7 @@ def test_cli_suite_qubit_passes(capsys):
 def test_cli_suite_qubit_does_not_read_the_store(tmp_path, capsys):
     # the qubit battery uses no store, so a malformed one must not matter
     path = tmp_path / "store.json"
-    path.write_text(json.dumps({"format": "toycat-store/3"}))
+    path.write_text(json.dumps({"format": "toycat-store/4"}))
     expected = run_cli(capsys, "suite", "qubit")
     assert run_cli(capsys, "suite", "qubit", "--store", str(path)) == expected
     assert expected[0] == 0
@@ -604,30 +607,61 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     )
     assert code == 0
     blob = json.loads(store_path.read_text())
-    assert blob["format"] == "toycat-store/3"
-    for old in ("toycat-store/1", "toycat-store/2"):
+    assert blob["format"] == "toycat-store/4"
+    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3"):
         store_path.write_text(json.dumps({**blob, "format": old}))
         code, out, err = run_cli(
             capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
         )
         assert code == 2 and out == ""
-        assert f"'{old}'" in err and "'toycat-store/3'" in err
+        assert f"'{old}'" in err and "'toycat-store/4'" in err
         assert "Traceback" not in err
 
 
-def _with_record(blob, index, **fields):
-    """`blob` with morphism record `index` updated by `fields` (None deletes one)."""
-    records = list(blob["morphisms"])
-    rec = {**records[index], **fields}
-    records[index] = {k: v for k, v in rec.items() if v is not None}
-    return {**blob, "morphisms": records}
+def _with_block(blob, index, **fields):
+    """`blob` with block `index` updated by `fields` (None deletes one)."""
+    blocks = list(blob["blocks"])
+    block = {**blocks[index], **fields}
+    blocks[index] = {k: v for k, v in block.items() if v is not None}
+    return {**blob, "blocks": blocks}
 
 
-def _two_endomorphisms(blob):
-    """Records 3 and 4, both IV -> IV, so they share one shape."""
-    first, second = blob["morphisms"][3:5]
-    assert first["dom"] == second["dom"] == first["cod"] == second["cod"] == [4]
-    return first, second
+# Block 3 of the cap-2 round-1 store: its 24 permutations of IV, 4 rows each.
+ENDO = 3
+
+
+def _endomorphisms(blob):
+    """Block ENDO, checked to be the IV -> IV block."""
+    block = blob["blocks"][ENDO]
+    assert block["dom"] == block["cod"] == [4] and len(block["words"]) == 24
+    return block
+
+
+def _with_row(blob, row):
+    """`blob` with the first row of block ENDO replaced by `row`."""
+    return _with_block(blob, ENDO, rows=[row, *_endomorphisms(blob)["rows"][1:]])
+
+
+def _with_members(blob, order):
+    """`blob` with block ENDO holding its members at the indices `order`."""
+    block = _endomorphisms(blob)
+    return _with_block(
+        blob, ENDO,
+        rows=[r for k in order for r in block["rows"][4 * k:4 * k + 4]],
+        words=[block["words"][k] for k in order],
+        lengths=[block["lengths"][k] for k in order],
+    )
+
+
+def _split(blob):
+    """`blob` with block ENDO cut into two blocks of one shape."""
+    block = _endomorphisms(blob)
+    first = {**block, "rows": block["rows"][:4], "words": block["words"][:1],
+             "lengths": block["lengths"][:1]}
+    rest = {**block, "rows": block["rows"][4:], "words": block["words"][1:],
+            "lengths": block["lengths"][1:]}
+    blocks = blob["blocks"]
+    return {**blob, "blocks": [*blocks[:ENDO], first, rest, *blocks[ENDO + 1:]]}
 
 
 @pytest.mark.parametrize(
@@ -637,8 +671,8 @@ def _two_endomorphisms(blob):
         (lambda blob: {k: v for k, v in blob.items() if k != "config"}, "lacks the field 'config'"),
         (lambda blob: {**blob, "config": [1]}, "field 'config' has the wrong type list"),
         (
-            lambda blob: {**blob, "morphisms": [{**blob["morphisms"][0], "word": 17}]},
-            "field 'word' has the wrong type int",
+            lambda blob: _with_block(blob, 0, words=[17]),
+            "field 'words' of block 0 holds 17, not a string",
         ),
         # bool("false") is true: read loosely, this store would claim a fixpoint
         (lambda blob: {**blob, "fixpoint": "false"}, "field 'fixpoint' has the wrong type str"),
@@ -657,67 +691,100 @@ def _two_endomorphisms(blob):
             "field 'max_rounds' has the wrong type bool",
         ),
         (
-            lambda blob: {**blob, "morphisms": [{**blob["morphisms"][0], "length": True}]},
-            "field 'length' has the wrong type bool",
+            lambda blob: _with_block(blob, 0, lengths=[True]),
+            "field 'lengths' of block 0 holds True, not an integer",
         ),
         (
             lambda blob: {**blob, "config": {**blob["config"], "max_rounds": 0}},
             "max_rounds must be None or >= 1",
         ),
-        (lambda blob: _with_record(blob, 0, rows=None), "lacks the field 'rows'"),
-        (lambda blob: _with_record(blob, 0, rows="0,0"), "field 'rows' has the wrong type str"),
+        (lambda blob: _with_block(blob, 0, rows=None), "lacks the field 'rows'"),
+        (lambda blob: _with_block(blob, 0, rows="0,0"), "field 'rows' has the wrong type str"),
         (
-            lambda blob: _with_record(blob, 3, rows=[1, 2, 4]),
-            "field 'rows' of morphism record 3 has 3 rows, but codomain IV has 4",
+            lambda blob: _with_block(blob, ENDO, rows=_endomorphisms(blob)["rows"][:-1]),
+            "field 'rows' of block 3 has 95 rows, but 24 member(s) on codomain IV need 96",
         ),
         (
-            lambda blob: _with_record(blob, 3, rows=[-1, 2, 4, 8]),
-            "field 'rows' of morphism record 3 has a row that is negative",
+            lambda blob: _with_row(blob, -1),
+            "field 'rows' of block 3 has a row that is negative",
         ),
         (
-            lambda blob: _with_record(blob, 3, rows=[16, 2, 4, 8]),
-            "field 'rows' of morphism record 3 has a row that is negative or has bits outside domain IV",
+            lambda blob: _with_row(blob, 16),
+            "field 'rows' of block 3 has a row that is negative or has bits outside domain IV",
         ),
+        (lambda blob: _with_row(blob, 1.0), "field 'rows' of block 3 holds 1.0, not an integer"),
+        (lambda blob: _with_row(blob, True), "field 'rows' of block 3 holds True, not an integer"),
+        (lambda blob: _with_row(blob, "1"), "field 'rows' of block 3 holds '1', not an integer"),
+        # (1, 4) == (True, 4) and (4,) == (4.0,) as dict keys: a shape seen
+        # with dom [1, 4] or [4] must not let [True, 4] or [4.0] through
         (
-            lambda blob: _with_record(blob, 3, rows=[1.0, 2, 4, 8]),
-            "field 'rows' of morphism record 3 holds 1.0, not an integer",
-        ),
-        (
-            lambda blob: _with_record(blob, 3, rows=[True, 2, 4, 8]),
-            "field 'rows' of morphism record 3 holds True, not an integer",
-        ),
-        (
-            lambda blob: _with_record(blob, 3, rows=["1", 2, 4, 8]),
-            "field 'rows' of morphism record 3 holds '1', not an integer",
-        ),
-        # (1, 4) == (True, 4) as a dict key: a shape seen with dom [1, 4]
-        # must not let [True, 4] through
-        (
-            lambda blob: {**blob, "morphisms": [
-                {**rec, "dom": [flag, *rec["dom"]]}
-                for rec, flag in zip(_two_endomorphisms(blob), (1, True))
+            lambda blob: {**blob, "blocks": [
+                {**block, "dom": [flag, *block["dom"]]}
+                for block, flag in zip(blob["blocks"][ENDO:ENDO + 2], (1, True))
             ]},
-            "field 'dom' of morphism record 1: factors must be integers",
+            "field 'dom' of block 1: factors must be integers",
         ),
         (
-            lambda blob: {**blob, "morphisms": [
-                {**rec, "dom": [factor, *rec["dom"]]}
-                for rec, factor in zip(_two_endomorphisms(blob), (4, 4.0))
+            lambda blob: {**blob, "blocks": [
+                {**block, "dom": [factor, *block["dom"]]}
+                for block, factor in zip(blob["blocks"][ENDO:ENDO + 2], (4, 4.0))
             ]},
-            "field 'dom' of morphism record 1: factors must be integers",
+            "field 'dom' of block 1: factors must be integers",
         ),
         (
-            lambda blob: {**blob, "morphisms": [blob["morphisms"][1], blob["morphisms"][0],
-                                                *blob["morphisms"][2:]]},
-            "field 'morphisms' lists record 1 out of key order",
+            lambda blob: {**blob, "blocks": [blob["blocks"][1], blob["blocks"][0],
+                                             *blob["blocks"][2:]]},
+            "field 'blocks' lists block 1 out of shape order",
         ),
         (
-            lambda blob: {**blob, "morphisms": [blob["morphisms"][0], *blob["morphisms"]]},
-            "field 'morphisms' repeats record 0 as record 1",
+            lambda blob: {**blob, "blocks": [blob["blocks"][0], *blob["blocks"]]},
+            "field 'blocks' repeats the shape of block 0 in block 1",
         ),
         (
             lambda blob: {**blob, "rounds_run": 2, "growth": [[1, 30], [2, 1]]},
             "field 'growth' says round 1 added 30 morphisms, but the file holds 31 of length 1",
+        ),
+        # the block form: its lists' counts, its members' order, its shape
+        (
+            lambda blob: _with_block(blob, 0, lengths=[1, 1]),
+            "block 0 has 1 words but 2 lengths",
+        ),
+        (
+            lambda blob: _with_block(blob, 0, words=["id_I", "id_I"]),
+            "block 0 has 2 words but 1 lengths",
+        ),
+        (
+            lambda blob: _with_block(blob, ENDO, rows=_endomorphisms(blob)["rows"] + [1, 2, 4, 8]),
+            "field 'rows' of block 3 has 100 rows, but 24 member(s) on codomain IV need 96",
+        ),
+        (lambda blob: _with_block(blob, 0, words="id_I"), "field 'words' has the wrong type str"),
+        (lambda blob: _with_block(blob, 0, lengths=1), "field 'lengths' has the wrong type int"),
+        (lambda blob: _with_block(blob, 0, lengths=None), "lacks the field 'lengths'"),
+        (
+            lambda blob: _with_block(blob, 0, rows=[], words=[], lengths=[]),
+            "block 0 has no members",
+        ),
+        (lambda blob: _split(blob), "field 'blocks' repeats the shape of block 3 in block 4"),
+        (lambda blob: {**blob, "blocks": [[]]}, "block 0 is not a JSON object"),
+        (lambda blob: {**blob, "blocks": {}}, "field 'blocks' has the wrong type dict"),
+        (
+            lambda blob: _with_members(blob, [1, 0, *range(2, 24)]),
+            "block 3 lists member 1 out of rows order",
+        ),
+        (
+            lambda blob: _with_members(blob, [0, 1, 1, *range(3, 24)]),
+            "block 3 repeats member 1 as member 2",
+        ),
+        # objects far too large to hold: only counts and bit lengths are compared
+        (
+            lambda blob: _with_block(blob, 1, cod=[10**12]),
+            "field 'rows' of block 1 has 4 rows, but 1 member(s) on codomain "
+            "1000000000000 need 1000000000000",
+        ),
+        (
+            lambda blob: _with_block(blob, 2, dom=[10**12], rows=[-1]),
+            "field 'rows' of block 2 has a row that is negative or has bits outside "
+            "domain 1000000000000",
         ),
     ],
     ids=["list", "no-config", "config-list", "word-int", "fixpoint-str", "growth-strings",
@@ -725,7 +792,10 @@ def _two_endomorphisms(blob):
          "max-arity-true", "max-rounds-true", "length-true", "max-rounds-zero",
          "rows-missing", "rows-str", "rows-short", "row-negative", "row-outside-domain",
          "row-float", "row-bool", "row-str", "dom-true-after-1", "dom-float-after-int",
-         "out-of-order", "repeated", "growth-per-round"],
+         "out-of-order", "repeated", "growth-per-round",
+         "lengths-long", "words-long", "rows-long", "words-str", "lengths-int",
+         "lengths-missing", "empty-block", "shape-split", "block-list", "blocks-dict",
+         "members-out-of-order", "member-repeated", "cod-huge", "dom-huge"],
 )
 def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
     store_path = tmp_path / "store.json"
@@ -777,22 +847,15 @@ def test_cli_contains_refuses_a_fixpoint_store_missing_a_record(tmp_path, capsys
                                 "pairs": [[j, i] for j in range(4) for i in range(4)]}))
     code, out, _ = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(full))
     assert code == 1 and json.loads(out)["contains"] == "no"
-    # one length-4 record deleted, and its round's count and the total lowered
-    blob = json.loads(store_path.read_text())
-    i = next(i for i, rec in enumerate(blob["morphisms"]) if rec["length"] == 4)
-    deleted = blob["morphisms"][i]
+    # one length-4 member deleted, and its round's count and the total lowered
+    cut, deleted = store_without_member(json.loads(store_path.read_text()), 4)
     rel = tmp_path / "deleted.json"
     rel.write_text(json.dumps(relation_to_json(
         Relation(FinObject(*deleted["dom"]), FinObject(*deleted["cod"]), tuple(deleted["rows"]))
     )))
     code, out, _ = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel))
     assert code == 0 and json.loads(out)["contains"] == "yes"
-    store_path.write_text(json.dumps({
-        **blob,
-        "morphisms": blob["morphisms"][:i] + blob["morphisms"][i + 1:],
-        "morphism_count": blob["morphism_count"] - 1,
-        "growth": [[r, n - (r == 4)] for r, n in blob["growth"]],
-    }))
+    store_path.write_text(json.dumps(cut))
     code, out, err = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -870,6 +933,26 @@ def test_cli_contains_refuses_a_bool_factor(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "factors must be integers" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dom, cod", [([4], [10**12]), ([10**12], [4])], ids=["cod", "dom"])
+def test_cli_contains_refuses_a_huge_relation_before_allocating(tmp_path, capsys, dom, cod):
+    # 10**12 rows, or rows of 10**12 bits: the shape's cell count is refused
+    # before any row is allocated, so no MemoryError is raised and caught
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    rel_path = tmp_path / "rel.json"
+    rel_path.write_text(json.dumps({"dom": dom, "cod": cod, "pairs": [[0, 0]]}))
+    code, out, err = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel_path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: malformed relation record: shape "
+        f"{FinObject(*dom)} -> {FinObject(*cod)} spans 4000000000000 cells, "
+        f"above MAX_RELATION_CELLS = {MAX_RELATION_CELLS}\n"
+    )
 
 
 def test_cli_close_out_file_holds_the_store_string(tmp_path, capsys):
