@@ -91,21 +91,30 @@ its morphisms, in shape order: the shape's factors once, then its
 members' rows as one flat list of JSON integers, member after member in
 rows order, with their words and lengths. So writing one builds no pairs,
 and reading one builds each shape's objects once and a few lists per
-shape, not per morphism. The reader checks each block with C-level scans
-(types, row range, counts, member order) and refuses blocks out of order,
-a shape in two blocks, rows that do not fit the shape, and growth counts
-that disagree with the lengths. `store_to_json_str` is the one writer. It
-writes the text of `json.dumps` with sorted keys and no spaces, but builds
-no JSON tree: each block is formatted straight from its members' keys, and
-each distinct row integer is turned into decimal once per call (a store
-holds few distinct rows). `store_to_json` is the parse of that text.
+shape, not per morphism; `store_from_json` lists what the reader checks.
+`store_to_json_str` is the one writer. It writes the text of `json.dumps`
+with sorted keys and no spaces, but builds no JSON tree: each block is
+formatted straight from its members' keys, and each distinct row integer
+is turned into decimal once per call (a store holds few distinct rows).
+`store_to_json` is the parse of that text.
 
-Objects are capped per side: every domain and codomain in the store has
-at most `max_arity` base factors, and composition never routes through an
-object above the cap because such objects never enter the store. Negative
-membership answers are only meaningful on a store that reached fixpoint;
-a store truncated by `max_rounds` or `max_morphisms` reports "unknown"
-for anything it does not contain.
+Objects are capped per side: every domain and codomain in the store, and in
+a store file's blocks and symbols, has at most `max_arity` base factors, and
+composition never routes through an object above the cap because such
+objects never enter the store. Negative membership answers are only
+meaningful on a store that reached fixpoint; a store truncated by
+`max_rounds` or `max_morphisms` reports "unknown" for anything it does not
+contain. A loaded fixpoint is proved by a certificate (`_check_closed`). A
+move on a codomain is a stored permutation of one base factor at one
+position, identities elsewhere, or a swap of two equal adjacent factors.
+(a) `symbols` holds the seeds, and every symbol and converse is stored; (b)
+every move maps each member into the store; (c) the composite r0 ; r1 and
+the product r0 x r1 (within the cap) of two representatives, each an
+orbit's least rows, are stored; (d) every word re-evaluates to its member
+with as many atoms as its length and no subterm outside the cap. Each
+member is g ; r, g a product of moves, so (g ; r0) x (h ; r1) =
+(g x h) ; (r0 x r1) and (g ; r0) ; (h ; r1) = (g ; k) ; (r ; r1), where
+r0 ; h = (h^ ; r0^)^ = k ; r by (a) and (b): the store is the closure.
 
 Practical note, measured on the standard four-element generators: the
 fragment with per-side arity up to 2 already holds tens of thousands of
@@ -135,7 +144,9 @@ from typing import Mapping
 from .relcore import (
     FinObject,
     Relation,
+    ShapeMismatchError,
     UNIT,
+    compose,
     dagger,
     identity,
     is_unitary,
@@ -143,6 +154,8 @@ from .relcore import (
     run_composer,
     spreads,
     structural_symbols,
+    swap,
+    tensor,
     tensor_rows,
 )
 from . import terms
@@ -786,8 +799,8 @@ def _typed_list(data: Mapping, name: str, kind: type, where: str) -> list:
     return values
 
 
-def _objects(rec, where: str) -> tuple[FinObject, FinObject]:
-    """The domain and codomain of a symbol record or block `rec`, checked.
+def _objects(rec, where: str, cap: int) -> tuple[FinObject, FinObject]:
+    """The domain and codomain of a symbol record or block `rec`, each of at most `cap` factors.
 
     `FinObject` refuses a factor that is not exactly an int of at least 1,
     so JSON `true` and 4.0 are refused, not read as 1 and 4.
@@ -802,6 +815,8 @@ def _objects(rec, where: str) -> tuple[FinObject, FinObject]:
         except ValueError as exc:
             raise ValueError(f"store file field {name!r} of {where}: {exc}") from None
     dom, cod = objects
+    if dom.arity > cap or cod.arity > cap:
+        raise ValueError(f"store file {where} has shape {dom} -> {cod}, outside arity cap {cap}")
     return dom, cod
 
 
@@ -828,10 +843,10 @@ def _rows(rec, members: int, dom: FinObject, cod: FinObject, where: str) -> list
     return rows
 
 
-def _symbol(rec, name) -> Relation:
+def _symbol(rec, name, cap: int) -> Relation:
     """The relation of the store file's symbol record `name`, checked."""
     where = f"symbol {name!r}"
-    dom, cod = _objects(rec, where)
+    dom, cod = _objects(rec, where, cap)
     return Relation._raw(dom, cod, tuple(_rows(rec, 1, dom, cod, where)))
 
 
@@ -842,14 +857,12 @@ def store_from_json(data: Mapping) -> MorphismStore:
     Blocks must come in strictly increasing shape order, each with at least
     one member, as many words and lengths as members, and its members in
     strictly increasing rows order; so a parsed store writes back the same
-    bytes and no morphism repeats. Each block is checked with C-level scans
-    of its lists (types, row range, row count, order), so the loop per
-    member only builds and inserts it. The counts must agree:
-    `morphism_count` and the sum of `growth` both equal the number of
-    members, and each round's `growth` count equals the number of members
-    of that length. A `fixpoint` flag must fit the growth record
-    (`_check_fixpoint`), and re-running the closure of the store's own
-    generators must give the same store (`_check_rebuild`).
+    bytes and no morphism repeats. No block or symbol may exceed `max_arity`
+    on a side. Each block is checked with C-level scans of its lists, so the
+    loop per member only builds and inserts it; `morphism_count` and
+    `growth` must agree with the lengths. A `fixpoint` flag must fit the
+    growth record (`_check_fixpoint`) and pass the certificate
+    (`_check_closed`); first-wins words and the growth are not replayed.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -867,7 +880,8 @@ def store_from_json(data: Mapping) -> MorphismStore:
             max_rounds=_typed(cfg, "max_rounds", (int, type(None))),
         )
         symbols = {
-            name: _symbol(rec, name) for name, rec in _typed(data, "symbols", dict).items()
+            name: _symbol(rec, name, config.max_arity)
+            for name, rec in _typed(data, "symbols", dict).items()
         }
         rounds_run = _typed(data, "rounds_run", int)
         store = MorphismStore(
@@ -881,7 +895,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
         last: tuple = ()
         for i, block in enumerate(_typed(data, "blocks", list)):
             where = f"block {i}"
-            dom, cod = _objects(block, where)
+            dom, cod = _objects(block, where, config.max_arity)
             shape = dom.factors, cod.factors
             if not shape > last:
                 raise ValueError(
@@ -935,7 +949,7 @@ def store_from_json(data: Mapping) -> MorphismStore:
             )
     if store.fixpoint:
         _check_fixpoint(store)
-        _check_rebuild(store)
+        _check_closed(store)
     return store
 
 
@@ -945,9 +959,7 @@ def _check_fixpoint(store: MorphismStore) -> None:
     `generate_closure` stops at a fixpoint only after running every round
     up to twice the last round that added a morphism (round 1 at least),
     all of them adding nothing, and only when `max_rounds` let it run that
-    far. The record shows whether that happened; it cannot show that the
-    rounds really found nothing, which `_check_rebuild` checks by re-running
-    them. This cheap check comes first and bounds that re-run.
+    far; `_check_closed` then proves that those rounds really found nothing.
     """
     last = max([1] + [r for r, n in store.growth if n])
     max_rounds = store.config.max_rounds
@@ -964,43 +976,81 @@ def _check_fixpoint(store: MorphismStore) -> None:
         )
 
 
-def _check_rebuild(store: MorphismStore) -> None:
-    """Refuse a fixpoint store that its own generators do not rebuild.
+def _check_closed(store: MorphismStore) -> None:
+    """Refuse a fixpoint store that fails a part of the module docstring's certificate."""
+    items, symbols, cap = store.items, store.symbols, store.config.max_arity
 
-    The generators are the store's `symbols` less the identities and swaps
-    that `generate_closure` seeds on their base factors at the store's cap.
-    The re-run stops one round after `rounds_run` and at the store's size,
-    so even for a wrong file it does no more work than building the store
-    did; it must reach a fixpoint with the same morphisms, growth and
-    symbols.
-    """
-    config = store.config
-    seeds = structural_symbols(_base_factors(store.symbols), config.max_arity)
-    generators = {n: rel for n, rel in store.symbols.items() if n not in seeds}
-    bounds = ClosureConfig(
-        max_arity=config.max_arity,
-        max_morphisms=min(config.max_morphisms, len(store)),
-        # at most config.max_rounds, as `_check_fixpoint` has checked
-        max_rounds=store.rounds_run + 1,
-    )
-    prefix = "store file field 'fixpoint' is true, but"
-    try:
-        rebuilt = generate_closure(generators, bounds)
-    except ValueError as exc:
-        raise ValueError(f"{prefix} its generators cannot be closed again: {exc}") from None
-    if rebuilt.symbols != store.symbols:
-        raise ValueError(f"{prefix} its symbols are not its generators' seeded symbols")
-    if not rebuilt.fixpoint:
-        raise ValueError(
-            f"{prefix} closing its generators again does not reach a fixpoint "
-            f"within {len(store)} morphisms and {store.rounds_run + 1} rounds"
-        )
-    if rebuilt.growth != store.growth or rebuilt.items != store.items:
-        raise ValueError(
-            f"{prefix} closing its generators again gives other morphisms "
-            f"(growth {[n for _, n in rebuilt.growth]}, "
-            f"not {[n for _, n in store.growth]})"
-        )
+    def fail(what: str) -> ValueError:
+        return ValueError(f"store file field 'fixpoint' is true, but {what}")
+
+    def require(shape: tuple, cands: list, what: str) -> None:
+        if not known.get(shape, set()).issuperset(cands):
+            raise fail(f"{what} in {FinObject(*shape[0])} -> {FinObject(*shape[1])} is not stored")
+
+    # (a); the converses in the pass that groups the members by shape
+    for name, rel in structural_symbols(_base_factors(symbols), cap).items():
+        if symbols.get(name) != rel:
+            raise fail(f"its symbols lack the seeded {name!r}")
+    for name, rel in symbols.items():
+        if rel.key not in items:
+            raise fail(f"its symbol {name!r} is not stored")
+    known, perms = defaultdict(set), defaultdict(list)  # rows per shape, permutations per factor
+    for (dom_f, cod_f, rows), entry in items.items():
+        if dagger(entry.relation).key not in items:
+            raise fail(f"the converse of {entry.word!r} is not stored")
+        known[dom_f, cod_f].add(rows)
+        if len(dom_f) == 1 and dom_f == cod_f and is_unitary(entry.relation):
+            perms[dom_f[0]].append(entry.relation)
+    # (b), then one representative per orbit of the moves: its least rows
+    reps: dict[tuple, list] = {}
+    for shape, seen in known.items():
+        run, cod_f, moves = sorted(seen), shape[1], []
+        for i, f in enumerate(cod_f):
+            pair = [swap(FinObject(f), FinObject(f))] if cod_f[i + 1:i + 2] == (f,) else []
+            for p in perms[f] + pair:
+                left, right = FinObject(*cod_f[:i]), FinObject(*cod_f[i + p.cod.arity:])
+                moves.append(run_composer(tensor(tensor(identity(left), p), identity(right)).rows))
+                require(shape, moves[-1](run), f"the image of a member under a move at factor {i}")
+        reps[shape], covered = [], set()
+        for rows in run:
+            if rows not in covered:
+                reps[shape].append(rows)
+                covered |= reachable(moves, [rows])
+    # (c), a left representative prepared once for each right run
+    for (d0, c0), reps0 in reps.items():
+        for r0 in reps0:
+            after, w0 = run_composer(r0), items[d0, c0, r0].word
+            for (d1, c1), reps1 in reps.items():
+                if c1 == d0:
+                    require((d1, c0), after(reps1), f"a composite ({w0}) ; r1 of representatives")
+                if len(d0 + d1) <= cap and len(c0 + c1) <= cap:
+                    fspreads = spreads(r0, FinObject(*d1).cardinality)
+                    cands = [tensor_rows(fspreads, r1) for r1 in reps1]
+                    require((d0 + d1, c0 + c1), cands, f"a product ({w0}) x r1 of representatives")
+    # (d); the symbols fit the cap, and only a product can leave it
+    def walk(term: terms.Term) -> tuple[Relation, int]:
+        if isinstance(term, terms.Atom):
+            return symbols[term.name], 1
+        if isinstance(term, terms.Dagger):
+            rel, atoms = walk(term.arg)
+            return dagger(rel), atoms
+        if isinstance(term, terms.Compose):
+            (a, m), (b, n) = walk(term.outer), walk(term.inner)
+            return compose(a, b), m + n
+        (a, m), (b, n) = walk(term.left), walk(term.right)
+        if a.dom.arity + b.dom.arity > cap or a.cod.arity + b.cod.arity > cap:
+            raise ValueError(f"a product has shape {a.dom * b.dom} -> {a.cod * b.cod}")
+        return tensor(a, b), m + n
+
+    for key, entry in items.items():
+        try:
+            rel, atoms = walk(terms.parse_term(entry.word))
+        except (ValueError, ShapeMismatchError, KeyError, RecursionError) as exc:
+            raise fail(f"its word {entry.word!r} does not evaluate in cap {cap}: {exc}") from None
+        if rel.key != key:
+            raise fail(f"its word {entry.word!r} evaluates to another morphism")
+        if atoms != entry.length:
+            raise fail(f"its word {entry.word!r} has {atoms} atoms, not its length {entry.length}")
 
 
 def _growth(data: Mapping, rounds_run: int) -> list[tuple[int, int]]:

@@ -3,11 +3,12 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from toycat import closure
 from toycat.closure import (
@@ -805,21 +806,155 @@ def test_a_fixpoint_store_its_generators_do_not_rebuild_is_refused(arity1_store)
     # would make `contains` answer "no" for a morphism of the closure
     deleted, _ = store_without_member(blob, 4)
     assert store_from_json({**deleted, "fixpoint": False}).growth[3] == (4, 27)
-    with pytest.raises(ValueError, match="'fixpoint' is true, but closing its generators "
-                       "again does not reach a fixpoint within 76 morphisms"):
+    with pytest.raises(ValueError, match="'fixpoint' is true, but the converse of "):
         store_from_json(deleted)
     # two words of one length swapped: every count still fits
     blocks = [{**block, "words": list(block["words"])} for block in blob["blocks"]]
     block = next(block for block in blocks if block["lengths"].count(4) >= 2)
     a, b = [k for k, n in enumerate(block["lengths"]) if n == 4][:2]
     block["words"][a], block["words"][b] = block["words"][b], block["words"][a]
-    with pytest.raises(ValueError, match="'fixpoint' is true, but closing its generators "
-                       "again gives other morphisms"):
+    with pytest.raises(ValueError, match="'fixpoint' is true, but its word .* evaluates to "
+                       "another morphism"):
         store_from_json({**blob, "blocks": blocks})
     # a seeded identity that is not the identity
     symbols = {**blob["symbols"], "id_IV": blob["symbols"]["sigma_12"]}
     with pytest.raises(ValueError, match="'fixpoint' is true, but its symbols"):
         store_from_json({**blob, "symbols": symbols})
+
+
+@pytest.fixture(scope="module")
+def eps_cap2_store():
+    """The cap-2 closure of eps_Z alone: its only permutation of IV is the identity."""
+    _, _, eps_z = spek_generators()
+    return generate_closure({"eps_Z": eps_z}, ClosureConfig(max_arity=2))
+
+
+def test_the_closure_certificate_accepts_the_fixpoints(
+    arity1_store, qubit_store, eps_cap2_store, arity1_gens, monkeypatch
+):
+    capped = generate_closure(arity1_gens, ClosureConfig(max_arity=1, max_morphisms=77))
+    stores = (arity1_store, qubit_store, capped, eps_cap2_store)
+    assert [len(store) for store in stores] == [77, 92, 77, 20]
+    texts = [store_to_json_str(store) for store in stores]
+    # the load proves the fixpoint without closing anything again
+    monkeypatch.setattr(closure, "generate_closure", None)
+    for store, text in zip(stores, texts):
+        assert store.fixpoint
+        loaded = store_from_json(json.loads(text))
+        assert loaded.fixpoint and store_to_json_str(loaded) == text
+        assert contains(loaded, Relation(IV, IV, (15,) * 4)).status == "no"
+
+
+def _blob_without(store: MorphismStore, doomed) -> dict:
+    """The file tree of `store` less the members keyed in `doomed`, its counts lowered."""
+    lengths = [store.items[key].length for key in doomed]
+    cut = dataclasses.replace(
+        store, items={k: e for k, e in store.items.items() if k not in doomed},
+        growth=[(r, n - lengths.count(r)) for r, n in store.growth],
+    )
+    return json.loads(store_to_json_str(cut))
+
+
+def _blob_with_word(store: MorphismStore, word: str, new_word: str, new_length: int) -> dict:
+    """The file tree of `store` with the member of `word` given another word
+    and length, its growth moved to fit."""
+    entry = next(e for e in store.items.values() if e.word == word)
+    moved = StoredMorphism(entry.relation, new_word, new_length)
+    items = {**store.items, entry.relation.key: moved}
+    growth = [(r, n - (r == entry.length) + (r == new_length)) for r, n in store.growth]
+    return json.loads(store_to_json_str(dataclasses.replace(store, items=items, growth=growth)))
+
+
+def _blob_without_symbol(store: MorphismStore, name: str) -> dict:
+    """The file tree of `store` less the symbol `name`; its member stays."""
+    blob = store_to_json(store)
+    return {**blob, "symbols": {n: rec for n, rec in blob["symbols"].items() if n != name}}
+
+
+def _padded_round2_blob() -> dict:
+    """The cap-2 round-2 store flagged as a fixpoint: its growth record fits one."""
+    store = generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=2))
+    blob = store_to_json(store)
+    return {**blob, "fixpoint": True, "rounds_run": 4,
+            "config": {**blob["config"], "max_rounds": None},
+            "growth": [[1, 31], [2, 737], [3, 0], [4, 0]]}
+
+
+def _product_orbit(eps_z: Relation) -> set:
+    """The keys of id_IV x eps_Z^, its move eps_Z^ x id_IV, and their converses."""
+    made = (tensor(identity(IV), dagger(eps_z)), tensor(dagger(eps_z), identity(IV)))
+    return {rel.key for m in made for rel in (m, dagger(m))}
+
+
+# Each store passes `_check_fixpoint` but is not closed, and the part of the
+# closure certificate named above it refuses it first, as the message shows.
+@pytest.mark.parametrize(
+    "fixture, mangle, message",
+    [
+        # (a): a seeded swap gone from the symbols; the arity-1 cut store, one
+        # length-4 member gone and its converse kept; a symbol gone, sigma_12,
+        # its own converse
+        ("eps_cap2_store", lambda s: _blob_without_symbol(s, "swap_IV_IV"),
+         "its symbols lack the seeded 'swap_IV_IV'"),
+        ("arity1_store", lambda s: store_without_member(store_to_json(s), 4)[0],
+         "the converse of .* is not stored"),
+        ("arity1_store", lambda s: _blob_without(s, {s.symbols["sigma_12"].key}),
+         "its symbol 'sigma_12' is not stored"),
+        # (b): psi ; psi^ for psi = {0, 1} is not the least of its orbit, and is
+        # its own converse, so only a move shows the hole; the cap-2 round-2
+        # store, which is not closed
+        ("arity1_store", lambda s: _blob_without(s, {((4,), (4,), (3, 3, 0, 0))}),
+         r"the image of a member under a move at factor 0 in IV -> IV is not stored"),
+        (None, lambda _: _padded_round2_blob(),
+         r"the image of a member under a move at factor 0 in I -> IVxIV is not stored"),
+        # (c): the empty scalar, a composite of an effect after a state; and a
+        # product's whole orbit with its converses
+        ("arity1_store", lambda s: _blob_without(s, {((), (), (0,))}),
+         r"a composite \(.*\) ; r1 of representatives in I -> I is not stored"),
+        ("eps_cap2_store", lambda s: _blob_without(s, _product_orbit(s.symbols["eps_Z"])),
+         r"a product \(.*\) x r1 of representatives in IV -> IVxIV is not stored"),
+        # (d): a word of another morphism; a word with more atoms than its
+        # length; a word of id_IV, its length 4, that passes through IV x IV,
+        # above cap 1
+        ("arity1_store", lambda s: _blob_with_word(s, "id_IV", "sigma_12", 1),
+         "its word 'sigma_12' evaluates to another morphism"),
+        ("arity1_store", lambda s: _blob_with_word(s, "id_IV", "id_IV ; id_IV", 1),
+         "its word 'id_IV ; id_IV' has 2 atoms, not its length 1"),
+        ("arity1_store",
+         lambda s: _blob_with_word(s, "id_IV", "(id_IV x eps_Z) ; (id_IV x eps_Z^)", 4),
+         re.escape("its word '(id_IV x eps_Z) ; (id_IV x eps_Z^)' does not evaluate in cap "
+                   "1: a product has shape IVxIV -> IV")),
+        # a word nested too deep to parse is refused like any other bad word
+        ("arity1_store", lambda s: _blob_with_word(s, "id_IV", "(" * 400 + "id_IV" + ")" * 400, 1),
+         "its word .* does not evaluate in cap 1: maximum recursion depth exceeded"),
+    ],
+    ids=["seed", "cut", "symbol", "orbit-member", "round-2", "composite", "product",
+         "wrong-word", "atoms", "word-above-cap", "word-too-deep"],
+)
+def test_the_closure_certificate_refuses_a_store_that_is_not_closed(
+    fixture, mangle, message, request
+):
+    blob = mangle(request.getfixturevalue(fixture) if fixture else None)
+    assert not store_from_json({**blob, "fixpoint": False}).fixpoint
+    with pytest.raises(ValueError, match="^store file field 'fixpoint' is true, but " + message):
+        store_from_json(blob)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_generators(), st.integers(min_value=1, max_value=2), st.randoms())
+def test_mixed_factor_fixpoints_load_and_refuse_a_lost_member(gens, cap, rng):
+    # codomains such as II x III, where a swap of unequal factors would
+    # change the shape, so it is not a move; a member lost from a closure
+    # leaves a store that is not closed, whatever the member
+    gens = {n: rel for n, rel in gens.items() if max(rel.dom.arity, rel.cod.arity) <= cap}
+    assume(gens)
+    store = generate_closure(gens, ClosureConfig(max_arity=cap, max_morphisms=2000))
+    assume(store.fixpoint)
+    text = store_to_json_str(store)
+    assert store_to_json_str(store_from_json(json.loads(text))) == text
+    for key in rng.sample(sorted(store.items), min(4, len(store))):
+        with pytest.raises(ValueError, match="^store file field 'fixpoint' is true, but"):
+            store_from_json(_blob_without(store, {key}))
 
 
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):

@@ -786,6 +786,22 @@ def _split(blob):
             "field 'rows' of block 2 has a row that is negative or has bits outside "
             "domain 1000000000000",
         ),
+        # shapes above the file's own arity cap, which no build of it can store:
+        # the IV -> I block moved to IV^7 -> I, its rows still in range
+        (
+            lambda blob: {**blob, "blocks": sorted(
+                ({**block, "dom": [4] * 7} if (block["dom"], block["cod"]) == ([4], []) else block
+                 for block in blob["blocks"]),
+                key=lambda block: (block["dom"], block["cod"]),
+            )},
+            "store file block 6 has shape IVxIVxIVxIVxIVxIVxIV -> I, outside arity cap 2",
+        ),
+        (
+            lambda blob: {**blob, "symbols": {
+                **blob["symbols"], "wide": {"dom": [4, 4, 4], "cod": [], "rows": [1]},
+            }},
+            "store file symbol 'wide' has shape IVxIVxIV -> I, outside arity cap 2",
+        ),
     ],
     ids=["list", "no-config", "config-list", "word-int", "fixpoint-str", "growth-strings",
          "growth-rounds", "growth-sum", "morphism-count", "rounds-run-true",
@@ -795,7 +811,8 @@ def _split(blob):
          "out-of-order", "repeated", "growth-per-round",
          "lengths-long", "words-long", "rows-long", "words-str", "lengths-int",
          "lengths-missing", "empty-block", "shape-split", "block-list", "blocks-dict",
-         "members-out-of-order", "member-repeated", "cod-huge", "dom-huge"],
+         "members-out-of-order", "member-repeated", "cod-huge", "dom-huge",
+         "block-outside-cap", "symbol-outside-cap"],
 )
 def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
     store_path = tmp_path / "store.json"
@@ -859,7 +876,7 @@ def test_cli_contains_refuses_a_fixpoint_store_missing_a_record(tmp_path, capsys
     code, out, err = run_cli(capsys, "contains", "--store", str(store_path), "--rel", str(rel))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "'fixpoint' is true, but closing its generators again" in err
+    assert "'fixpoint' is true, but the converse of " in err
     assert "Traceback" not in err
 
 
