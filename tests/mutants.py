@@ -1,0 +1,167 @@
+"""Committed mutation checks: each row's mutant must fail the tests it names.
+
+    python3 tests/mutants.py              # every row
+    python3 tests/mutants.py ROW_ID ...   # the rows named
+
+A row holds an id, a file under `src/`, an exact old text, the new text
+that replaces it, and the pytest node ids that must fail. For each row the
+script copies `src/` to a temporary directory, applies the mutation there
+and runs pytest on the named node ids against that copy only. A row is
+
+- killed when every named test fails;
+- survived when any named test passes;
+- stale when its old text is not found exactly once in its file, or
+  pytest cannot run the named tests (a node id that no longer exists).
+
+It prints one line per row and exits 1 on any survivor or stale row, so a
+mutant that no longer applies is reported, not skipped. Stdlib only; the
+file name keeps pytest from collecting it. A change that claims "this
+mutation fails a test" adds its row here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLOSURE = "toycat/closure.py"
+NOT_CLOSED = "tests/test_closure.py::test_the_closure_certificate_refuses_a_store_that_is_not_closed"
+MALFORMED = "tests/test_terms_cli.py::test_cli_contains_names_a_malformed_store"
+FIXPOINT_FLAG = "tests/test_closure.py::test_fixpoint_stores_load_and_a_contradicted_flag_is_refused"
+
+# (id, file under src/, old text, new text, node ids that must fail)
+ROWS = [
+    # the stopping rule: an empty round ends the build only with (a) to (c)
+    ("engine-fixpoint-without-certificate", CLOSURE,
+     "if not added and not overflow and next(_check_closed(store), None) is None:",
+     "if not added and not overflow:",
+     ["tests/test_closure.py::test_an_empty_round_before_the_last_growth_does_not_end_the_build"]),
+    ("growth-rule-twice-the-last-round", CLOSURE,
+     "if store.rounds_run != last + 1:",
+     "if store.rounds_run != 2 * last:",
+     [FIXPOINT_FLAG,
+      "tests/test_closure.py::test_the_closure_certificate_accepts_the_fixpoints"]),
+    ("growth-rule-max-rounds-at-rounds-run", CLOSURE,
+     "if max_rounds is not None and max_rounds < store.rounds_run:",
+     "if max_rounds is not None and max_rounds <= store.rounds_run:",
+     [FIXPOINT_FLAG]),
+    # (d) over the two stored halves
+    ("words-ignore-halves-lengths", CLOSURE,
+     "if a.length + b.length != length:",
+     "if False:",
+     [f"{NOT_CLOSED}[halves-lengths]"]),
+    ("words-trust-the-halves", CLOSURE,
+     'return (compose if split[1] == ";" else tensor)(a.relation, b.relation)',
+     "return entry.relation",
+     [f"{NOT_CLOSED}[halves-make-another]",
+      "tests/test_closure.py::test_a_fixpoint_store_its_generators_do_not_rebuild_is_refused"]),
+    ("words-trust-a-symbol", CLOSURE,
+     "return symbols[name] if name == word else dagger(symbols[name])",
+     "return entry.relation",
+     [f"{NOT_CLOSED}[wrong-word]"]),
+    ("words-ignore-the-brackets", CLOSURE,
+     'if a is None or b is None or word[0] + word[-1] != "()":',
+     "if a is None or b is None:",
+     [f"{NOT_CLOSED}[halves-unbracketed]"]),
+    ("words-skip-the-meet-check", CLOSURE,
+     'if split[1] == ";" and a.relation.dom is not b.relation.cod:',
+     "if False:",
+     [f"{NOT_CLOSED}[halves-do-not-meet]"]),
+    ("words-in-key-order", CLOSURE,
+     "sorted(store.items.items(), key=lambda item: item[1].length)",
+     "store.items.items()",
+     [f"{NOT_CLOSED}[wrong-word]"]),
+    ("load-skips-the-identifier-check", CLOSURE,
+     'if not _is_identifier(name):\n        raise ValueError(f"store file {where} is not',
+     'if False:\n        raise ValueError(f"store file {where} is not',
+     ["tests/test_terms_cli.py::test_cli_contains_refuses_a_store_symbol_that_is_not_an_identifier[a b]",
+      "tests/test_terms_cli.py::test_cli_contains_refuses_a_store_symbol_that_is_not_an_identifier[f^]"]),
+    # (a) to (c), each part dropped in turn
+    ("closed-skips-the-seeds", CLOSURE,
+     "if symbols.get(name) != rel:",
+     "if False:",
+     [f"{NOT_CLOSED}[seed]"]),
+    ("closed-skips-stored-symbols", CLOSURE,
+     "if rel.key not in items:",
+     "if False:",
+     [f"{NOT_CLOSED}[symbol]"]),
+    ("closed-skips-converses", CLOSURE,
+     "if dagger(entry.relation).key not in items:",
+     "if False:",
+     [f"{NOT_CLOSED}[cut]",
+      "tests/test_terms_cli.py::test_cli_contains_refuses_a_fixpoint_store_missing_a_record"]),
+    ("closed-skips-moves", CLOSURE,
+     "yield from holes(shape, moves[-1](run),",
+     "yield from holes(shape, [],",
+     [f"{NOT_CLOSED}[orbit-member]", f"{NOT_CLOSED}[round-2]"]),
+    ("closed-skips-composites", CLOSURE,
+     "yield from holes((d1, c0), after(reps1),",
+     "yield from holes((d1, c0), [],",
+     [f"{NOT_CLOSED}[composite]"]),
+    ("closed-skips-products", CLOSURE,
+     "yield from holes((d0 + d1, c0 + c1), cands,",
+     "yield from holes((d0 + d1, c0 + c1), [],",
+     [f"{NOT_CLOSED}[product]"]),
+    # the reader's cap check on blocks and symbols
+    ("load-skips-the-cap-check", CLOSURE,
+     "if dom.arity > cap or cod.arity > cap:",
+     "if False:",
+     [f"{MALFORMED}[block-outside-cap]", f"{MALFORMED}[symbol-outside-cap]"]),
+]
+
+
+def run_row(row) -> tuple[str, str]:
+    """`(verdict, detail)` for one row: killed, survived or stale."""
+    _, path, old, new, node_ids = row
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "stale", f"old text found {text.count(old)} times in {path}"
+        target.write_text(text.replace(old, new))
+        proc = subprocess.run(
+            # the ini file's `pythonpath` would put the checkout's src/ first
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             "-o", f"pythonpath={src}", *node_ids],
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True,
+        )
+    if proc.returncode not in (0, 1):
+        return "stale", f"pytest exited {proc.returncode}: {proc.stdout.strip().splitlines()[-1:]}"
+    failed = {
+        line.split(" - ")[0].removeprefix("FAILED ")
+        for line in proc.stdout.splitlines() if line.startswith("FAILED ")
+    }
+    passed = [n for n in node_ids if n not in failed]
+    if passed:
+        return "survived", "passed: " + ", ".join(passed)
+    return "killed", f"{len(node_ids)} test(s) failed"
+
+
+def main(argv: list[str]) -> int:
+    known = {row[0] for row in ROWS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown row id(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for row in ROWS:
+        if argv and row[0] not in argv:
+            continue
+        verdict, detail = run_row(row)
+        bad += verdict != "killed"
+        print(f"{verdict:<8} {row[0]}: {detail}", flush=True)
+    print(f"{bad} row(s) survived or stale" if bad else "every mutant killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -238,7 +238,7 @@ def test_morphism_cap_flags_non_fixpoint(arity1_gens):
         # round 2 fills the cap exactly; round 3 finds it full and adds nothing
         (38, [(1, 27), (2, 11), (3, 0)], False),
         # the whole fixpoint fits
-        (77, [(1, 27), (2, 11), (3, 11), (4, 28), (5, 0), (6, 0), (7, 0), (8, 0)], True),
+        (77, [(1, 27), (2, 11), (3, 11), (4, 28), (5, 0)], True),
     ],
 )
 def test_morphism_cap_edges(arity1_gens, cap, growth, fixpoint):
@@ -778,16 +778,17 @@ def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
 ):
     capped = generate_closure(arity1_gens, ClosureConfig(max_arity=1, max_morphisms=77))
     for store in (arity1_store, qubit_store, capped):
-        assert store.fixpoint and store.rounds_run == 2 * max(r for r, n in store.growth if n)
+        # the build ends at the first round after the last that added morphisms
+        assert store.fixpoint and store.rounds_run == max(r for r, n in store.growth if n) + 1
         blob = json.loads(store_to_json_str(store))
         loaded = store_from_json(blob)
         assert store_to_json_str(loaded) == store_to_json_str(store)
         widest = max((cod for _, cod, _ in store.items), key=len)
         assert contains(loaded, identity(FinObject(*widest * 2))).status == "no"
-        # max_rounds one above rounds_run still lets the run find its fixpoint
-        edited = {**blob, "config": {**blob["config"], "max_rounds": store.rounds_run + 1}}
+        # max_rounds equal to rounds_run let the run reach its empty round
+        edited = {**blob, "config": {**blob["config"], "max_rounds": store.rounds_run}}
         assert store_from_json(edited).fixpoint
-        stopped = {**blob, "config": {**blob["config"], "max_rounds": store.rounds_run}}
+        stopped = {**blob, "config": {**blob["config"], "max_rounds": store.rounds_run - 1}}
         with pytest.raises(ValueError, match="'fixpoint' is true, but max_rounds"):
             store_from_json(stopped)
         # one more empty round, or one fewer, is not where the run stops
@@ -798,6 +799,47 @@ def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
             with pytest.raises(ValueError, match="'fixpoint' is true, but the last round"):
                 store_from_json(bad)
         assert not store_from_json({**longer, "fixpoint": False}).fixpoint
+
+
+def test_a_round_cap_at_the_empty_round_still_reaches_the_fixpoint(arity1_gens, arity1_store):
+    # rounds 1 to 4 add morphisms; round 5 adds none and ends the build
+    reached = generate_closure(arity1_gens, ClosureConfig(max_arity=1, max_rounds=5))
+    assert reached.fixpoint and reached.growth == arity1_store.growth
+    assert reached.items == arity1_store.items
+    cut = generate_closure(arity1_gens, ClosureConfig(max_arity=1, max_rounds=4))
+    assert not cut.fixpoint and cut.rounds_run == 4 and set(cut.items) == set(arity1_store.items)
+
+
+def test_an_empty_round_before_the_last_growth_does_not_end_the_build():
+    # round 9 adds nothing, but the store is not closed: round 10 pairs
+    # lengths that round 9 did not, and adds two
+    store = generate_closure({"g": Relation(FinObject(3), II * II, (1, 0, 5, 1))},
+                             ClosureConfig(max_arity=2))
+    assert [n for _, n in store.growth] == [13, 4, 9, 14, 10, 11, 12, 4, 0, 2, 0]
+    assert store.fixpoint and store.rounds_run == 11
+    reference = set().union(*closure_rounds_oracle(store.symbols, 2, 20))
+    assert {closure_member(e.relation) for e in store.items.values()} == reference
+    # the store as round 9 left it fits the growth rule, and the certificate refuses it
+    cut = dataclasses.replace(
+        store, items={k: e for k, e in store.items.items() if e.length < 10},
+        growth=store.growth[:9], rounds_run=9,
+    )
+    with pytest.raises(ValueError, match=r"^store file field 'fixpoint' is true, but a product"):
+        store_from_json(json.loads(store_to_json_str(cut)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixed_generators(), st.integers(min_value=1, max_value=2))
+def test_an_unbounded_build_stops_the_round_after_its_last_growth(gens, cap):
+    gens = {n: rel for n, rel in gens.items() if max(rel.dom.arity, rel.cod.arity) <= cap}
+    assume(gens)
+    store = generate_closure(gens, ClosureConfig(max_arity=cap, max_morphisms=300))
+    assume(store.fixpoint)
+    last = max(r for r, n in store.growth if n)
+    assert store.rounds_run == last + 1 and store.growth[-1] == (last + 1, 0)
+    # the rule it replaced ran every round up to twice the last growing one
+    reference = set().union(*closure_rounds_oracle(store.symbols, cap, 2 * last))
+    assert {closure_member(e.relation) for e in store.items.values()} == reference
 
 
 def test_a_fixpoint_store_its_generators_do_not_rebuild_is_refused(arity1_store):
@@ -875,9 +917,9 @@ def _padded_round2_blob() -> dict:
     """The cap-2 round-2 store flagged as a fixpoint: its growth record fits one."""
     store = generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=2))
     blob = store_to_json(store)
-    return {**blob, "fixpoint": True, "rounds_run": 4,
+    return {**blob, "fixpoint": True, "rounds_run": 3,
             "config": {**blob["config"], "max_rounds": None},
-            "growth": [[1, 31], [2, 737], [3, 0], [4, 0]]}
+            "growth": [[1, 31], [2, 737], [3, 0]]}
 
 
 def _product_orbit(eps_z: Relation) -> set:
@@ -914,22 +956,41 @@ def _product_orbit(eps_z: Relation) -> set:
         ("eps_cap2_store", lambda s: _blob_without(s, _product_orbit(s.symbols["eps_Z"])),
          r"a product \(.*\) x r1 of representatives in IV -> IVxIV is not stored"),
         # (d): a word of another morphism; a word with more atoms than its
-        # length; a word of id_IV, its length 4, that passes through IV x IV,
-        # above cap 1
+        # length; a word of sigma_13, its length 4, that passes through IV x
+        # IV, above cap 1, so its halves are no stored words
         ("arity1_store", lambda s: _blob_with_word(s, "id_IV", "sigma_12", 1),
          "its word 'sigma_12' evaluates to another morphism"),
         ("arity1_store", lambda s: _blob_with_word(s, "id_IV", "id_IV ; id_IV", 1),
-         "its word 'id_IV ; id_IV' has 2 atoms, not its length 1"),
+         re.escape("its word 'id_IV ; id_IV' is no symbol, converse or (a) op (b) of stored words")),
         ("arity1_store",
-         lambda s: _blob_with_word(s, "id_IV", "(id_IV x eps_Z) ; (id_IV x eps_Z^)", 4),
-         re.escape("its word '(id_IV x eps_Z) ; (id_IV x eps_Z^)' does not evaluate in cap "
-                   "1: a product has shape IVxIV -> IV")),
-        # a word nested too deep to parse is refused like any other bad word
+         lambda s: _blob_with_word(s, "sigma_13", "(sigma_13 x eps_Z) ; (id_IV x eps_Z^)", 4),
+         re.escape("its word '(sigma_13 x eps_Z) ; (id_IV x eps_Z^)' is no symbol, converse or "
+                   "(a) op (b) of stored words")),
+        # a word nested 400 deep is refused like any other bad word
         ("arity1_store", lambda s: _blob_with_word(s, "id_IV", "(" * 400 + "id_IV" + ")" * 400, 1),
-         "its word .* does not evaluate in cap 1: maximum recursion depth exceeded"),
+         r"its word '\(\(\(.*' is no symbol, converse or \(a\) op \(b\) of stored words"),
+        # halves whose lengths add up to 2, not 3
+        ("arity1_store",
+         lambda s: _blob_with_word(s, "(sigma_12) ; (eps_Z^)", "(sigma_12) ; (eps_Z^)", 3),
+         re.escape("its word '(sigma_12) ; (eps_Z^)' has length 3, but halves of 1 and 1")),
+        # the word re-evaluates to sigma_13, but sigma_13^ is no stored word:
+        # sigma_13 is its own converse
+        ("arity1_store", lambda s: _blob_with_word(s, "sigma_13", "(sigma_13^) ; (id_IV)", 2),
+         re.escape("its word '(sigma_13^) ; (id_IV)' is no symbol, converse or (a) op (b)")),
+        # two stored permutations whose composite is sigma_123, given to sigma_132
+        ("arity1_store", lambda s: _blob_with_word(s, "sigma_132", "(sigma_12) ; (sigma_23)", 2),
+         re.escape("its word '(sigma_12) ; (sigma_23)' evaluates to another morphism")),
+        # an effect after an effect: IV -> I after IV -> I
+        ("arity1_store", lambda s: _blob_with_word(s, "(eps_Z^) ; (eps_Z)", "(eps_Z) ; (eps_Z)", 2),
+         re.escape("its word '(eps_Z) ; (eps_Z)' composes halves whose objects do not meet")),
+        # the halves of a stored composite, but not inside its brackets
+        ("arity1_store",
+         lambda s: _blob_with_word(s, "(sigma_12) ; (eps_Z^)", "[sigma_12) ; (eps_Z^]", 2),
+         re.escape("its word '[sigma_12) ; (eps_Z^]' is no symbol, converse or (a) op (b)")),
     ],
     ids=["seed", "cut", "symbol", "orbit-member", "round-2", "composite", "product",
-         "wrong-word", "atoms", "word-above-cap", "word-too-deep"],
+         "wrong-word", "atoms", "word-above-cap", "word-too-deep", "halves-lengths",
+         "half-not-stored", "halves-make-another", "halves-do-not-meet", "halves-unbracketed"],
 )
 def test_the_closure_certificate_refuses_a_store_that_is_not_closed(
     fixture, mangle, message, request

@@ -829,6 +829,25 @@ def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["a b", "f^"])
+def test_cli_contains_refuses_a_store_symbol_that_is_not_an_identifier(tmp_path, capsys, name):
+    # a length-1 word must be one atom or its converse, so no symbol may be
+    # named like a term; a store that is not a fixpoint is refused too
+    store_path = tmp_path / "store.json"
+    code, _, _ = run_cli(
+        capsys, "close", "--max-arity", "2", "--max-rounds", "1", "--out", str(store_path)
+    )
+    assert code == 0
+    blob = json.loads(store_path.read_text())
+    symbols = {**blob["symbols"], name: blob["symbols"]["sigma_12"]}
+    store_path.write_text(json.dumps({**blob, "symbols": symbols}))
+    code, out, err = run_cli(
+        capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: store file symbol {name!r} is not a term identifier\n"
+
+
 def test_cli_contains_refuses_a_fixpoint_flag_its_growth_contradicts(tmp_path, capsys):
     # a cap-2 round-2 store: delta_X is in Spek, but not of length 2 or less
     store_path = tmp_path / "store.json"
