@@ -108,21 +108,22 @@ contain. A fixpoint is one certificate, at build and at load. A move on a
 codomain is a stored permutation of one base factor at one position,
 identities elsewhere, or a swap of two equal adjacent factors. (a)
 `symbols` holds the seeds, and every symbol and converse is stored; (b)
-every move maps each member into the store; (c) the composite r0 ; r1 and
-the product r0 x r1 (within the cap) of two representatives, each an
-orbit's least rows, are stored. Each member is g ; r, g a product of
-moves, so (g ; r0) x (h ; r1) = (g x h) ; (r0 x r1) and (g ; r0) ; (h ;
-r1) = (g ; k) ; (r ; r1), where r0 ; h = (h^ ; r0^)^ = k ; r by (a) and
-(b): the store is closed. A build stops at the first round that adds
-nothing, is not cut by `max_morphisms` and passes (a) to (c): the round
-after M, the last round that adds morphisms, as a closed store grows no
-more and by round 2M every pair of members is combined. (d), on load only:
-a length-1 word is a symbol, or a symbol's converse, of its member; a
-longer word is `(a) ; (b)` or `(a) x (b)` over two stored words whose
-lengths add up to its own, and whose members make its member. Symbol
-names are term identifiers, so by induction on length each word
-re-evaluates to its member with as many atoms as its length, through
-stored members only: the store holds nothing outside the closure.
+each orbit of the moves is walked once, from its least member, its
+representative, and no walk leaves the store, so every move maps each
+member into it; (c) the composite r0 ; r1 and the product r0 x r1 (within
+the cap) of two representatives are stored. Each member is g ; r, g a
+product of moves, so (g ; r0) x (h ; r1) = (g x h) ; (r0 x r1) and (g ;
+r0) ; (h ; r1) = (g ; k) ; (r ; r1), where r0 ; h = (h^ ; r0^)^ = k ; r by
+(a) and (b): the store is closed. A build stops at the first round that
+adds nothing, is not cut by `max_morphisms` and passes (a) to (c): the
+round after M, the last round that adds morphisms, as a closed store grows
+no more and by round 2M every pair of members is combined. (d), on load
+only: a length-1 word is a symbol, or a symbol's converse, of its member;
+a longer word is `(a) ; (b)` or `(a) x (b)` over two stored words whose
+lengths add up to its own, and whose members make its member. Symbol names
+are term identifiers, so by induction on length each word re-evaluates to
+its member with as many atoms as its length, through stored members only:
+the store holds nothing outside the closure.
 
 Practical note, on the standard four-element generators: the cap-2
 fixpoint holds 28,714 morphisms, and at arity 3 the store provably exceeds
@@ -160,7 +161,7 @@ from .relcore import (
     reachable,
     run_composer,
     spreads,
-    structural_symbols,
+    structural_seeds,
     swap,
     tensor,
     tensor_rows,
@@ -289,10 +290,10 @@ def _seed_symbols(
 ) -> dict[str, Relation]:
     """Generators plus identities and swaps on every object within the cap."""
     symbols = dict(generators)
-    for name, rel in structural_symbols(_base_factors(generators), cap).items():
+    for name, make in structural_seeds(_base_factors(generators), cap):
         if name in symbols:
             raise ValueError(f"generator name {name!r} collides with a seed")
-        symbols[name] = rel
+        symbols[name] = make()
     return symbols
 
 
@@ -867,9 +868,10 @@ def store_from_json(data: Mapping) -> MorphismStore:
     bytes and no morphism repeats. No block or symbol may exceed `max_arity`
     on a side, and symbol names are term identifiers. Each block is checked
     with C-level scans of its lists, so the loop per member only builds and
-    inserts it; `morphism_count` and `growth` must agree with the lengths. A
-    `fixpoint` flag must fit the growth record (`_check_fixpoint`) and pass
-    the certificate (`_check_closed`, `_check_words`); nothing is replayed.
+    inserts it; `morphism_count` and `growth` must agree with the lengths and
+    fit the config's bounds (`_check_fixpoint`). A `fixpoint` flag must fit the
+    growth record too and pass the certificate (`_check_closed`,
+    `_check_words`); nothing is replayed.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -954,21 +956,26 @@ def store_from_json(data: Mapping) -> MorphismStore:
                 f"store file field 'growth' says round {r} added {n} morphisms, "
                 f"but the file holds {per_length[r]} of length {r}"
             )
-    if store.fixpoint:
-        gap = next(chain(_check_fixpoint(store), _check_closed(store), _check_words(store)), None)
-        if gap is not None:
-            raise ValueError(f"store file field 'fixpoint' is true, but {gap}")
+    checks = chain(_check_fixpoint(store), _check_closed(store), _check_words(store))
+    gap = next(checks if store.fixpoint else _check_fixpoint(store), None)
+    if gap is not None:
+        flag = "field 'fixpoint' is true, but" if store.fixpoint else "records a run its config bars:"
+        raise ValueError(f"store file {flag} {gap}")
     return store
 
 
 def _check_fixpoint(store: MorphismStore) -> Iterator[str]:
-    """Yield what the growth record says against the `fixpoint` flag: a fixpoint
-    build's last round follows the last that added morphisms, and `max_rounds` let it run."""
+    """Yield what the record says against the bounds and the flag: a build stays within
+    `max_rounds` and `max_morphisms`, and a fixpoint's last round follows the last growth."""
     last, max_rounds = max([1] + [r for r, n in store.growth if n]), store.config.max_rounds
-    if store.rounds_run != last + 1:
-        yield f"the last round that added morphisms is {last}, not {store.rounds_run - 1}"
     if max_rounds is not None and max_rounds < store.rounds_run:
         yield f"max_rounds {max_rounds} stops the run before round {store.rounds_run}"
+    if store.config.max_morphisms < len(store):
+        yield f"max_morphisms {store.config.max_morphisms} is below its {len(store)} morphisms"
+    if not store.fixpoint:
+        return
+    if store.rounds_run != last + 1:
+        yield f"the last round that added morphisms is {last}, not {store.rounds_run - 1}"
 
 
 def _check_closed(store: MorphismStore) -> Iterator[str]:
@@ -979,8 +986,10 @@ def _check_closed(store: MorphismStore) -> Iterator[str]:
         if not known.get(shape, set()).issuperset(cands):
             yield f"{what} in {FinObject(*shape[0])} -> {FinObject(*shape[1])} is not stored"
 
-    # (a); the converses in the pass that groups the members by shape
-    for name, rel in structural_symbols(_base_factors(symbols), cap).items():
+    # (a), a seed that `symbols` lacks refused unbuilt (no relation equals its
+    # name); the converses in the pass that groups the members by shape
+    for name, make in structural_seeds(_base_factors(symbols), cap):
+        rel = make() if name in symbols else name
         if symbols.get(name) != rel:
             yield f"its symbols lack the seeded {name!r}"
     for name, rel in symbols.items():
@@ -993,22 +1002,24 @@ def _check_closed(store: MorphismStore) -> Iterator[str]:
         known[dom_f, cod_f].add(rows)
         if len(dom_f) == 1 and dom_f == cod_f and is_unitary(entry.relation):
             perms[dom_f[0]].append(entry.relation)
-    # (b), then one representative per orbit of the moves: its least rows
+    # (b) and one representative per orbit of the moves, its least rows: one
+    # walk per orbit, which stops at the first image that is not stored
     reps: dict[tuple, list] = {}
     for shape, seen in known.items():
-        run, cod_f, moves = sorted(seen), shape[1], []
+        run, cod_f, moves, whats = sorted(seen), shape[1], [], []
         for i, f in enumerate(cod_f):
             pair = [swap(FinObject(f), FinObject(f))] if cod_f[i + 1:i + 2] == (f,) else []
             for p in perms[f] + pair:
                 left, right = FinObject(*cod_f[:i]), FinObject(*cod_f[i + p.cod.arity:])
                 moves.append(run_composer(tensor(tensor(identity(left), p), identity(right)).rows))
-                what = f"the image of a member under a move at factor {i}"
-                yield from holes(shape, moves[-1](run), what)
+                whats.append(f"the image of a member under a move at factor {i}")
         reps[shape], covered = [], set()
         for rows in run:
             if rows not in covered:
                 reps[shape].append(rows)
-                covered |= reachable(moves, [rows])
+                covered |= reachable(moves, [rows], seen)
+        if len(covered) > len(seen):  # a walk left the store: name the first move that does
+            yield next(g for what, move in zip(whats, moves) for g in holes(shape, move(run), what))
     # (c), a left representative prepared once for each right run
     for (d0, c0), reps0 in reps.items():
         for r0 in reps0:

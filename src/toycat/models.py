@@ -7,7 +7,7 @@ structure's counit is fixed by its comultiplication, so the 12 distinct
 comultiplications are 12 structures, and their classical points split
 them into the families Y, X and Z of four each. The qubit's X' is the
 conjugate of X by the flip in the same way. Identities and swaps are the
-closure's structural symbols (`relcore.structural_symbols`).
+closure's structural seeds (`relcore.structural_seeds`).
 
 The model data is built, not searched: the properties it is meant to have
 (states in the orbit of x0, three families of four verified members, the
@@ -34,7 +34,7 @@ from .relcore import (
     element_labels,
     identity,
     perm_relation,
-    structural_symbols,
+    structural_seeds,
     tensor,
 )
 
@@ -178,7 +178,7 @@ def frel_qubit() -> Model:
         "delta_Xp": Xp.delta,
         "eps_Xp": Xp.epsilon,
         **states,
-        **structural_symbols(II.factors, 2),
+        **{name: make() for name, make in structural_seeds(II.factors, 2)},
         "sigma_01": flip,
         "eta": basis_eta(Z),
         "eta_Z": basis_eta(Z),
@@ -303,7 +303,7 @@ def spek() -> Model:
         symbols[f"eta_{label}"] = basis_eta(ob.representative)
     symbols.update(states)
     symbols["eta"] = symbols["eta_Z"]
-    symbols.update(structural_symbols(IV.factors, 3))
+    symbols.update((name, make()) for name, make in structural_seeds(IV.factors, 3))
     for name, p in named_permutations(IV).items():
         if name != "id_IV":
             symbols[name] = p

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "FinObject",
@@ -42,7 +42,7 @@ __all__ = [
     "swap",
     "perm_relation",
     "all_permutations",
-    "structural_symbols",
+    "structural_seeds",
     "is_unitary",
     "transpose_star",
     "conjugate_star",
@@ -362,11 +362,12 @@ def run_composer(
     return partial(_or_picked, tuple(map(bit_indices, grows)))
 
 
-def reachable(moves: Sequence[Callable], start: Iterable[tuple]) -> set[tuple]:
+def reachable(moves: Sequence[Callable], start: Iterable[tuple], within: set | None = None) -> set[tuple]:
     """Every row tuple reached from `start` under `moves`, `start` included.
 
     The moves are maps prepared by `run_composer`. The walk is breadth
-    first, and each frontier goes through every move as one run.
+    first, and each frontier goes through every move as one run. Given
+    `within`, it stops at the first row outside that set, which it returns.
     """
     seen = set(start)
     frontier = list(seen)
@@ -376,6 +377,8 @@ def reachable(moves: Sequence[Callable], start: Iterable[tuple]) -> set[tuple]:
             for rows in move(frontier):
                 if rows not in seen:
                     seen.add(rows)
+                    if within is not None and rows not in within:
+                        return seen
                     fresh.append(rows)
         frontier = fresh
     return seen
@@ -453,24 +456,24 @@ def all_permutations(obj: FinObject) -> tuple[Relation, ...]:
     )
 
 
-def structural_symbols(base_factors: Sequence[int], cap: int) -> dict[str, Relation]:
+def structural_seeds(base_factors: Sequence[int], cap: int) -> Iterator[tuple[str, Callable]]:
     """Identities and swaps on every product of at most `cap` base factors.
 
     `id_<A>` for each such object A, the unit I included, then
     `swap_<A>_<B>` for each pair of nonunit A, B with at most `cap`
-    factors together.
+    factors together, each name with a call that builds it, when asked.
     """
     objs = [UNIT]
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(cap):
         frontier = [f + (b,) for f in frontier for b in base_factors]
         objs.extend(FinObject(*f) for f in frontier)
-    symbols = {f"id_{obj.name}": identity(obj) for obj in objs}
+    for obj in objs:
+        yield f"id_{obj.name}", partial(identity, obj)
     for a in objs:
         for b in objs:
             if a.factors and b.factors and a.arity + b.arity <= cap:
-                symbols[f"swap_{a.name}_{b.name}"] = swap(a, b)
-    return symbols
+                yield f"swap_{a.name}_{b.name}", partial(swap, a, b)
 
 
 def is_unitary(f: Relation) -> bool:
@@ -567,10 +570,21 @@ def relation_to_json(f: Relation) -> dict:
 
 
 # The most cells (domain element, codomain element) that the shape of a
-# relation read from JSON may span. A relation holds one row per codomain
-# element, each as wide as the domain, so a larger shape is refused before
-# anything is allocated for it; IV^5 -> IV^5 has exactly this many.
+# relation read from JSON or made by a term may span. A relation holds one
+# row per codomain element, each as wide as the domain, so a larger shape is
+# refused before anything is allocated for it; IV^5 -> IV^5 has this many.
 MAX_RELATION_CELLS = 1 << 20
+
+
+def checked_shape(dom: FinObject, cod: FinObject) -> tuple[FinObject, FinObject]:
+    """`(dom, cod)`, or a ValueError when it spans more than `MAX_RELATION_CELLS` cells."""
+    cells = dom.cardinality * cod.cardinality
+    if cells > MAX_RELATION_CELLS:
+        raise ValueError(
+            f"shape {dom} -> {cod} spans {cells} cells, "
+            f"above MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
+        )
+    return dom, cod
 
 
 def relation_from_json(data: Mapping) -> Relation:
@@ -578,17 +592,10 @@ def relation_from_json(data: Mapping) -> Relation:
 
     Pair entries must be JSON integers: a float, a string or a boolean is
     refused, not converted. A shape of more than `MAX_RELATION_CELLS` cells
-    is refused before its rows are allocated.
+    is refused (`checked_shape`) before its rows are allocated.
     """
     try:
-        dom = FinObject(*data["dom"])
-        cod = FinObject(*data["cod"])
-        cells = dom.cardinality * cod.cardinality
-        if cells > MAX_RELATION_CELLS:
-            raise ValueError(
-                f"shape {dom} -> {cod} spans {cells} cells, "
-                f"above MAX_RELATION_CELLS = {MAX_RELATION_CELLS}"
-            )
+        dom, cod = checked_shape(FinObject(*data["dom"]), FinObject(*data["cod"]))
         entries = data["pairs"]
         # `type(x) is int` also refuses bools, which are ints to isinstance
         raw = [(j, i) for j, i in entries if type(j) is int is type(i)]

@@ -24,6 +24,7 @@ from .relcore import (
     FinObject,
     Relation,
     ShapeMismatchError,
+    checked_shape,
     compose,
     dagger,
     least_diff_cell,
@@ -231,7 +232,8 @@ def format_term(term: Term) -> str:
 
 
 def signature_of(term: Term, symbols: Mapping[str, Relation]) -> tuple[FinObject, FinObject]:
-    """Type-check a term, returning (dom, cod) without evaluating matrices."""
+    """Type-check a term, returning (dom, cod) without evaluating matrices;
+    a subterm of more than `MAX_RELATION_CELLS` cells is refused (`checked_shape`)."""
     if isinstance(term, Atom):
         if term.name not in symbols:
             raise UnknownIdentifierError(term.name)
@@ -243,7 +245,7 @@ def signature_of(term: Term, symbols: Mapping[str, Relation]) -> tuple[FinObject
     if isinstance(term, Tensor):
         ldom, lcod = signature_of(term.left, symbols)
         rdom, rcod = signature_of(term.right, symbols)
-        return ldom * rdom, lcod * rcod
+        return checked_shape(ldom * rdom, lcod * rcod)
     odom, ocod = signature_of(term.outer, symbols)
     idom, icod = signature_of(term.inner, symbols)
     if icod != odom:
@@ -251,7 +253,7 @@ def signature_of(term: Term, symbols: Mapping[str, Relation]) -> tuple[FinObject
             f"cannot compose {format_term(term.outer)} (domain {odom}) after "
             f"{format_term(term.inner)} (codomain {icod})"
         )
-    return idom, ocod
+    return checked_shape(idom, ocod)
 
 
 def eval_term(term: Term, symbols: Mapping[str, Relation]) -> Relation:

@@ -31,9 +31,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CLOSURE = "toycat/closure.py"
+RELCORE = "toycat/relcore.py"
+TERMS = "toycat/terms.py"
 NOT_CLOSED = "tests/test_closure.py::test_the_closure_certificate_refuses_a_store_that_is_not_closed"
 MALFORMED = "tests/test_terms_cli.py::test_cli_contains_names_a_malformed_store"
 FIXPOINT_FLAG = "tests/test_closure.py::test_fixpoint_stores_load_and_a_contradicted_flag_is_refused"
+BOUNDS = "tests/test_closure.py::test_a_store_its_config_could_not_have_built_is_refused"
+WALK_STOPS = "tests/test_closure.py::test_a_walk_stops_at_the_first_image_that_is_not_stored"
+HUGE_TERM = "tests/test_terms_cli.py::test_cli_eval_refuses_a_huge_subterm_before_allocating"
 
 # (id, file under src/, old text, new text, node ids that must fail)
 ROWS = [
@@ -96,10 +101,25 @@ ROWS = [
      "if False:",
      [f"{NOT_CLOSED}[cut]",
       "tests/test_terms_cli.py::test_cli_contains_refuses_a_fixpoint_store_missing_a_record"]),
-    ("closed-skips-moves", CLOSURE,
-     "yield from holes(shape, moves[-1](run),",
-     "yield from holes(shape, [],",
+    # (b) as one walk per orbit: a walk that leaves the store fails, and it
+    # stops at the first image that is not stored
+    ("closed-skips-the-walk-check", CLOSURE,
+     "if len(covered) > len(seen):",
+     "if False:",
      [f"{NOT_CLOSED}[orbit-member]", f"{NOT_CLOSED}[round-2]"]),
+    ("closed-walks-without-a-stop", CLOSURE,
+     "covered |= reachable(moves, [rows], seen)",
+     "covered |= reachable(moves, [rows])",
+     [WALK_STOPS]),
+    ("walk-ignores-within", RELCORE,
+     "if within is not None and rows not in within:\n                        return seen",
+     "if within is not None and rows not in within:\n                        pass",
+     ["tests/test_relcore.py::test_reachable_stops_at_the_first_row_outside_within", WALK_STOPS]),
+    # (a) looks a seed's name up before it builds the seed
+    ("closed-builds-a-missing-seed", CLOSURE,
+     "rel = make() if name in symbols else name",
+     "rel = make()",
+     ["tests/test_closure.py::test_a_seed_the_symbols_lack_is_refused_unbuilt"]),
     ("closed-skips-composites", CLOSURE,
      "yield from holes((d1, c0), after(reps1),",
      "yield from holes((d1, c0), [],",
@@ -108,6 +128,24 @@ ROWS = [
      "yield from holes((d0 + d1, c0 + c1), cands,",
      "yield from holes((d0 + d1, c0 + c1), [],",
      [f"{NOT_CLOSED}[product]"]),
+    # the bounds of the config hold in every store, not only at a fixpoint
+    ("load-checks-bounds-only-at-fixpoint", CLOSURE,
+     "gap = next(checks if store.fixpoint else _check_fixpoint(store), None)",
+     "gap = next(checks, None) if store.fixpoint else None",
+     [f"{BOUNDS}[max-rounds]", f"{BOUNDS}[max-morphisms]"]),
+    ("load-skips-max-morphisms", CLOSURE,
+     "if store.config.max_morphisms < len(store):",
+     "if False:",
+     [f"{BOUNDS}[max-morphisms]"]),
+    # a term's products and composites get the relation file's size rule
+    ("terms-skip-the-product-size", TERMS,
+     "return checked_shape(ldom * rdom, lcod * rcod)",
+     "return ldom * rdom, lcod * rcod",
+     [f"{HUGE_TERM}[product]"]),
+    ("terms-skip-the-composite-size", TERMS,
+     "return checked_shape(idom, ocod)",
+     "return idom, ocod",
+     [f"{HUGE_TERM}[composite]"]),
     # the reader's cap check on blocks and symbols
     ("load-skips-the-cap-check", CLOSURE,
      "if dom.arity > cap or cod.arity > cap:",

@@ -10,7 +10,7 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from toycat import closure
+from toycat import closure, relcore
 from toycat.closure import (
     ClosureConfig,
     GeneratorOutsideCapError,
@@ -35,6 +35,7 @@ from toycat.relcore import (
     dagger,
     identity,
     is_unitary,
+    reachable,
     relation_from_json,
     relation_to_json,
     run_composer,
@@ -773,6 +774,24 @@ def test_truncated_store_round_trips_with_its_growth():
     assert store_to_json_str(restored) == store_to_json_str(store)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("max_rounds", 1, "max_rounds 1 stops the run before round 2"),
+     ("max_morphisms", 767, "max_morphisms 767 is below its 768 morphisms")],
+    ids=["max-rounds", "max-morphisms"],
+)
+def test_a_store_its_config_could_not_have_built_is_refused(field, value, message):
+    # the cap-2 round-2 store is no fixpoint, and no build under either
+    # edited bound writes it: one round too many, or one morphism
+    store = generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=2))
+    blob = store_to_json(store)
+    assert len(store_from_json(blob)) == 768 and not store.fixpoint
+    edited = {**blob, "config": {**blob["config"], field: value}}
+    with pytest.raises(ValueError, match=f"^store file records a run its config bars: {message}$"):
+        store_from_json(edited)
+    assert len(store_from_json({**blob, "config": {**blob["config"], field: value + 1}})) == 768
+
+
 def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
     arity1_store, qubit_store, arity1_gens
 ):
@@ -999,6 +1018,41 @@ def test_the_closure_certificate_refuses_a_store_that_is_not_closed(
     assert not store_from_json({**blob, "fixpoint": False}).fixpoint
     with pytest.raises(ValueError, match="^store file field 'fixpoint' is true, but " + message):
         store_from_json(blob)
+
+
+def test_a_walk_stops_at_the_first_image_that_is_not_stored(arity1_store, monkeypatch):
+    # the six relations on IV with two rows {2, 3} form one orbit; with
+    # (0, 0, 12, 12) gone, the first walk to reach it, from the least one
+    # left, stops there, having reached one other, not the whole orbit
+    walks = []
+
+    def walk(moves, start, within=None):
+        walks.append(reachable(moves, start, within))
+        return walks[-1]
+
+    monkeypatch.setattr(closure, "reachable", walk)
+    gone = (0, 0, 12, 12)
+    with pytest.raises(ValueError, match="a move at factor 0 in IV -> IV is not stored$"):
+        store_from_json(_blob_without(arity1_store, {((4,), (4,), gone)}))
+    assert next(w for w in walks if gone in w) == {(0, 12, 0, 12), (0, 12, 12, 0), gone}
+
+
+def test_a_seed_the_symbols_lack_is_refused_unbuilt(arity1_store, monkeypatch):
+    # at cap 9 the seeds reach IV^9, whose identity alone would take
+    # gigabytes; the file names no seed above IV, so none is built
+    built = []
+
+    def identity_up_to_iv(obj):
+        built.append(obj)
+        assert obj.arity <= 1, f"built the seed on {obj}"
+        return identity(obj)
+
+    monkeypatch.setattr(relcore, "identity", identity_up_to_iv)
+    blob = store_to_json(arity1_store)
+    with pytest.raises(ValueError, match="^store file field 'fixpoint' is true, but its symbols "
+                                         "lack the seeded 'id_IVxIV'$"):
+        store_from_json({**blob, "config": {**blob["config"], "max_arity": 9}})
+    assert built == [UNIT, IV]
 
 
 @settings(max_examples=30, deadline=None)

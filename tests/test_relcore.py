@@ -654,6 +654,16 @@ def test_reachable_without_moves_or_start():
     assert reachable([run_composer(swap(II, II).rows)], []) == set()
 
 
+def test_reachable_stops_at_the_first_row_outside_within():
+    # the 4-cycle on IV moves each point state to the next; with the third
+    # state outside `within`, the walk takes the first two and stops at it
+    cycle = run_composer(Relation.from_pairs(IV, IV, [(j, (j + 1) % 4) for j in range(4)]).rows)
+    states = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert reachable([cycle], states[:1]) == set(states)
+    assert reachable([cycle], states[:1], set(states[:2])) == set(states[:3])
+    assert reachable([cycle], states[:1], set(states)) == set(states)
+
+
 @pytest.mark.parametrize("dom, cod", KERNEL_SHAPES, ids=lambda o: str(o))
 def test_tensor_kernel_matches_oracle(dom, cod):
     rng = random.Random(41)

@@ -991,6 +991,24 @@ def test_cli_contains_refuses_a_huge_relation_before_allocating(tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "term",
+    ["id_IVxIVxIV x id_IVxIVxIV x id_IVxIVxIV",
+     "(z0 x z0 x z0 x z0 x z0 x z0) ; (eps_Z x eps_Z x eps_Z x eps_Z x eps_Z x eps_Z)"],
+    ids=["product", "composite"],
+)
+def test_cli_eval_refuses_a_huge_subterm_before_allocating(capsys, monkeypatch, term):
+    # IV^6 -> IV^6, the first subterm over the cap in both, is refused as a
+    # relation file's shape is; the evaluator is never reached
+    monkeypatch.setattr(toycat.terms, "_eval", None)
+    code, out, err = run_cli(capsys, "eval", term, "--model", "spek")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: shape IVxIVxIVxIVxIVxIV -> IVxIVxIVxIVxIVxIV spans 16777216 cells, "
+        f"above MAX_RELATION_CELLS = {MAX_RELATION_CELLS}\n"
+    )
+
+
 def test_cli_close_out_file_holds_the_store_string(tmp_path, capsys):
     from toycat.closure import load_store, store_to_json_str
 
