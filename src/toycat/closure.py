@@ -27,8 +27,12 @@ one gather per member when each row of the left entry has a single set bit
 (every permutation does), or else by ORing the run's columns (row j of
 every member, as a tuple) that each row of the left entry picks, which
 forms every member's composite at once for rows of any width; the columns
-are made per call, so a run holds none. `spreads` gives the
-left half of a product, once per width of the right domain. A left run's
+are made per call, so a run holds none. A product's rows come from
+one `ProductTable` per build, keyed by (left row, width of the right
+domain), whose entries map each right row to its product row, made the
+first time it is needed: a left entry looks its rows up once per width,
+and every member of the build holds one int object per (left row, right
+row, width), not a fresh one per product row. A left run's
 composites visit only the right runs whose codomain is its domain, and
 its products only the runs that fit beside it within the cap; both lists
 are found once per left run. Dedup works a run at a time: `known` holds,
@@ -152,6 +156,7 @@ from typing import Iterator, Mapping
 
 from .relcore import (
     FinObject,
+    ProductTable,
     Relation,
     UNIT,
     compose,
@@ -163,6 +168,7 @@ from .relcore import (
     spreads,
     structural_seeds,
     swap,
+    table_rows,
     tensor,
     tensor_rows,
 )
@@ -477,6 +483,9 @@ def generate_closure(
     # candidate is added when it is pooled, round 1's seeds too.
     runs: dict[int, list[_Run]] = {}
     known: defaultdict[tuple, set] = defaultdict(set)
+    # the rows of every product candidate, one int object per (left row,
+    # right row, width) for the whole build
+    products = ProductTable()
 
     def insert_batch(pool: dict[tuple, list], length: int) -> int:
         """Insert the pool in key order, up to the morphism cap.
@@ -600,7 +609,8 @@ def generate_closure(
             for run2 in right:
                 run2.kept.clear()
             # tensor: any pair whose product stays within the cap; a left
-            # entry's spreads are made once per width of a fitting run's domain
+            # entry's table entries are looked up once per width of a fitting
+            # run's domain
             for run1 in left:
                 dom_room, cod_room = cap - run1.dom.arity, cap - run1.cod.arity
                 fitting = [
@@ -613,10 +623,10 @@ def generate_closure(
                 for e1, (top, _, _) in zip(run1.entries, run1.parts):
                     if top in _TENSOR_SKIP:
                         continue
-                    by_width = {w: spreads(e1.relation.rows, w) for w in widths}
+                    by_width = {w: products.left(e1.relation.rows, w) for w in widths}
                     for run2, dom, cod in fitting:
-                        fspreads = by_width[run2.dom.cardinality]
-                        cands = [tensor_rows(fspreads, rows) for rows in run2.rows]
+                        fproducts = by_width[run2.dom.cardinality]
+                        cands = [table_rows(fproducts, rows) for rows in run2.rows]
                         pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
         added = insert_batch(pool, length)
         overflow = added < sum(map(len, pool.values()))

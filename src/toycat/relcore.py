@@ -36,6 +36,8 @@ __all__ = [
     "tensor",
     "spreads",
     "tensor_rows",
+    "ProductTable",
+    "table_rows",
     "bit_indices",
     "dagger",
     "identity",
@@ -400,20 +402,62 @@ def spreads(frows: tuple[int, ...], width: int) -> list[int]:
     size of g's domain. Since grow < 2^width those copies never overlap,
     so the OR is the single product grow * spread(frow).
     """
-    out = []
-    for frow in frows:
-        spread = 0
-        while frow:
-            b = frow & -frow
-            spread |= 1 << ((b.bit_length() - 1) * width)
-            frow ^= b
-        out.append(spread)
-    return out
+    return [_spread(frow, width) for frow in frows]
+
+
+def _spread(frow: int, width: int) -> int:
+    spread = 0
+    while frow:
+        b = frow & -frow
+        spread |= 1 << ((b.bit_length() - 1) * width)
+        frow ^= b
+    return spread
 
 
 def tensor_rows(fspreads: list[int], grows: tuple[int, ...]) -> tuple[int, ...]:
     """Rows of f x g from f's `spreads` at the width of g's domain."""
     return tuple([grow * spread for spread in fspreads for grow in grows])
+
+
+class _Products(dict):
+    """Right row -> its product with one left row's spread, made when first asked for."""
+
+    __slots__ = ("spread",)
+
+    def __init__(self, spread: int) -> None:
+        self.spread = spread
+
+    def __missing__(self, grow: int) -> int:
+        self[grow] = row = grow * self.spread
+        return row
+
+
+class ProductTable(dict):
+    """Product row integers shared by every product formed through one table.
+
+    Keyed by (left row, width of the right domain); each entry maps a right
+    row to its product row, `grow * spread` as in `tensor_rows`, made the
+    first time it is asked for. So all products formed through one table
+    hold one int object per (left row, right row, width), however many
+    members share it. The table keeps every row it has made: its owner
+    drops it when done.
+    """
+
+    def left(self, frows: tuple[int, ...], width: int) -> list[_Products]:
+        """The entries for each row of f at the width of g's domain, for `table_rows`."""
+        out = []
+        for frow in frows:
+            key = frow, width
+            products = self.get(key)
+            if products is None:
+                products = self[key] = _Products(_spread(frow, width))
+            out.append(products)
+        return out
+
+
+def table_rows(fproducts: list[_Products], grows: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of f x g from f's `ProductTable.left` entries at the width of g's domain."""
+    return tuple([products[grow] for products in fproducts for grow in grows])
 
 
 def dagger(f: Relation) -> Relation:

@@ -39,6 +39,7 @@ FIXPOINT_FLAG = "tests/test_closure.py::test_fixpoint_stores_load_and_a_contradi
 BOUNDS = "tests/test_closure.py::test_a_store_its_config_could_not_have_built_is_refused"
 WALK_STOPS = "tests/test_closure.py::test_a_walk_stops_at_the_first_image_that_is_not_stored"
 HUGE_TERM = "tests/test_terms_cli.py::test_cli_eval_refuses_a_huge_subterm_before_allocating"
+TENSOR_KERNEL = "tests/test_relcore.py::test_tensor_kernel_matches_oracle"
 
 # (id, file under src/, old text, new text, node ids that must fail)
 ROWS = [
@@ -146,6 +147,17 @@ ROWS = [
      "return checked_shape(idom, ocod)",
      "return idom, ocod",
      [f"{HUGE_TERM}[composite]"]),
+    # one product table per build: keyed by width too, and the scan's only
+    # source of product rows
+    ("product-table-key-without-width", RELCORE,
+     "key = frow, width",
+     "key = frow",
+     [f"{TENSOR_KERNEL}[IV-IV]", f"{TENSOR_KERNEL}[IVxIV-IVxIV]",
+      f"{TENSOR_KERNEL}[IIxIII-IIIxII]", f"{TENSOR_KERNEL}[IVxIVxIV-IV]"]),
+    ("scan-multiplies-per-candidate", CLOSURE,
+     "cands = [table_rows(fproducts, rows) for rows in run2.rows]",
+     "cands = [tuple([grow * p.spread for p in fproducts for grow in rows]) for rows in run2.rows]",
+     ["tests/test_closure.py::test_cap3_round3_members_share_their_row_ints"]),
     # the reader's cap check on blocks and symbols
     ("load-skips-the-cap-check", CLOSURE,
      "if dom.arity > cap or cod.arity > cap:",

@@ -433,6 +433,13 @@ def test_cap3_round3_spek_store_bytes_are_pinned_and_words_first_win(spek_bounde
     )
 
 
+def test_cap3_round3_members_share_their_row_ints(spek_bounded):
+    # every product candidate's rows come from one table per build, so the
+    # 23,438 members hold about 2,200 row int objects, not one per product row
+    ids = {id(row) for _, _, rows in spek_bounded.items for row in rows}
+    assert len(ids) < 10_000
+
+
 def wide_row_generators() -> dict[str, Relation]:
     """Generators on IX, element e read as (q, r) = (e // 3, e % 3).
 

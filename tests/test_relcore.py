@@ -1,5 +1,6 @@
 import copy
 import json
+import operator
 import os
 import pickle
 import random
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 import toycat
 from toycat.relcore import (
     FinObject,
+    ProductTable,
     Relation,
     ShapeMismatchError,
     UNIT,
@@ -34,6 +36,7 @@ from toycat.relcore import (
     snake_holds,
     spreads,
     swap,
+    table_rows,
     tensor,
     tensor_rows,
     transpose_star,
@@ -666,12 +669,18 @@ def test_reachable_stops_at_the_first_row_outside_within():
 
 @pytest.mark.parametrize("dom, cod", KERNEL_SHAPES, ids=lambda o: str(o))
 def test_tensor_kernel_matches_oracle(dom, cod):
+    # one table serves every left relation and right-domain width (1, 4, 16, 6)
     rng = random.Random(41)
+    table = ProductTable()
     for f in kernel_cases(rng, dom, cod):
         for g_dom, g_cod in KERNEL_SHAPES[:5]:
             for g in (random_relation(rng, g_dom, g_cod, 0.3), one_bit_rows(rng, g_dom, g_cod)):
                 expected = tensor_oracle(f, g)
                 assert tensor_rows(spreads(f.rows, g_dom.cardinality), g.rows) == expected.rows
+                shared = table_rows(table.left(f.rows, g_dom.cardinality), g.rows)
+                assert shared == expected.rows
+                again = table_rows(table.left(f.rows, g_dom.cardinality), g.rows)
+                assert all(map(operator.is_, again, shared))
                 assert tensor(f, g) == expected
 
 
