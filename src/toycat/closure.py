@@ -30,9 +30,11 @@ forms every member's composite at once for rows of any width; the columns
 are made per call, so a run holds none. A product's rows come from
 one `ProductTable` per build, keyed by (left row, width of the right
 domain), whose entries map each right row to its product row, made the
-first time it is needed: a left entry looks its rows up once per width,
-and every member of the build holds one int object per (left row, right
-row, width), not a fresh one per product row. A left run's
+first time it is needed, so every member of the build holds one int
+object per (left row, right row, width). Products are formed a column at
+a time: a right run's columns are made once per round, kept from the
+first left run that reads it to the last, and `table_run` maps each of a
+left entry's lookups, bound once per width, over each column. A left run's
 composites visit only the right runs whose codomain is its domain, and
 its products only the runs that fit beside it within the cap; both lists
 are found once per left run. Dedup works a run at a time: `known` holds,
@@ -165,12 +167,10 @@ from .relcore import (
     is_unitary,
     reachable,
     run_composer,
-    spreads,
     structural_seeds,
     swap,
-    table_rows,
+    table_run,
     tensor,
-    tensor_rows,
 )
 from . import terms
 
@@ -608,26 +608,31 @@ def generate_closure(
             # no other left length of this round scans these right runs
             for run2 in right:
                 run2.kept.clear()
-            # tensor: any pair whose product stays within the cap; a left
-            # entry's table entries are looked up once per width of a fitting
-            # run's domain
+            # tensor: any pair whose product stays within the cap. A right run's
+            # columns are made when a left run first reads it and dropped after
+            # the last; a left entry binds its lookups once per width
+            def fits(run1: _Run) -> list[_Run]:
+                return [run2 for run2 in right if run1.dom.arity + run2.dom.arity <= cap
+                        and run1.cod.arity + run2.cod.arity <= cap]
+            last = {id(run2): run1 for run1 in left for run2 in fits(run1)}
+            columns: dict[int, list] = {}
             for run1 in left:
-                dom_room, cod_room = cap - run1.dom.arity, cap - run1.cod.arity
-                fitting = [
-                    (run2, run1.dom * run2.dom, run1.cod * run2.cod) for run2 in right
-                    if run2.dom.arity <= dom_room and run2.cod.arity <= cod_room
-                ]
-                if not fitting:
+                runs2 = fits(run1)
+                if not runs2:
                     continue
-                widths = {run2.dom.cardinality for run2, _, _ in fitting}
+                columns.update((id(r), list(zip(*r.rows))) for r in runs2 if id(r) not in columns)
+                fitting = [(run2, run1.dom * run2.dom, run1.cod * run2.cod) for run2 in runs2]
+                widths = {run2.dom.cardinality for run2 in runs2}
                 for e1, (top, _, _) in zip(run1.entries, run1.parts):
                     if top in _TENSOR_SKIP:
                         continue
                     by_width = {w: products.left(e1.relation.rows, w) for w in widths}
                     for run2, dom, cod in fitting:
-                        fproducts = by_width[run2.dom.cardinality]
-                        cands = [table_rows(fproducts, rows) for rows in run2.rows]
+                        cands = table_run(by_width[run2.dom.cardinality], columns[id(run2)])
                         pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
+                for run2 in runs2:
+                    if last[id(run2)] is run1:
+                        del columns[id(run2)]
         added = insert_batch(pool, length)
         overflow = added < sum(map(len, pool.values()))
         store.growth.append((length, added))
@@ -1030,7 +1035,9 @@ def _check_closed(store: MorphismStore) -> Iterator[str]:
                 covered |= reachable(moves, [rows], seen)
         if len(covered) > len(seen):  # a walk left the store: name the first move that does
             yield next(g for what, move in zip(whats, moves) for g in holes(shape, move(run), what))
-    # (c), a left representative prepared once for each right run
+    # (c), a left representative prepared once for each right run, whose columns
+    # are made once; the products come from one table, dropped with the check
+    products, columns = ProductTable(), {shape: list(zip(*reps1)) for shape, reps1 in reps.items()}
     for (d0, c0), reps0 in reps.items():
         for r0 in reps0:
             after, w0 = run_composer(r0), items[d0, c0, r0].word
@@ -1039,8 +1046,7 @@ def _check_closed(store: MorphismStore) -> Iterator[str]:
                     what = f"a composite ({w0}) ; r1 of representatives"
                     yield from holes((d1, c0), after(reps1), what)
                 if len(d0 + d1) <= cap and len(c0 + c1) <= cap:
-                    fspreads = spreads(r0, FinObject(*d1).cardinality)
-                    cands = [tensor_rows(fspreads, r1) for r1 in reps1]
+                    cands = table_run(products.left(r0, FinObject(*d1).cardinality), columns[d1, c1])
                     what = f"a product ({w0}) x r1 of representatives"
                     yield from holes((d0 + d1, c0 + c1), cands, what)
 

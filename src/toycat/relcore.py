@@ -37,7 +37,7 @@ __all__ = [
     "spreads",
     "tensor_rows",
     "ProductTable",
-    "table_rows",
+    "table_run",
     "bit_indices",
     "dagger",
     "identity",
@@ -435,29 +435,31 @@ class _Products(dict):
 class ProductTable(dict):
     """Product row integers shared by every product formed through one table.
 
-    Keyed by (left row, width of the right domain); each entry maps a right
-    row to its product row, `grow * spread` as in `tensor_rows`, made the
-    first time it is asked for. So all products formed through one table
-    hold one int object per (left row, right row, width), however many
-    members share it. The table keeps every row it has made: its owner
-    drops it when done.
+    Keyed by (left row, width of the right domain); each entry is the bound
+    lookup of a map from a right row to its product row, `grow * spread` as
+    in `tensor_rows`, made the first time it is asked for. So all products
+    formed through one table hold one int object per (left row, right row,
+    width), however many members share it. The table keeps every row it
+    has made: its owner drops it when done.
     """
 
-    def left(self, frows: tuple[int, ...], width: int) -> list[_Products]:
-        """The entries for each row of f at the width of g's domain, for `table_rows`."""
+    def left(self, frows: tuple[int, ...], width: int) -> list[Callable[[int], int]]:
+        """The lookups for each row of f at the width of g's domain, for `table_run`."""
         out = []
         for frow in frows:
             key = frow, width
-            products = self.get(key)
-            if products is None:
-                products = self[key] = _Products(_spread(frow, width))
-            out.append(products)
+            get = self.get(key)
+            if get is None:
+                get = self[key] = _Products(_spread(frow, width)).__getitem__
+            out.append(get)
         return out
 
 
-def table_rows(fproducts: list[_Products], grows: tuple[int, ...]) -> tuple[int, ...]:
-    """Rows of f x g from f's `ProductTable.left` entries at the width of g's domain."""
-    return tuple([products[grow] for products in fproducts for grow in grows])
+def table_run(getters: list[Callable], columns: list[tuple]) -> list[tuple[int, ...]]:
+    """Rows of f x g for each member g of a run, from f's `ProductTable.left`
+    lookups at the width of its domain: one map of a lookup over column k
+    (row k of every member) forms row (i, k) of every product at once."""
+    return list(zip(*[map(get, col) for get in getters for col in columns]))
 
 
 def dagger(f: Relation) -> Relation:

@@ -148,16 +148,22 @@ ROWS = [
      "return idom, ocod",
      [f"{HUGE_TERM}[composite]"]),
     # one product table per build: keyed by width too, and the scan's only
-    # source of product rows
+    # source of product rows, formed a column at a time in left row major order
     ("product-table-key-without-width", RELCORE,
      "key = frow, width",
      "key = frow",
      [f"{TENSOR_KERNEL}[IV-IV]", f"{TENSOR_KERNEL}[IVxIV-IVxIV]",
       f"{TENSOR_KERNEL}[IIxIII-IIIxII]", f"{TENSOR_KERNEL}[IVxIVxIV-IV]"]),
     ("scan-multiplies-per-candidate", CLOSURE,
-     "cands = [table_rows(fproducts, rows) for rows in run2.rows]",
-     "cands = [tuple([grow * p.spread for p in fproducts for grow in rows]) for rows in run2.rows]",
+     "cands = table_run(by_width[run2.dom.cardinality], columns[id(run2)])",
+     "cands = [tuple([grow * get.__self__.spread for get in by_width[run2.dom.cardinality]"
+     " for grow in rows]) for rows in run2.rows]",
      ["tests/test_closure.py::test_cap3_round3_members_share_their_row_ints"]),
+    ("product-run-transposed", RELCORE,
+     "[map(get, col) for get in getters for col in columns]",
+     "[map(get, col) for col in columns for get in getters]",
+     [f"{TENSOR_KERNEL}[I-IV]", f"{TENSOR_KERNEL}[IV-IV]", f"{TENSOR_KERNEL}[IVxIV-IVxIV]",
+      f"{TENSOR_KERNEL}[IIxIII-IIIxII]", f"{TENSOR_KERNEL}[IVxIVxIV-IV]"]),
     # the reader's cap check on blocks and symbols
     ("load-skips-the-cap-check", CLOSURE,
      "if dom.arity > cap or cod.arity > cap:",

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -34,11 +35,9 @@ from toycat.relcore import (
     scalar_identity,
     scalar_kind,
     snake_holds,
-    spreads,
     swap,
-    table_rows,
+    table_run,
     tensor,
-    tensor_rows,
     transpose_star,
 )
 
@@ -498,8 +497,8 @@ def test_conjugate_against_diagonal_cup_is_identity_operation():
 # -- prepared kernels ------------------------------------------------------------
 #
 # The closure scan prepares a left operand once and applies it to many right
-# operands: `run_composer` for composites, `spreads` then `tensor_rows` for
-# products; `compose` forms a single composite. Each is checked against the
+# operands: `run_composer` for composites, `ProductTable.left` then `table_run`
+# for products; `compose` and `tensor` form a single one. Each is checked against the
 # pair-set oracle.
 
 III = FinObject(3)
@@ -674,14 +673,23 @@ def test_tensor_kernel_matches_oracle(dom, cod):
     table = ProductTable()
     for f in kernel_cases(rng, dom, cod):
         for g_dom, g_cod in KERNEL_SHAPES[:5]:
-            for g in (random_relation(rng, g_dom, g_cod, 0.3), one_bit_rows(rng, g_dom, g_cod)):
-                expected = tensor_oracle(f, g)
-                assert tensor_rows(spreads(f.rows, g_dom.cardinality), g.rows) == expected.rows
-                shared = table_rows(table.left(f.rows, g_dom.cardinality), g.rows)
-                assert shared == expected.rows
-                again = table_rows(table.left(f.rows, g_dom.cardinality), g.rows)
-                assert all(map(operator.is_, again, shared))
-                assert tensor(f, g) == expected
+            many = [
+                random_relation(rng, g_dom, g_cod, 0.3),
+                one_bit_rows(rng, g_dom, g_cod),
+                Relation.empty(g_dom, g_cod),
+                random_relation(rng, g_dom, g_cod, 1.0),
+            ]
+            getters = table.left(f.rows, g_dom.cardinality)
+            assert table_run(getters, list(zip(*[]))) == []
+            for members in (many[:1], many):
+                columns = list(zip(*[g.rows for g in members]))
+                shared = table_run(getters, columns)
+                assert shared == [tensor_oracle(f, g).rows for g in members]
+                # a second call reads the same int objects from the table
+                again = table_run(table.left(f.rows, g_dom.cardinality), columns)
+                assert all(map(operator.is_, chain(*again), chain(*shared)))
+            for g in many:
+                assert tensor(f, g) == tensor_oracle(f, g)
 
 
 # -- serialization -----------------------------------------------------------------------
