@@ -21,32 +21,29 @@ candidate is a duplicate. Each length's entries are kept as runs of one
 shape, cut once as they are inserted (a round inserts in key order, so
 each shape is one run) and kept for the whole build; the last round that
 `max_rounds` allows builds none, as no later round reads them. Each left
-entry is prepared once per (round, left length) with the `relcore` kernels.
-`run_composer` maps a run's rows to the rows of all its composites: by
-one gather per member when each row of the left entry has a single set bit
-(every permutation does), or else by ORing the run's columns (row j of
-every member, as a tuple) that each row of the left entry picks, which
-forms every member's composite at once for rows of any width; the columns
-are made per call, so a run holds none. A product's rows come from
-one `ProductTable` per build, keyed by (left row, width of the right
-domain), whose entries map each right row to its product row, made the
-first time it is needed, so every member of the build holds one int
-object per (left row, right row, width). Products are formed a column at
-a time: a right run's columns are made once per round, kept from the
-first left run that reads it to the last, and `table_run` maps each of a
-left entry's lookups, bound once per width, over each column. A left run's
-composites visit only the right runs whose codomain is its domain, and
-its products only the runs that fit beside it within the cap; both lists
-are found once per left run. Dedup works a run at a time: `known` holds,
-per shape, the rows of every stored morphism and of the round's pool, so
-a run whose candidates are all known is passed over with one
-`set.issuperset` test. Any other run's candidates are each added to
-`known` once, and one is new when the set grows. The round's pool holds,
-per shape, the new candidates in scan order, so the first for a key wins
-and no key tuple is built before insertion, which sorts each shape's
-list by rows: within one shape, that is key order. A tuple does not cache its hash, and
-an IV^3 -> IV^3 candidate's rows are 64 ints, so each new candidate's rows
-are hashed once when pooled and once when stored.
+entry is prepared once per (round, left length) with the `relcore` kernels,
+and both take a right run as its columns (row j of every member, as a
+tuple). A run makes them on its first read in a (round, left length) scan,
+both sections read them, and they are dropped when that scan ends.
+`run_composer` ORs the columns that each row of the left entry picks, so
+one call forms every member's composite at once for rows of any width. A
+product's rows come from one `ProductTable` per build, keyed by (left row,
+width of the right domain), whose entries map each right row to its
+product row, made the first time it is needed, so every member of the
+build holds one int object per (left row, right row, width); `table_run`
+maps each of a left entry's lookups, bound once per width, over each
+column. A left run's composites visit only the right runs whose codomain
+is its domain, and its products only the runs that fit beside it within
+the cap; both lists are found once per left run. Dedup works a run at a
+time: `known` holds, per shape, the rows of every stored morphism and of
+the round's pool, so a run whose candidates are all known is passed over
+with one `set.issuperset` test. Any other run's candidates are each added
+to `known` once, and one is new when the set grows. The round's pool
+holds, per shape, the new candidates in scan order, so the first for a key
+wins and no key tuple is built before insertion, which sorts each shape's
+list by rows: within one shape, that is key order. A tuple does not cache
+its hash, and an IV^3 -> IV^3 candidate's rows are 64 ints, so each new
+candidate's rows are hashed once when pooled and once when stored.
 
 Left-operand rule: the compose section skips a left entry whose word is a
 composite `(a) ; (b)` or an identity, and the tensor section one whose
@@ -77,13 +74,16 @@ L and was stored before round L. A skipped candidate is thus a duplicate
 of a stored morphism, not of a pooled one, so it never wins and skipping
 it leaves the pool, the words and the store bytes as they were. The
 absorbing test runs on the kernels too: a run's products are put in two
-factor tables per split (the arity of c.cod) as the run is inserted, one
-by left factor and one by right factor, and one `run_composer` call for x
-maps the rows of every factor y of a table at once, each composite's rows
-looked up under its key; no `Relation` is built. The split already makes
-the shapes meet, as x.dom == y.cod. The masks found stay on the run for
-the whole build, and the sub-lists they keep for the one round that scans
-the run as a right operand at that length. Keeping a mask is sound: round
+factor tables per split (the arity of c.cod) when the rule first reads
+the run, one by left factor and one by right factor, and one
+`run_composer` call for x maps the columns of every factor y of a table
+at once, each composite's rows looked up under its key; no `Relation` is
+built. A product left entry has length 2 or more, so the rule reads a run
+of length m in round m + 2 or later, and the runs of the last length a
+build scans get no tables. The split already makes the shapes meet, as
+x.dom == y.cod. The masks found stay on the run for the whole build, and
+the sub-lists they keep for the one (round, left length) scan that reads
+the run as a right operand. Keeping a mask is sound: round
 L tests x after y only when len x + len y <= L - 2, as the other two
 factors have a length of at least 1 each, so by the invariant the store
 already holds x after y, and a stored key keeps its length; the answer
@@ -315,20 +315,19 @@ def _is_identifier(name: str) -> bool:
 class _Run:
     """The entries of one word length and one shape, in key order.
 
-    `rows[k]` holds the rows of `entries[k]` for the `relcore` kernels, and
-    `parts[k]` is `(top, a, b)` for its word `(a) op (b)`: `top` is the top
-    operation (`_top`), read by the left-operand rule, and a and b are the
-    stored factor entries when the word is a product, read by the
-    interchange rule, else None. A run is filled by its length's one
-    insertion batch, before any scan reads it. The interchange rule's data
-    on the run as a right operand: `splits` maps a split (the arity of
-    c.cod for a member `(c) x (d)`) to two factor tables, by c and by d,
-    each `(members, drops)`: `members` maps a factor's id to `[factor, mask
-    of the members with it]`, and `drops` maps an entry x's id to
-    `_dropped`'s mask for x; the masks are kept for the whole build (module
-    docstring). `kept` maps a drop mask to `_kept`'s sub-lists, and is
-    cleared when the round's scan of the run ends, so sub-lists do not add
-    up over a long build.
+    `rows[k]` holds the rows of `entries[k]`, and `parts[k]` is `(top, a,
+    b)` for its word `(a) op (b)`: `top` is the top operation (`_top`),
+    read by the left-operand rule, and a and b are the stored factor
+    entries when the word is a product, read by the interchange rule, else
+    None. A run is filled by its length's one insertion batch, before any
+    scan reads it. Made on the first read in a (round, left length) scan and
+    dropped when it ends: `columns`, the kernels' input (`read`), and
+    `kept`, which maps a drop mask to `_kept`'s sub-lists. Made on `_kept`'s
+    first read and kept for the whole build: `splits` maps a split (the
+    arity of c.cod for a member `(c) x (d)`) to two factor tables, by c and
+    by d, each `(members, drops)`: `members` maps a factor's id to
+    `[factor, mask of the members with it]`, and `drops` maps an entry x's
+    id to `_dropped`'s mask for x (module docstring).
     """
 
     dom: FinObject
@@ -336,14 +335,22 @@ class _Run:
     rows: list[tuple[int, ...]] = field(default_factory=list)
     entries: list[StoredMorphism] = field(default_factory=list)
     parts: list[tuple] = field(default_factory=list)
-    splits: dict[int, tuple[tuple[dict, dict], ...]] = field(default_factory=dict)
+    columns: list[tuple[int, ...]] | None = None
     kept: dict[int, tuple[list, list]] = field(default_factory=dict)
+    splits: dict[int, tuple[tuple[dict, dict], ...]] | None = None
+
+    def read(self) -> list[tuple[int, ...]]:
+        if self.columns is None:
+            self.columns = list(zip(*self.rows))
+        return self.columns
 
 
 # The left-operand rule (module docstring): a left entry whose word has one
 # of these tops makes only candidates that an earlier one already found.
 _COMPOSE_SKIP = frozenset((";", "id", "unit"))
 _TENSOR_SKIP = frozenset(("x", "unit"))
+# The `parts` of an entry whose word is not a product, one tuple per top.
+_UNSPLIT = {top: (top, None, None) for top in (None, ";", "id", "unit")}
 
 # A pooled candidate's rows, its sort key within its shape.
 _first = itemgetter(0)
@@ -375,7 +382,7 @@ def _dropped(
         mask = 0
         after = run_composer(x.relation.rows)
         cod = x.relation.cod.factors
-        composites = after([f.relation.rows for f, _ in members.values()])
+        composites = after(list(zip(*[f.relation.rows for f, _ in members.values()])))
         for (f, bits), rows in zip(members.values(), composites):
             found = items.get((f.relation.dom.factors, cod, rows))
             if found is not None and found.length < x.length + f.length:
@@ -387,20 +394,28 @@ def _dropped(
 def _kept(
     items: dict[tuple, StoredMorphism], run: _Run, a: StoredMorphism, b: StoredMorphism
 ) -> tuple[list[tuple[int, ...]], list[StoredMorphism]]:
-    """`(rows, entries)` of the members of `run` to compose `(a) x (b)` with, in order.
+    """`(columns, entries)` of the members of `run` to compose `(a) x (b)` with, in order.
 
     a.dom equals c.cod for a member `(c) x (d)` exactly when the splits
-    agree, so one split is masked. Many left entries of a round share a
-    mask, so each sub-list is kept until the round's scan of the run ends
-    (without that the cap-2 round-4 build took 0.21 s, not 0.16 s: median
-    of 7, 2-core VM).
+    agree, so one split is masked. The factor tables are made on the first
+    call for the run. Many left entries of a round share a mask, so each
+    sub-list of rows is kept until the scan of the run ends (without that
+    the cap-2 round-4 build took 0.21 s, not 0.16 s: median of 7, 2-core
+    VM), and transposed on each call.
     """
+    if run.splits is None:
+        run.splits = {}
+        for k, (top, c, d) in enumerate(run.parts):
+            if top == "x":
+                tables = run.splits.setdefault(c.relation.cod.arity, (({}, {}), ({}, {})))
+                for (members, _), f in zip(tables, (c, d)):
+                    members.setdefault(id(f), [f, 0])[1] |= 1 << k
     tables = run.splits.get(a.relation.dom.arity)
     if tables is None:
-        return run.rows, run.entries
+        return run.read(), run.entries
     drop = _dropped(items, tables[0], a) | _dropped(items, tables[1], b)
     if not drop:
-        return run.rows, run.entries
+        return run.read(), run.entries
     sub = run.kept.get(drop)
     if sub is None:
         picks = [k for k in range(len(run.entries)) if not drop >> k & 1]
@@ -408,7 +423,7 @@ def _kept(
             [run.rows[k] for k in picks],
             [run.entries[k] for k in picks],
         )
-    return sub
+    return list(zip(*sub[0])), sub[1]
 
 
 @contextmanager
@@ -528,15 +543,7 @@ def generate_closure(
                 if not scanned:
                     continue
                 top = _top(rel, op)
-                if top == "x":
-                    split = left.relation.cod.arity
-                    tables = run.splits.get(split)
-                    if tables is None:
-                        tables = run.splits[split] = ({}, {}), ({}, {})
-                    bit = 1 << len(run.entries)
-                    for (members, _), f in zip(tables, (left, right)):
-                        members.setdefault(id(f), [f, 0])[1] |= bit
-                run.parts.append((top, left, right) if top == "x" else (top, None, None))
+                run.parts.append((top, left, right) if top == "x" else _UNSPLIT[top])
                 run.rows.append(rows)
                 run.entries.append(entry)
         return len(items) - before
@@ -601,38 +608,32 @@ def generate_closure(
                         continue
                     after = run_composer(e1.relation.rows)
                     for run2, dom, cod in meeting:
-                        rows, entries = (
-                            _kept(items, run2, a, b) if top == "x" else (run2.rows, run2.entries)
+                        columns, entries = (
+                            _kept(items, run2, a, b) if top == "x" else (run2.read(), run2.entries)
                         )
-                        pool_new(pool, after(rows), entries, dom, cod, ";", e1)
-            # no other left length of this round scans these right runs
-            for run2 in right:
-                run2.kept.clear()
-            # tensor: any pair whose product stays within the cap. A right run's
-            # columns are made when a left run first reads it and dropped after
-            # the last; a left entry binds its lookups once per width
-            def fits(run1: _Run) -> list[_Run]:
-                return [run2 for run2 in right if run1.dom.arity + run2.dom.arity <= cap
-                        and run1.cod.arity + run2.cod.arity <= cap]
-            last = {id(run2): run1 for run1 in left for run2 in fits(run1)}
-            columns: dict[int, list] = {}
+                        pool_new(pool, after(columns), entries, dom, cod, ";", e1)
+            # tensor: any pair whose product stays within the cap; a left
+            # entry binds its lookups once per width
             for run1 in left:
-                runs2 = fits(run1)
-                if not runs2:
+                fitting = [
+                    (run2, run1.dom * run2.dom, run1.cod * run2.cod) for run2 in right
+                    if run1.dom.arity + run2.dom.arity <= cap
+                    and run1.cod.arity + run2.cod.arity <= cap
+                ]
+                if not fitting:
                     continue
-                columns.update((id(r), list(zip(*r.rows))) for r in runs2 if id(r) not in columns)
-                fitting = [(run2, run1.dom * run2.dom, run1.cod * run2.cod) for run2 in runs2]
-                widths = {run2.dom.cardinality for run2 in runs2}
+                widths = {run2.dom.cardinality for run2, _, _ in fitting}
                 for e1, (top, _, _) in zip(run1.entries, run1.parts):
                     if top in _TENSOR_SKIP:
                         continue
                     by_width = {w: products.left(e1.relation.rows, w) for w in widths}
                     for run2, dom, cod in fitting:
-                        cands = table_run(by_width[run2.dom.cardinality], columns[id(run2)])
+                        cands = table_run(by_width[run2.dom.cardinality], run2.read())
                         pool_new(pool, cands, run2.entries, dom, cod, "x", e1)
-                for run2 in runs2:
-                    if last[id(run2)] is run1:
-                        del columns[id(run2)]
+            # no other left length of this round scans these right runs
+            for run2 in right:
+                run2.columns = None
+                run2.kept.clear()
         added = insert_batch(pool, length)
         overflow = added < sum(map(len, pool.values()))
         store.growth.append((length, added))
@@ -1034,17 +1035,18 @@ def _check_closed(store: MorphismStore) -> Iterator[str]:
                 reps[shape].append(rows)
                 covered |= reachable(moves, [rows], seen)
         if len(covered) > len(seen):  # a walk left the store: name the first move that does
-            yield next(g for what, move in zip(whats, moves) for g in holes(shape, move(run), what))
+            columns = list(zip(*run))
+            yield next(g for what, move in zip(whats, moves) for g in holes(shape, move(columns), what))
     # (c), a left representative prepared once for each right run, whose columns
     # are made once; the products come from one table, dropped with the check
     products, columns = ProductTable(), {shape: list(zip(*reps1)) for shape, reps1 in reps.items()}
     for (d0, c0), reps0 in reps.items():
         for r0 in reps0:
             after, w0 = run_composer(r0), items[d0, c0, r0].word
-            for (d1, c1), reps1 in reps.items():
+            for d1, c1 in reps:
                 if c1 == d0:
                     what = f"a composite ({w0}) ; r1 of representatives"
-                    yield from holes((d1, c0), after(reps1), what)
+                    yield from holes((d1, c0), after(columns[d1, c1]), what)
                 if len(d0 + d1) <= cap and len(c0 + c1) <= cap:
                     cands = table_run(products.left(r0, FinObject(*d1).cardinality), columns[d1, c1])
                     what = f"a product ({w0}) x r1 of representatives"

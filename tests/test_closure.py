@@ -612,15 +612,33 @@ def test_interchange_rule_keeps_firing(monkeypatch):
     def counting(grows):
         after = run_composer(grows)
 
-        def count(run):
-            handed["interchange" if in_dropped else "scan"] += len(run)
-            return after(run)
+        def count(columns):
+            handed["interchange" if in_dropped else "scan"] += len(columns[0]) if columns else 0
+            return after(columns)
         return count
 
     monkeypatch.setattr(closure, "_dropped", flagged)
     monkeypatch.setattr(closure, "run_composer", counting)
     generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=4))
     assert handed == {"scan": 50_836, "interchange": 3_864}
+
+
+@pytest.mark.parametrize("cap, rounds, lengths", [(3, 3, set()), (2, 4, {2})])
+def test_factor_tables_are_made_only_for_runs_the_rule_reads(cap, rounds, lengths, monkeypatch):
+    # a product left entry has length 2 at least, so the rule reads a run of
+    # length m in round m + 2 or later: a 3-round build reads none with a
+    # product, and a 4-round build only those of length 2
+    made = []
+
+    class Recorded(closure._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(closure, "_Run", Recorded)
+    generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=cap, max_rounds=rounds))
+    assert made
+    assert {run.entries[0].length for run in made if run.splits} == lengths
 
 
 @pytest.mark.parametrize("generators", [spek_generator_symbols, wide_row_generators])
