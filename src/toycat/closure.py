@@ -92,12 +92,15 @@ candidate that is only a duplicate of one found earlier in the same round,
 such as a composite left entry of a product, could move it later in scan
 order and change a winning word.
 
-A store file (`toycat-store/4`) holds one block per shape, the hom-set of
+A store file (`toycat-store/5`) holds one block per shape, the hom-set of
 its morphisms, in shape order: the shape's factors once, then its
 members' rows as one flat list of JSON integers, member after member in
 rows order, with their words and lengths. So writing one builds no pairs,
 and reading one builds each shape's objects once and a few lists per
 shape, not per morphism; `store_from_json` lists what the reader checks.
+The file states each count once: a round's growth is the number of
+members of its length, derived on load, and the morphism count is the
+number of members.
 `store_to_json_str` is the one writer. It writes the text of `json.dumps`
 with sorted keys and no spaces, but builds no JSON tree: each block is
 formatted straight from its members' keys, and each distinct row integer
@@ -196,9 +199,9 @@ __all__ = [
 
 # A store file holds one block per shape, the shapes in order, and each
 # block its members' rows as JSON integers in rows order, with their words
-# and lengths; the version changes whenever that order or the block form
-# does.
-STORE_FORMAT = "toycat-store/4"
+# and lengths; the version changes whenever that order, the block form or
+# the set of fields does.
+STORE_FORMAT = "toycat-store/5"
 
 
 class GeneratorOutsideCapError(ValueError):
@@ -757,8 +760,6 @@ def store_to_json_str(store: MorphismStore) -> str:
         },
         "fixpoint": store.fixpoint,
         "format": STORE_FORMAT,
-        "growth": [[r, n] for r, n in store.growth],
-        "morphism_count": len(store.items),
         "rounds_run": store.rounds_run,
         "symbols": {
             name: {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors),
@@ -884,10 +885,12 @@ def store_from_json(data: Mapping) -> MorphismStore:
     bytes and no morphism repeats. No block or symbol may exceed `max_arity`
     on a side, and symbol names are term identifiers. Each block is checked
     with C-level scans of its lists, so the loop per member only builds and
-    inserts it; `morphism_count` and `growth` must agree with the lengths and
-    fit the config's bounds (`_check_fixpoint`). A `fixpoint` flag must fit the
-    growth record too and pass the certificate (`_check_closed`,
-    `_check_words`); nothing is replayed.
+    inserts it. Every length lies in rounds 1 to `rounds_run`, and the
+    growth is derived from them, one `(round, members of that length)` pair
+    per round; `rounds_run` is at most twice the longest length, as a build
+    ends by then (module docstring). The record must fit the config's
+    bounds (`_check_fixpoint`), and a `fixpoint` flag the growth too and the
+    certificate (`_check_closed`, `_check_words`); nothing is replayed.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -914,7 +917,6 @@ def store_from_json(data: Mapping) -> MorphismStore:
             symbols=symbols,
             fixpoint=_typed(data, "fixpoint", bool),
             rounds_run=rounds_run,
-            growth=_growth(data, rounds_run),
         )
         items = store.items
         last: tuple = ()
@@ -937,6 +939,9 @@ def store_from_json(data: Mapping) -> MorphismStore:
                 raise ValueError(
                     f"store file {where} has {size} words but {len(lengths)} lengths"
                 )
+            if min(lengths) < 1 or max(lengths) > rounds_run:
+                bad = next(n for n in lengths if not 0 < n <= rounds_run)
+                raise ValueError(f"store file {where} has length {bad}, not in 1 to {rounds_run}")
             # the count check in `_rows` bounds the codomain by the list's length
             rows = _rows(block, size, dom, cod, where)
             members = list(zip(*[iter(rows)] * cod.cardinality))
@@ -952,26 +957,14 @@ def store_from_json(data: Mapping) -> MorphismStore:
                 items[dom_f, cod_f, rows_k] = _stored(Relation._raw(dom, cod, rows_k), word, length)
             per_length.update(lengths)
             last = shape
-        count = _typed(data, "morphism_count", int)
     except KeyError as exc:
         raise ValueError(f"store file lacks the field {exc.args[0]!r}") from None
-    if count != len(store):
+    longest = max(per_length, default=0)  # the growth has a pair per round: bound them
+    if rounds_run > 2 * longest:
         raise ValueError(
-            f"store file field 'morphism_count' is {count}, "
-            f"but the file holds {len(store)} morphisms"
+            f"store file field 'rounds_run' is {rounds_run}, but a build stops by round {2 * longest}"
         )
-    added = sum(n for _, n in store.growth)
-    if added != len(store):
-        raise ValueError(
-            f"store file field 'growth' adds up to {added} morphisms, "
-            f"but the file holds {len(store)}"
-        )
-    for r, n in store.growth:
-        if per_length[r] != n:
-            raise ValueError(
-                f"store file field 'growth' says round {r} added {n} morphisms, "
-                f"but the file holds {per_length[r]} of length {r}"
-            )
+    store.growth = [(r, per_length[r]) for r in range(1, rounds_run + 1)]
     checks = chain(_check_fixpoint(store), _check_closed(store), _check_words(store))
     gap = next(checks if store.fixpoint else _check_fixpoint(store), None)
     if gap is not None:
@@ -1080,25 +1073,6 @@ def _check_words(store: MorphismStore) -> Iterator[str]:
             yield made
         elif made.key != key:
             yield f"its word {entry.word!r} evaluates to another morphism"
-
-
-def _growth(data: Mapping, rounds_run: int) -> list[tuple[int, int]]:
-    """The `growth` field: one [round, added] pair per round 1..rounds_run, in order."""
-    growth = _typed(data, "growth", list)
-    pairs = [
-        (p[0], p[1]) for p in growth
-        if type(p) is list and len(p) == 2 and type(p[0]) is int is type(p[1])
-    ]
-    if (
-        len(pairs) != len(growth)
-        or [r for r, _ in pairs] != list(range(1, rounds_run + 1))
-        or any(n < 0 for _, n in pairs)
-    ):
-        raise ValueError(
-            "store file field 'growth' is not one [round, added] pair of integers "
-            f"for each round 1 to {rounds_run}"
-        )
-    return pairs
 
 
 def load_store(path) -> MorphismStore:

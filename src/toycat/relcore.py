@@ -49,7 +49,6 @@ __all__ = [
     "snake_holds",
     "scalar_identity",
     "scalar_empty",
-    "is_scalar",
     "scalar_kind",
     "relation_to_json",
     "relation_from_json",
@@ -485,14 +484,19 @@ def structural_seeds(base_factors: Sequence[int], cap: int) -> Iterator[tuple[st
     `id_<A>` for each such object A, the unit I included, then
     `swap_<A>_<B>` for each pair of nonunit A, B with at most `cap`
     factors together, each name with a call that builds it, when asked.
+    Each identity is yielded as soon as its object is made, so a caller
+    that stops at an early seed makes no larger object: the objects of
+    arity `cap` alone number (base factors)^cap.
     """
     objs = [UNIT]
+    yield "id_I", partial(identity, UNIT)
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(cap):
         frontier = [f + (b,) for f in frontier for b in base_factors]
-        objs.extend(FinObject(*f) for f in frontier)
-    for obj in objs:
-        yield f"id_{obj.name}", partial(identity, obj)
+        for f in frontier:
+            obj = FinObject(*f)
+            objs.append(obj)
+            yield f"id_{obj.name}", partial(identity, obj)
     for a in objs:
         for b in objs:
             if a.factors and b.factors and a.arity + b.arity <= cap:
@@ -521,13 +525,9 @@ def scalar_empty() -> Relation:
     return Relation(UNIT, UNIT, (0,))
 
 
-def is_scalar(f: Relation) -> bool:
-    return f.dom == UNIT and f.cod == UNIT
-
-
 def scalar_kind(f: Relation) -> str:
     """'identity' or 'empty' for the two scalars I -> I."""
-    if not is_scalar(f):
+    if f.dom != UNIT or f.cod != UNIT:
         raise ShapeMismatchError(f"not a scalar: {f.dom} -> {f.cod}")
     return "identity" if f.rows[0] else "empty"
 

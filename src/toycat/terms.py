@@ -91,9 +91,6 @@ class Dagger:
 Term = Union[Atom, Compose, Tensor, Dagger]
 
 
-_PUNCT = {";", "x", "^", "(", ")"}
-
-
 def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
     tokens = []
     line, col = 1, 1

@@ -192,6 +192,27 @@ ROWS = [
      "if dom.arity > cap or cod.arity > cap:",
      "if False:",
      [f"{MALFORMED}[block-outside-cap]", f"{MALFORMED}[symbol-outside-cap]"]),
+    # the growth is derived from lengths within rounds 1 to rounds_run, and
+    # rounds_run is at most twice the longest
+    ("load-skips-the-length-range", CLOSURE,
+     "if min(lengths) < 1 or max(lengths) > rounds_run:",
+     "if False:",
+     [f"{MALFORMED}[length-outside-rounds]", f"{MALFORMED}[length-zero]"]),
+    ("load-skips-the-rounds-bound", CLOSURE,
+     "if rounds_run > 2 * longest:",
+     "if False:",
+     [f"{MALFORMED}[rounds-run-past-twice-the-longest]"]),
+    # each seed's identity is yielded as soon as its object is made
+    ("seeds-made-before-the-first-yield", RELCORE,
+     "        for f in frontier:\n"
+     "            obj = FinObject(*f)\n"
+     "            objs.append(obj)\n"
+     "            yield f\"id_{obj.name}\", partial(identity, obj)",
+     "        objs.extend(FinObject(*f) for f in frontier)\n"
+     "    for obj in objs[1:]:\n"
+     "        yield f\"id_{obj.name}\", partial(identity, obj)",
+     ["tests/test_relcore.py::test_structural_seeds_yield_each_identity_as_its_object_is_made",
+      "tests/test_closure.py::test_a_raised_max_arity_is_refused_at_its_first_missing_seed"]),
 ]
 
 

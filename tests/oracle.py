@@ -7,7 +7,7 @@ here imports the matrix code paths beyond the public data types, except
 `first_wins_words_oracle`: it pins the closure's scan order, not its
 arithmetic, and calls the public `compose` and `tensor` pair by pair.
 `store_tree_oracle` and `store_block_tree_oracle` are the `toycat-store/3`
-and `toycat-store/4` files written the plain way, as the dict trees that
+and `toycat-store/5` files written the plain way, as the dict trees that
 `json.dumps` encodes; the `/3` one renders a store for the digests pinned
 before the block form.
 """
@@ -396,15 +396,17 @@ def store_tree_oracle(store) -> dict:
 
 
 def store_block_tree_oracle(store) -> dict:
-    """The `toycat-store/4` file of `store` as a JSON tree, field by field.
+    """The `toycat-store/5` file of `store` as a JSON tree, field by field.
 
     The `/3` tree with its morphism records gathered into one block per
     shape, in key order: the block's members' rows one after the other,
-    and their words and lengths. `json.dumps(tree, sort_keys=True,
+    and their words and lengths; `growth` and `morphism_count`, which the
+    lengths give, are dropped. `json.dumps(tree, sort_keys=True,
     separators=(",", ":"))` gives the bytes that `store_to_json_str`
     writes without building the tree.
     """
     tree = store_tree_oracle(store)
+    del tree["growth"], tree["morphism_count"]
     blocks: dict[tuple, dict] = {}
     for rec in tree.pop("morphisms"):
         shape = tuple(rec["dom"]), tuple(rec["cod"])
@@ -414,15 +416,15 @@ def store_block_tree_oracle(store) -> dict:
         block["rows"] += rec["rows"]
         block["words"].append(rec["word"])
         block["lengths"].append(rec["length"])
-    return {**tree, "format": "toycat-store/4", "blocks": list(blocks.values())}
+    return {**tree, "format": "toycat-store/5", "blocks": list(blocks.values())}
 
 
 def store_without_member(tree: dict, length: int) -> tuple[dict, dict]:
-    """A `toycat-store/4` tree less its first member of word length `length`.
+    """A `toycat-store/5` tree less its first member of word length `length`.
 
-    The member's rows, word and length leave its block, and its round's
-    `growth` count and `morphism_count` are lowered to fit. Returns the new
-    tree and the member as a relation record `{"dom", "cod", "rows"}`.
+    The member's rows, word and length leave its block, so every count the
+    file gives drops with it. Returns the new tree and the member as a
+    relation record `{"dom", "cod", "rows"}`.
     """
     blocks = [dict(block) for block in tree["blocks"]]
     block, k = next(
@@ -433,9 +435,4 @@ def store_without_member(tree: dict, length: int) -> tuple[dict, dict]:
     block["rows"] = block["rows"][:k * n] + block["rows"][(k + 1) * n:]
     block["words"] = block["words"][:k] + block["words"][k + 1:]
     block["lengths"] = block["lengths"][:k] + block["lengths"][k + 1:]
-    return {
-        **tree,
-        "blocks": blocks,
-        "morphism_count": tree["morphism_count"] - 1,
-        "growth": [[r, c - (r == length)] for r, c in tree["growth"]],
-    }, member
+    return {**tree, "blocks": blocks}, member

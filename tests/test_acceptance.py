@@ -456,13 +456,18 @@ def test_cap3_round4_spek_store_bytes_are_pinned(spek_store_r4):
     # not a criterion: pins every word, order and growth count of the
     # largest build the tests make, so a pair-scan change that alters one shows
     assert [n for _, n in spek_store_r4.growth] == [34, 941, 22463, 121287]
-    # the `toycat-store/4` text, and the `/3` rendering of the store read
-    # back from it, which is pinned by the digest taken before the block form
+    # the `toycat-store/5` text, and the `/3` rendering of the store read
+    # back from it, which is pinned by the digest taken before the block form;
+    # the read-back has the built store's items and record, its growth derived
     text = store_to_json_str(spek_store_r4)
     loaded = store_from_json(json.loads(text))
+    assert loaded.items == spek_store_r4.items
+    assert (loaded.growth, loaded.rounds_run, loaded.fixpoint) == (
+        spek_store_r4.growth, spek_store_r4.rounds_run, spek_store_r4.fixpoint
+    )
     v3 = json.dumps(store_tree_oracle(loaded), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "cf785a847c01350779d05fd415c5df58143bb3b4269ceca574262720eebacd66"
+        "e958d508233fd0748e2629f4c9baaea033b1751d276907002358a1fa63aecf62"
     )
     assert hashlib.sha256(v3.encode()).hexdigest() == (
         "88e763c1dd5f0acf6d27db7a6f5d5e9698e81796b67697efb80c477eb7abe488"

@@ -351,20 +351,32 @@ def test_words_match_the_first_wins_scan(fixture, request):
 #
 # The sha256 of the store file of several builds, so a change to the pair scan
 # that alters any word, order or growth count shows as a changed digest.
-# Each store has two pins: its `toycat-store/4` text, and the `toycat-store/3`
+# Each store has two pins: its `toycat-store/5` text, and the `toycat-store/3`
 # rendering of the store read back from that text, which is pinned by the
-# digest taken before the block form.
+# digest taken before the block form: as that rendering holds the growth
+# and the morphism count, its pin shows the derived ones unchanged too.
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _store_digests(store: MorphismStore) -> tuple[str, str]:
-    """(sha256 of the store's text, sha256 of the `/3` rendering of its read-back)."""
+    """(sha256 of the store's text, sha256 of the `/3` rendering of its read-back).
+
+    The read-back has the store's items and record, its growth derived.
+    """
     text = store_to_json_str(store)
     loaded = store_from_json(json.loads(text))
     assert store_to_json_str(loaded) == text
+    _assert_same_record(loaded, store)
     return _sha256(text), _sha256(_v3_text(loaded))
+
+
+def _assert_same_record(loaded: MorphismStore, store: MorphismStore) -> None:
+    assert loaded.items == store.items
+    assert (loaded.growth, loaded.rounds_run, loaded.fixpoint) == (
+        store.growth, store.rounds_run, store.fixpoint
+    )
 
 
 def _v3_text(store: MorphismStore) -> str:
@@ -376,7 +388,7 @@ def test_cap2_round4_spek_store_bytes_are_pinned(spek_cap2_r4):
     store = spek_cap2_r4
     assert [n for _, n in store.growth] == [31, 737, 1603, 2955]
     assert _store_digests(store) == (
-        "fccb7c3e7df537817bd6d2a5e99df019c672627d3ddce610258317c0c24b2497",
+        "8bc6d10874939820ce1fba9f7975d6bc976e11ffba00dd00fa9bf7a1e80f7ff7",
         "895036c9a40f01e7d3d8ff85def991c0f64e4306e9bbd39f436ceffe0c8f6519",
     )
 
@@ -403,7 +415,7 @@ def test_morphism_cap_cuts_a_later_round_inside_a_shape(spek_cap2_r4):
         (e.word, e.length) == (full[k].word, full[k].length) for k, e in store.items.items()
     )
     assert _store_digests(store) == (
-        "f4d51130856411c6e85ff2855da19d97ef62f24cb570f164fd60de8a6f904b98",
+        "f91419722627ed248290f04f5043fba294eff64766903a3b88f1e510a26e8d2d",
         "4919cdc876e91c475613adf21c1a26e965e8d83c4eb7812f36ae0ded2e769dc6",
     )
 
@@ -416,7 +428,7 @@ def test_cap2_round5_spek_store_bytes_are_pinned():
     )
     assert [n for _, n in store.growth] == [31, 737, 1603, 2955, 7056]
     assert _store_digests(store) == (
-        "fff8aaee806d8a757c1a74f5648bf1c53af4fcc9d09bf03b9411647a8ba455e1",
+        "e9652d5b025ffda3bebd61298f72c8deed3b3ca2ece309e01d755bbc6240e7d8",
         "0a09d0c22c813cf91fcee6dbc9cc3620d2ce5740a4ad0e9105524a99704cf803",
     )
 
@@ -425,7 +437,7 @@ def test_cap3_round3_spek_store_bytes_are_pinned_and_words_first_win(spek_bounde
     # products of products and composites of composites are most common here
     assert [n for _, n in spek_bounded.growth] == [34, 941, 22463]
     assert _store_digests(spek_bounded) == (
-        "052fc2338c276427f721545fdb62c19a3a6056130ed4941465e77a3f0625daa0",
+        "147f0efa9c3d03e496991c2e5bfe04036311cbd1ae1a4601092a1bf4a8445d2b",
         "a853134041aaed61edc5a54d7b716f31f7ed390df9f971fd84cd85d5a57b25d8",
     )
     assert {k: (e.word, e.length) for k, e in spek_bounded.items.items()} == (
@@ -478,7 +490,7 @@ def test_wide_row_store_matches_the_reference_closure_and_is_pinned():
     _assert_matches_the_oracles(store)
     assert [n for _, n in store.growth] == [10, 38, 83, 106]
     assert _store_digests(store) == (
-        "6ee98bd94a24d83a4c471aa5b98117dc9dd7be85689873b6a94ccc343a60f5f2",
+        "90d66849093478c910701b1b18e51104b2891ff3d07407832d2f5822ea5899c7",
         "876c6917d3de31916d665552b3d40d851bdecfa8df8a5b8592ffa2d1d590f283",
     )
 
@@ -827,6 +839,7 @@ def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
         blob = json.loads(store_to_json_str(store))
         loaded = store_from_json(blob)
         assert store_to_json_str(loaded) == store_to_json_str(store)
+        _assert_same_record(loaded, store)
         widest = max((cod for _, cod, _ in store.items), key=len)
         assert contains(loaded, identity(FinObject(*widest * 2))).status == "no"
         # max_rounds equal to rounds_run let the run reach its empty round
@@ -836,13 +849,14 @@ def test_fixpoint_stores_load_and_a_contradicted_flag_is_refused(
         with pytest.raises(ValueError, match="'fixpoint' is true, but max_rounds"):
             store_from_json(stopped)
         # one more empty round, or one fewer, is not where the run stops
-        longer = {**blob, "rounds_run": store.rounds_run + 1,
-                  "growth": blob["growth"] + [[store.rounds_run + 1, 0]]}
-        shorter = {**blob, "rounds_run": store.rounds_run - 1, "growth": blob["growth"][:-1]}
+        longer = {**blob, "rounds_run": store.rounds_run + 1}
+        shorter = {**blob, "rounds_run": store.rounds_run - 1}
         for bad in (longer, shorter):
             with pytest.raises(ValueError, match="'fixpoint' is true, but the last round"):
                 store_from_json(bad)
-        assert not store_from_json({**longer, "fixpoint": False}).fixpoint
+        unflagged = store_from_json({**longer, "fixpoint": False})
+        assert not unflagged.fixpoint
+        assert unflagged.growth == store.growth + [(store.rounds_run + 1, 0)]
 
 
 def test_a_round_cap_at_the_empty_round_still_reaches_the_fixpoint(arity1_gens, arity1_store):
@@ -865,8 +879,7 @@ def test_an_empty_round_before_the_last_growth_does_not_end_the_build():
     assert {closure_member(e.relation) for e in store.items.values()} == reference
     # the store as round 9 left it fits the growth rule, and the certificate refuses it
     cut = dataclasses.replace(
-        store, items={k: e for k, e in store.items.items() if e.length < 10},
-        growth=store.growth[:9], rounds_run=9,
+        store, items={k: e for k, e in store.items.items() if e.length < 10}, rounds_run=9,
     )
     with pytest.raises(ValueError, match=r"^store file field 'fixpoint' is true, but a product"):
         store_from_json(json.loads(store_to_json_str(cut)))
@@ -888,8 +901,8 @@ def test_an_unbounded_build_stops_the_round_after_its_last_growth(gens, cap):
 
 def test_a_fixpoint_store_its_generators_do_not_rebuild_is_refused(arity1_store):
     blob = json.loads(store_to_json_str(arity1_store))
-    # a member deleted with its counts lowered fits the growth record, and
-    # would make `contains` answer "no" for a morphism of the closure
+    # a member deleted fits the growth derived from the lengths, and would
+    # make `contains` answer "no" for a morphism of the closure
     deleted, _ = store_without_member(blob, 4)
     assert store_from_json({**deleted, "fixpoint": False}).growth[3] == (4, 27)
     with pytest.raises(ValueError, match="'fixpoint' is true, but the converse of "):
@@ -932,23 +945,19 @@ def test_the_closure_certificate_accepts_the_fixpoints(
 
 
 def _blob_without(store: MorphismStore, doomed) -> dict:
-    """The file tree of `store` less the members keyed in `doomed`, its counts lowered."""
-    lengths = [store.items[key].length for key in doomed]
+    """The file tree of `store` less the members keyed in `doomed`."""
     cut = dataclasses.replace(
         store, items={k: e for k, e in store.items.items() if k not in doomed},
-        growth=[(r, n - lengths.count(r)) for r, n in store.growth],
     )
     return json.loads(store_to_json_str(cut))
 
 
 def _blob_with_word(store: MorphismStore, word: str, new_word: str, new_length: int) -> dict:
-    """The file tree of `store` with the member of `word` given another word
-    and length, its growth moved to fit."""
+    """The file tree of `store` with the member of `word` given another word and length."""
     entry = next(e for e in store.items.values() if e.word == word)
     moved = StoredMorphism(entry.relation, new_word, new_length)
     items = {**store.items, entry.relation.key: moved}
-    growth = [(r, n - (r == entry.length) + (r == new_length)) for r, n in store.growth]
-    return json.loads(store_to_json_str(dataclasses.replace(store, items=items, growth=growth)))
+    return json.loads(store_to_json_str(dataclasses.replace(store, items=items)))
 
 
 def _blob_without_symbol(store: MorphismStore, name: str) -> dict:
@@ -958,12 +967,12 @@ def _blob_without_symbol(store: MorphismStore, name: str) -> dict:
 
 
 def _padded_round2_blob() -> dict:
-    """The cap-2 round-2 store flagged as a fixpoint: its growth record fits one."""
+    """The cap-2 round-2 store flagged as a fixpoint: its growth, 31, 737 and
+    0, fits one."""
     store = generate_closure(spek_generator_symbols(), ClosureConfig(max_arity=2, max_rounds=2))
     blob = store_to_json(store)
     return {**blob, "fixpoint": True, "rounds_run": 3,
-            "config": {**blob["config"], "max_rounds": None},
-            "growth": [[1, 31], [2, 737], [3, 0]]}
+            "config": {**blob["config"], "max_rounds": None}}
 
 
 def _product_orbit(eps_z: Relation) -> set:
@@ -1080,6 +1089,25 @@ def test_a_seed_the_symbols_lack_is_refused_unbuilt(arity1_store, monkeypatch):
     assert built == [UNIT, IV]
 
 
+def test_a_raised_max_arity_is_refused_at_its_first_missing_seed(arity1_store, monkeypatch):
+    # the seeds come one object at a time, so refusing a cap of a million
+    # makes IV and IV x IV, not every power of IV up to the cap; a third
+    # object fails the test at once rather than let it run on
+    made = []
+
+    def counted(*factors):
+        made.append(factors)
+        assert len(made) <= 2, f"made the object {factors[:3]}... of arity {len(factors)}"
+        return FinObject(*factors)
+
+    monkeypatch.setattr(relcore, "FinObject", counted)
+    blob = store_to_json(arity1_store)
+    with pytest.raises(ValueError, match="^store file field 'fixpoint' is true, but its symbols "
+                                         "lack the seeded 'id_IVxIV'$"):
+        store_from_json({**blob, "config": {**blob["config"], "max_arity": 1_000_000}})
+    assert made == [(4,), (4, 4)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(mixed_generators(), st.integers(min_value=1, max_value=2), st.randoms())
 def test_mixed_factor_fixpoints_load_and_refuse_a_lost_member(gens, cap, rng):
@@ -1099,7 +1127,9 @@ def test_mixed_factor_fixpoints_load_and_refuse_a_lost_member(gens, cap, rng):
 
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):
     blob = store_to_json(qubit_store)
-    assert blob["format"] == "toycat-store/4"
+    assert blob["format"] == "toycat-store/5"
+    # each count is the lengths': no field states it again
+    assert "growth" not in blob and "morphism_count" not in blob
     keys = []
     for block in blob["blocks"]:
         n = len(block["rows"]) // len(block["words"])
@@ -1114,10 +1144,11 @@ def test_store_lists_morphisms_in_rows_key_order(qubit_store):
 
 
 def test_store_from_json_rejects_version_1(arity1_store):
-    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3"):
+    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3", "toycat-store/4"):
         blob = store_to_json(arity1_store)
         blob["format"] = old
-        with pytest.raises(ValueError, match=rf"'{old}'.*'toycat-store/4'"):
+        with pytest.raises(ValueError, match=rf"^unsupported store format '{old}'; "
+                                             "expected 'toycat-store/5'$"):
             store_from_json(blob)
 
 
@@ -1191,7 +1222,7 @@ def test_store_text_round_trips_on_mixed_factor_stores(store):
     text = store_to_json_str(store)
     assert text == _reference_text(store)
     restored = store_from_json(json.loads(text))
-    assert restored.items == store.items
+    _assert_same_record(restored, store)
     assert store_to_json_str(restored) == text
 
 

@@ -34,6 +34,7 @@ from toycat.relcore import (
     scalar_identity,
     scalar_kind,
     snake_holds,
+    structural_seeds,
     swap,
     table_run,
     tensor,
@@ -396,6 +397,32 @@ def test_interchange_law():
         lhs = compose(tensor(g1, g2), tensor(f1, f2))
         rhs = tensor(compose(g1, f1), compose(g2, f2))
         assert lhs == rhs
+
+
+def test_structural_seeds_come_in_order_each_made_when_asked():
+    seeds = list(structural_seeds([2, 4], 2))
+    assert [name for name, _ in seeds] == [
+        "id_I", "id_II", "id_IV", "id_IIxII", "id_IIxIV", "id_IVxII", "id_IVxIV",
+        "swap_II_II", "swap_II_IV", "swap_IV_II", "swap_IV_IV",
+    ]
+    made = dict(seeds)
+    assert made["id_IVxII"]() == identity(IV * II)
+    assert made["swap_II_IV"]() == swap(II, IV)
+
+
+def test_structural_seeds_yield_each_identity_as_its_object_is_made(monkeypatch):
+    # at cap 16 the objects on II and IV number 2^17 - 1: none past the
+    # first seeds' is made before they are yielded
+    made = []
+
+    def counted(*factors):
+        made.append(factors)
+        return FinObject(*factors)
+
+    monkeypatch.setattr(toycat.relcore, "FinObject", counted)
+    seeds = structural_seeds([2, 4], 16)
+    assert [next(seeds)[0] for _ in range(4)] == ["id_I", "id_II", "id_IV", "id_IIxII"]
+    assert made == [(2,), (4,), (2, 2)]
 
 
 # -- scalars -----------------------------------------------------------------------

@@ -268,7 +268,7 @@ def test_cli_suite_qubit_passes(capsys):
 def test_cli_suite_qubit_does_not_read_the_store(tmp_path, capsys):
     # the qubit battery uses no store, so a malformed one must not matter
     path = tmp_path / "store.json"
-    path.write_text(json.dumps({"format": "toycat-store/4"}))
+    path.write_text(json.dumps({"format": "toycat-store/5"}))
     expected = run_cli(capsys, "suite", "qubit")
     assert run_cli(capsys, "suite", "qubit", "--store", str(path)) == expected
     assert expected[0] == 0
@@ -607,14 +607,14 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     )
     assert code == 0
     blob = json.loads(store_path.read_text())
-    assert blob["format"] == "toycat-store/4"
-    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3"):
+    assert blob["format"] == "toycat-store/5"
+    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3", "toycat-store/4"):
         store_path.write_text(json.dumps({**blob, "format": old}))
         code, out, err = run_cli(
             capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
         )
         assert code == 2 and out == ""
-        assert f"'{old}'" in err and "'toycat-store/4'" in err
+        assert f"'{old}'" in err and "'toycat-store/5'" in err
         assert "Traceback" not in err
 
 
@@ -676,10 +676,14 @@ def _split(blob):
         ),
         # bool("false") is true: read loosely, this store would claim a fixpoint
         (lambda blob: {**blob, "fixpoint": "false"}, "field 'fixpoint' has the wrong type str"),
-        (lambda blob: {**blob, "growth": [["a", "b"]]}, "field 'growth' is not one [round"),
-        (lambda blob: {**blob, "growth": [[2, 31]]}, "for each round 1 to 1"),
-        (lambda blob: {**blob, "growth": [[1, 30]]}, "'growth' adds up to 30 morphisms"),
-        (lambda blob: {**blob, "morphism_count": 7}, "'morphism_count' is 7"),
+        # a length outside the rounds run, and more rounds than a build with
+        # these lengths runs, which bounds the growth derived from them
+        (lambda blob: _with_block(blob, 0, lengths=[2]), "block 0 has length 2, not in 1 to 1"),
+        (lambda blob: _with_block(blob, 0, lengths=[0]), "block 0 has length 0, not in 1 to 1"),
+        (
+            lambda blob: {**blob, "rounds_run": 3, "config": {**blob["config"], "max_rounds": None}},
+            "field 'rounds_run' is 3, but a build stops by round 2",
+        ),
         # JSON true is an int to isinstance; read loosely, each would stand for 1
         (lambda blob: {**blob, "rounds_run": True}, "field 'rounds_run' has the wrong type bool"),
         (
@@ -740,10 +744,6 @@ def _split(blob):
             lambda blob: {**blob, "blocks": [blob["blocks"][0], *blob["blocks"]]},
             "field 'blocks' repeats the shape of block 0 in block 1",
         ),
-        (
-            lambda blob: {**blob, "rounds_run": 2, "growth": [[1, 30], [2, 1]]},
-            "field 'growth' says round 1 added 30 morphisms, but the file holds 31 of length 1",
-        ),
         # the block form: its lists' counts, its members' order, its shape
         (
             lambda blob: _with_block(blob, 0, lengths=[1, 1]),
@@ -803,12 +803,13 @@ def _split(blob):
             "store file symbol 'wide' has shape IVxIVxIV -> I, outside arity cap 2",
         ),
     ],
-    ids=["list", "no-config", "config-list", "word-int", "fixpoint-str", "growth-strings",
-         "growth-rounds", "growth-sum", "morphism-count", "rounds-run-true",
+    ids=["list", "no-config", "config-list", "word-int", "fixpoint-str",
+         "length-outside-rounds", "length-zero", "rounds-run-past-twice-the-longest",
+         "rounds-run-true",
          "max-arity-true", "max-rounds-true", "length-true", "max-rounds-zero",
          "rows-missing", "rows-str", "rows-short", "row-negative", "row-outside-domain",
          "row-float", "row-bool", "row-str", "dom-true-after-1", "dom-float-after-int",
-         "out-of-order", "repeated", "growth-per-round",
+         "out-of-order", "repeated",
          "lengths-long", "words-long", "rows-long", "words-str", "lengths-int",
          "lengths-missing", "empty-block", "shape-split", "block-list", "blocks-dict",
          "members-out-of-order", "member-repeated", "cod-huge", "dom-huge",
