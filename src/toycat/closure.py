@@ -92,19 +92,21 @@ candidate that is only a duplicate of one found earlier in the same round,
 such as a composite left entry of a product, could move it later in scan
 order and change a winning word.
 
-A store file (`toycat-store/5`) holds one block per shape, the hom-set of
-its morphisms, in shape order: the shape's factors once, then its
-members' rows as one flat list of JSON integers, member after member in
-rows order, with their words and lengths. So writing one builds no pairs,
-and reading one builds each shape's objects once and a few lists per
-shape, not per morphism; `store_from_json` lists what the reader checks.
-The file states each count once: a round's growth is the number of
-members of its length, derived on load, and the morphism count is the
-number of members.
+A store file (`toycat-store/6`) holds one block per shape, the hom-set of
+its morphisms, in shape order: the shape's factors once, its distinct
+rows once as its `table`, in order of first use, then its members' rows
+as one flat list of indices into the table, member after member in rows
+order, with their words and lengths. A store holds few distinct rows (543
+among the cap-3 round-3 store's 1,221,908), and an index below 257 is an
+int CPython caches, so the parse makes few int objects and every member
+of a block shares its table's. Writing builds no pairs, and reading builds
+each shape's objects once and a few lists per shape, not per morphism;
+`store_from_json` lists what the reader checks. The file states each
+count once: a round's growth is the number of members of its length,
+derived on load, and the morphism count is the number of members.
 `store_to_json_str` is the one writer. It writes the text of `json.dumps`
 with sorted keys and no spaces, but builds no JSON tree: each block is
-formatted straight from its members' keys, and each distinct row integer
-is turned into decimal once per call (a store holds few distinct rows).
+formatted straight from its members' keys, with one lookup per row.
 `store_to_json` is the parse of that text.
 
 Objects are capped per side: every domain and codomain in the store, and in
@@ -156,7 +158,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, itemgetter, le, lt
 from typing import Iterator, Mapping
 
 from .relcore import (
@@ -198,10 +200,10 @@ __all__ = [
 
 
 # A store file holds one block per shape, the shapes in order, and each
-# block its members' rows as JSON integers in rows order, with their words
-# and lengths; the version changes whenever that order, the block form or
-# the set of fields does.
-STORE_FORMAT = "toycat-store/5"
+# block its distinct rows and its members' rows as indices into them, in
+# rows order, with their words and lengths; the version changes whenever
+# that order, the block form or the set of fields does.
+STORE_FORMAT = "toycat-store/6"
 
 
 class GeneratorOutsideCapError(ValueError):
@@ -714,13 +716,13 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
 
 # -- serialization -------------------------------------------------------------
 
-class _Decimal(dict):
-    """Row integer -> its decimal text; each distinct value is converted once."""
+class _Index(dict):
+    """Row integer -> the decimal text of its index in a block's table, by first use."""
 
     __slots__ = ()
 
     def __missing__(self, row: int) -> str:
-        text = self[row] = str(row)
+        text = self[row] = str(len(self))
         return text
 
 
@@ -745,12 +747,11 @@ def store_to_json_str(store: MorphismStore) -> str:
     The bytes are those of `json.dumps(..., sort_keys=True, separators=(",",
     ":"))` over the file's tree, but the tree is never built. `json.dumps`
     writes the small fields after `blocks`, and each block `{"cod", "dom",
-    "lengths", "rows", "words"}` is one f-string written straight from its
-    members' rows keys, in key order, so no pairs are built: `rows` holds
-    the members' rows one member after the other. A store holds few
-    distinct row integers (543 of 1,221,908 in the cap-3 round-3 store), so
-    each is converted to decimal once per call, and a block's rows are
-    joined once. Words are escaped as `json.dumps` escapes them.
+    "lengths", "rows", "table", "words"}` is one f-string written straight
+    from its members' rows keys, in key order, so no pairs are built: `rows`
+    holds the members' rows one member after the other, each as its index
+    in `table`, the block's distinct rows by first use, which one `_Index`
+    lookup per row finds. Words are escaped as `json.dumps` escapes them.
     """
     rest = _json({
         "config": {
@@ -767,17 +768,18 @@ def store_to_json_str(store: MorphismStore) -> str:
             for name, rel in store.symbols.items()
         },
     })
-    decimal = _Decimal().__getitem__
     quote = encode_basestring_ascii
     parts = ['{"blocks":[']
     sep = ""
     for (dom_f, cod_f), block in groupby(sorted(store.items.items()), _shape):
         keys, entries = zip(*block)
+        index = _Index()
+        rows = ",".join(map(index.__getitem__, chain.from_iterable(map(_rows_of, keys))))
         parts.append(
-            f'{sep}{{"cod":[{",".join(map(decimal, cod_f))}],'
-            f'"dom":[{",".join(map(decimal, dom_f))}],'
-            f'"lengths":[{",".join(map(decimal, map(_length_of, entries)))}],'
-            f'"rows":[{",".join(map(decimal, chain.from_iterable(map(_rows_of, keys))))}],'
+            f'{sep}{{"cod":[{",".join(map(str, cod_f))}],'
+            f'"dom":[{",".join(map(str, dom_f))}],'
+            f'"lengths":[{",".join(map(str, map(_length_of, entries)))}],'
+            f'"rows":[{rows}],"table":[{",".join(map(str, index))}],'
             f'"words":[{",".join(map(quote, map(_word_of, entries)))}]}}'
         )
         sep = ","
@@ -843,27 +845,40 @@ def _objects(rec, where: str, cap: int) -> tuple[FinObject, FinObject]:
     return dom, cod
 
 
-def _rows(rec, members: int, dom: FinObject, cod: FinObject, where: str) -> list[int]:
-    """The `rows` of a symbol record or block of `members` members, checked.
+def _rows(rec, members: int, dom: FinObject, cod: FinObject, where: str, indexed=False):
+    """The rows of a symbol record or, `indexed`, a block of `members` members, checked.
 
-    It holds one row per codomain element for each member, and each row is
-    an int in [0, 2**|dom|). Only the list itself is scanned: the count is
-    compared with the codomain's size before anything is cut or built by
-    it, and the range by bit length, so 2**|dom| is never built.
+    `rows` holds one entry per codomain element for each member: a row, or
+    in a block its index in the block's `table` of distinct rows. Each row
+    is an int in [0, 2**|dom|). Only the lists are scanned: the count is
+    compared with the codomain's size before anything is cut or built by it,
+    and the range by bit length, so 2**|dom| is never built. The indices
+    must number the table by first use, each entry used: one C pass refuses
+    one that is negative, past the table or out of order. A block's rows are
+    a map through its table, so its members share the table's ints.
     """
-    rows = _typed_list(rec, "rows", int, where)
+    rows = table = _typed_list(rec, "rows", int, where)
     n = cod.cardinality
     if len(rows) != members * n:
         raise ValueError(
             f"store file field 'rows' of {where} has {len(rows)} rows, but {members} "
             f"member(s) on codomain {cod} need {members * n}, one per element"
         )
-    if min(rows) < 0 or max(rows).bit_length() > dom.cardinality:
+    if indexed:
+        table = _typed_list(rec, "table", int, where)
+        if list(dict.fromkeys(rows)) != list(range(len(table))):
+            raise ValueError(
+                f"store file field 'rows' of {where} does not index its {len(table)} "
+                "table entries in order of first use, each used"
+            )
+        if len(set(table)) < len(table):
+            raise ValueError(f"store file field 'table' of {where} repeats a row")
+    if min(table) < 0 or max(table).bit_length() > dom.cardinality:
         raise ValueError(
             f"store file field 'rows' of {where} has a row that is negative "
             f"or has bits outside domain {dom}"
         )
-    return rows
+    return map(table.__getitem__, rows) if indexed else rows
 
 
 def _symbol(rec, name, cap: int) -> Relation:
@@ -885,12 +900,15 @@ def store_from_json(data: Mapping) -> MorphismStore:
     bytes and no morphism repeats. No block or symbol may exceed `max_arity`
     on a side, and symbol names are term identifiers. Each block is checked
     with C-level scans of its lists, so the loop per member only builds and
-    inserts it. Every length lies in rounds 1 to `rounds_run`, and the
+    inserts it; its rows index its table (`_rows`), whose ints its members
+    share. Every length lies in rounds 1 to `rounds_run` and is at most its
+    word's character count, as a word has an atom per length, and the
     growth is derived from them, one `(round, members of that length)` pair
-    per round; `rounds_run` is at most twice the longest length, as a build
-    ends by then (module docstring). The record must fit the config's
-    bounds (`_check_fixpoint`), and a `fixpoint` flag the growth too and the
-    certificate (`_check_closed`, `_check_words`); nothing is replayed.
+    per round. A `fixpoint` flag must fit the growth: `rounds_run` is one
+    past the longest length. Then `rounds_run` is at most twice the longest
+    length, as a build ends by then (module docstring). The record must fit
+    the config's bounds (`_check_bounds`), and a flag the certificate too
+    (`_check_closed`, `_check_words`); nothing is replayed.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a store file holds a JSON object, not {type(data).__name__}")
@@ -942,9 +960,12 @@ def store_from_json(data: Mapping) -> MorphismStore:
             if min(lengths) < 1 or max(lengths) > rounds_run:
                 bad = next(n for n in lengths if not 0 < n <= rounds_run)
                 raise ValueError(f"store file {where} has length {bad}, not in 1 to {rounds_run}")
+            if not all(map(le, lengths, map(len, words))):  # a word has an atom per length
+                n, word = next((n, w) for n, w in zip(lengths, words) if n > len(w))
+                raise ValueError(f"store file {where} has length {n} for the shorter word {word!r}")
             # the count check in `_rows` bounds the codomain by the list's length
-            rows = _rows(block, size, dom, cod, where)
-            members = list(zip(*[iter(rows)] * cod.cardinality))
+            rows = _rows(block, size, dom, cod, where, indexed=True)
+            members = list(zip(*[rows] * cod.cardinality))
             if not all(map(lt, members, members[1:])):
                 k = next(k for k in range(1, size) if not members[k - 1] < members[k])
                 raise ValueError(
@@ -960,31 +981,30 @@ def store_from_json(data: Mapping) -> MorphismStore:
     except KeyError as exc:
         raise ValueError(f"store file lacks the field {exc.args[0]!r}") from None
     longest = max(per_length, default=0)  # the growth has a pair per round: bound them
+    if store.fixpoint and rounds_run != max(longest, 1) + 1:  # the flag's round rule first
+        raise ValueError("store file field 'fixpoint' is true, but the last round that added "
+                         f"morphisms is {max(longest, 1)}, not {rounds_run - 1}")
     if rounds_run > 2 * longest:
         raise ValueError(
             f"store file field 'rounds_run' is {rounds_run}, but a build stops by round {2 * longest}"
         )
     store.growth = [(r, per_length[r]) for r in range(1, rounds_run + 1)]
-    checks = chain(_check_fixpoint(store), _check_closed(store), _check_words(store))
-    gap = next(checks if store.fixpoint else _check_fixpoint(store), None)
+    checks = chain(_check_bounds(store), _check_closed(store), _check_words(store))
+    gap = next(checks if store.fixpoint else _check_bounds(store), None)
     if gap is not None:
         flag = "field 'fixpoint' is true, but" if store.fixpoint else "records a run its config bars:"
         raise ValueError(f"store file {flag} {gap}")
     return store
 
 
-def _check_fixpoint(store: MorphismStore) -> Iterator[str]:
-    """Yield what the record says against the bounds and the flag: a build stays within
-    `max_rounds` and `max_morphisms`, and a fixpoint's last round follows the last growth."""
-    last, max_rounds = max([1] + [r for r, n in store.growth if n]), store.config.max_rounds
+def _check_bounds(store: MorphismStore) -> Iterator[str]:
+    """Yield what the record says against the bounds: a build stays within `max_rounds`
+    and `max_morphisms`."""
+    max_rounds = store.config.max_rounds
     if max_rounds is not None and max_rounds < store.rounds_run:
         yield f"max_rounds {max_rounds} stops the run before round {store.rounds_run}"
     if store.config.max_morphisms < len(store):
         yield f"max_morphisms {store.config.max_morphisms} is below its {len(store)} morphisms"
-    if not store.fixpoint:
-        return
-    if store.rounds_run != last + 1:
-        yield f"the last round that added morphisms is {last}, not {store.rounds_run - 1}"
 
 
 def _check_closed(store: MorphismStore) -> Iterator[str]:

@@ -51,8 +51,8 @@ ROWS = [
      "if not added and not overflow:",
      ["tests/test_closure.py::test_an_empty_round_before_the_last_growth_does_not_end_the_build"]),
     ("growth-rule-twice-the-last-round", CLOSURE,
-     "if store.rounds_run != last + 1:",
-     "if store.rounds_run != 2 * last:",
+     "if store.fixpoint and rounds_run != max(longest, 1) + 1:",
+     "if store.fixpoint and rounds_run != 2 * max(longest, 1):",
      [FIXPOINT_FLAG,
       "tests/test_closure.py::test_the_closure_certificate_accepts_the_fixpoints"]),
     ("growth-rule-max-rounds-at-rounds-run", CLOSURE,
@@ -133,7 +133,7 @@ ROWS = [
      [f"{NOT_CLOSED}[product]"]),
     # the bounds of the config hold in every store, not only at a fixpoint
     ("load-checks-bounds-only-at-fixpoint", CLOSURE,
-     "gap = next(checks if store.fixpoint else _check_fixpoint(store), None)",
+     "gap = next(checks if store.fixpoint else _check_bounds(store), None)",
      "gap = next(checks, None) if store.fixpoint else None",
      [f"{BOUNDS}[max-rounds]", f"{BOUNDS}[max-morphisms]"]),
     ("load-skips-max-morphisms", CLOSURE,
@@ -202,6 +202,46 @@ ROWS = [
      "if rounds_run > 2 * longest:",
      "if False:",
      [f"{MALFORMED}[rounds-run-past-twice-the-longest]"]),
+    # a fixpoint file meets the flag's own round rule before the bound of
+    # twice the longest length, so a lost longest member names the flag
+    ("fixpoint-rule-after-the-rounds-bound", CLOSURE,
+     "    if store.fixpoint and rounds_run != max(longest, 1) + 1:  # the flag's round rule first\n"
+     "        raise ValueError(\"store file field 'fixpoint' is true, but the last round that added \"\n"
+     "                         f\"morphisms is {max(longest, 1)}, not {rounds_run - 1}\")\n"
+     "    if rounds_run > 2 * longest:\n"
+     "        raise ValueError(\n"
+     "            f\"store file field 'rounds_run' is {rounds_run}, but a build stops by round {2 * longest}\"\n"
+     "        )\n",
+     "    if rounds_run > 2 * longest:\n"
+     "        raise ValueError(\n"
+     "            f\"store file field 'rounds_run' is {rounds_run}, but a build stops by round {2 * longest}\"\n"
+     "        )\n"
+     "    if store.fixpoint and rounds_run != max(longest, 1) + 1:  # the flag's round rule first\n"
+     "        raise ValueError(\"store file field 'fixpoint' is true, but the last round that added \"\n"
+     "                         f\"morphisms is {max(longest, 1)}, not {rounds_run - 1}\")\n",
+     ["tests/test_closure.py::test_mixed_factor_fixpoints_load_and_refuse_a_lost_member"]),
+    # a word has an atom, so a character, per length: a small file cannot
+    # raise a length and `rounds_run` to make a long derived growth
+    ("load-skips-the-length-word-check", CLOSURE,
+     "if not all(map(le, lengths, map(len, words))):",
+     "if False:",
+     [f"{MALFORMED}[length-past-word]"]),
+    # a block's rows index its table: in order of first use, every entry used
+    # (a count of distinct indices lets them run out of order), the entries
+    # distinct and each a row within the domain
+    ("load-counts-the-indices", CLOSURE,
+     "if list(dict.fromkeys(rows)) != list(range(len(table))):",
+     "if len(set(rows)) != len(table):",
+     [f"{MALFORMED}[index-out-of-first-use]"]),
+    ("load-skips-the-table-range", CLOSURE,
+     "if min(table) < 0 or max(table).bit_length() > dom.cardinality:",
+     "if not indexed and (min(table) < 0 or max(table).bit_length() > dom.cardinality):",
+     [f"{MALFORMED}[table-negative]", f"{MALFORMED}[table-outside-domain]",
+      f"{MALFORMED}[row-negative]", f"{MALFORMED}[row-outside-domain]", f"{MALFORMED}[dom-huge]"]),
+    ("load-skips-the-table-distinctness", CLOSURE,
+     "if len(set(table)) < len(table):",
+     "if False:",
+     [f"{MALFORMED}[table-repeated]"]),
     # each seed's identity is yielded as soon as its object is made
     ("seeds-made-before-the-first-yield", RELCORE,
      "        for f in frontier:\n"

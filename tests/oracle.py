@@ -7,9 +7,11 @@ here imports the matrix code paths beyond the public data types, except
 `first_wins_words_oracle`: it pins the closure's scan order, not its
 arithmetic, and calls the public `compose` and `tensor` pair by pair.
 `store_tree_oracle` and `store_block_tree_oracle` are the `toycat-store/3`
-and `toycat-store/5` files written the plain way, as the dict trees that
+and `toycat-store/6` files written the plain way, as the dict trees that
 `json.dumps` encodes; the `/3` one renders a store for the digests pinned
-before the block form.
+before the block form. `block_rows` and `with_block_rows` decode a `/6`
+block's rows to their values and encode values back, so a test edits rows,
+not indices.
 """
 
 from __future__ import annotations
@@ -395,15 +397,32 @@ def store_tree_oracle(store) -> dict:
     }
 
 
+def block_rows(block: dict) -> list[int]:
+    """The rows of a `toycat-store/6` block, member after member: each index
+    in its `rows` looked up in its `table`."""
+    return [block["table"][i] for i in block["rows"]]
+
+
+def with_block_rows(block: dict, rows: list) -> dict:
+    """`block` with the row values `rows`, encoded the plain way: `table`
+    lists each distinct value once, in order of first use, and `rows` holds
+    the index of each value in it."""
+    table: list = []
+    for row in rows:
+        if row not in table:
+            table.append(row)
+    return {**block, "rows": [table.index(row) for row in rows], "table": table}
+
+
 def store_block_tree_oracle(store) -> dict:
-    """The `toycat-store/5` file of `store` as a JSON tree, field by field.
+    """The `toycat-store/6` file of `store` as a JSON tree, field by field.
 
     The `/3` tree with its morphism records gathered into one block per
     shape, in key order: the block's members' rows one after the other,
-    and their words and lengths; `growth` and `morphism_count`, which the
-    lengths give, are dropped. `json.dumps(tree, sort_keys=True,
-    separators=(",", ":"))` gives the bytes that `store_to_json_str`
-    writes without building the tree.
+    encoded by `with_block_rows`, and their words and lengths; `growth` and
+    `morphism_count`, which the lengths give, are dropped. `json.dumps(tree,
+    sort_keys=True, separators=(",", ":"))` gives the bytes that
+    `store_to_json_str` writes without building the tree.
     """
     tree = store_tree_oracle(store)
     del tree["growth"], tree["morphism_count"]
@@ -416,23 +435,29 @@ def store_block_tree_oracle(store) -> dict:
         block["rows"] += rec["rows"]
         block["words"].append(rec["word"])
         block["lengths"].append(rec["length"])
-    return {**tree, "format": "toycat-store/5", "blocks": list(blocks.values())}
+    return {**tree, "format": "toycat-store/6",
+            "blocks": [with_block_rows(block, block["rows"]) for block in blocks.values()]}
 
 
 def store_without_member(tree: dict, length: int) -> tuple[dict, dict]:
-    """A `toycat-store/5` tree less its first member of word length `length`.
+    """A `toycat-store/6` tree less its first member of word length `length`.
 
-    The member's rows, word and length leave its block, so every count the
-    file gives drops with it. Returns the new tree and the member as a
-    relation record `{"dom", "cod", "rows"}`.
+    The member's rows, word and length leave its block, whose rows are
+    encoded again, so a table entry only the member used goes too. Returns
+    the new tree and the member as a relation record `{"dom", "cod",
+    "rows"}`.
     """
-    blocks = [dict(block) for block in tree["blocks"]]
-    block, k = next(
-        (block, k) for block in blocks for k, n in enumerate(block["lengths"]) if n == length
+    blocks = list(tree["blocks"])
+    b, k = next(
+        (b, k) for b, block in enumerate(blocks) for k, n in enumerate(block["lengths"])
+        if n == length
     )
-    n = len(block["rows"]) // len(block["lengths"])
-    member = {"dom": block["dom"], "cod": block["cod"], "rows": block["rows"][k * n:(k + 1) * n]}
-    block["rows"] = block["rows"][:k * n] + block["rows"][(k + 1) * n:]
-    block["words"] = block["words"][:k] + block["words"][k + 1:]
-    block["lengths"] = block["lengths"][:k] + block["lengths"][k + 1:]
+    block, rows = blocks[b], block_rows(blocks[b])
+    n = len(rows) // len(block["lengths"])
+    member = {"dom": block["dom"], "cod": block["cod"], "rows": rows[k * n:(k + 1) * n]}
+    blocks[b] = with_block_rows({
+        **block,
+        "words": block["words"][:k] + block["words"][k + 1:],
+        "lengths": block["lengths"][:k] + block["lengths"][k + 1:],
+    }, rows[:k * n] + rows[(k + 1) * n:])
     return {**tree, "blocks": blocks}, member

@@ -38,7 +38,7 @@ from toycat.terms import (
     signature_of,
 )
 
-from oracle import store_without_member
+from oracle import block_rows, store_without_member, with_block_rows
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +268,7 @@ def test_cli_suite_qubit_passes(capsys):
 def test_cli_suite_qubit_does_not_read_the_store(tmp_path, capsys):
     # the qubit battery uses no store, so a malformed one must not matter
     path = tmp_path / "store.json"
-    path.write_text(json.dumps({"format": "toycat-store/5"}))
+    path.write_text(json.dumps({"format": "toycat-store/6"}))
     expected = run_cli(capsys, "suite", "qubit")
     assert run_cli(capsys, "suite", "qubit", "--store", str(path)) == expected
     assert expected[0] == 0
@@ -607,14 +607,15 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     )
     assert code == 0
     blob = json.loads(store_path.read_text())
-    assert blob["format"] == "toycat-store/5"
-    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3", "toycat-store/4"):
+    assert blob["format"] == "toycat-store/6"
+    for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3", "toycat-store/4",
+                "toycat-store/5"):
         store_path.write_text(json.dumps({**blob, "format": old}))
         code, out, err = run_cli(
             capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
         )
         assert code == 2 and out == ""
-        assert f"'{old}'" in err and "'toycat-store/5'" in err
+        assert f"'{old}'" in err and "'toycat-store/6'" in err
         assert "Traceback" not in err
 
 
@@ -628,26 +629,42 @@ def _with_block(blob, index, **fields):
 
 # Block 3 of the cap-2 round-1 store: its 24 permutations of IV, 4 rows each.
 ENDO = 3
+UNINDEXED = "field 'rows' of block 3 does not index its 4 table entries in order of first use"
 
 
 def _endomorphisms(blob):
-    """Block ENDO, checked to be the IV -> IV block."""
+    """Block ENDO, checked to be the IV -> IV block, its row table the four
+    one-point rows."""
     block = blob["blocks"][ENDO]
     assert block["dom"] == block["cod"] == [4] and len(block["words"]) == 24
+    assert block["table"] == [1, 2, 4, 8]
     return block
 
 
+def _with_rows(blob, index, rows, **fields):
+    """`blob` with block `index` holding the row values `rows`, encoded
+    again, and updated by `fields`."""
+    blocks = list(blob["blocks"])
+    blocks[index] = with_block_rows({**blocks[index], **fields}, rows)
+    return {**blob, "blocks": blocks}
+
+
 def _with_row(blob, row):
-    """`blob` with the first row of block ENDO replaced by `row`."""
-    return _with_block(blob, ENDO, rows=[row, *_endomorphisms(blob)["rows"][1:]])
+    """`blob` with the first row of block ENDO replaced by the value `row`."""
+    return _with_rows(blob, ENDO, [row, *block_rows(_endomorphisms(blob))[1:]])
+
+
+def _with_index(blob, index):
+    """`blob` with the first entry of block ENDO's `rows` replaced by `index`."""
+    return _with_block(blob, ENDO, rows=[index, *_endomorphisms(blob)["rows"][1:]])
 
 
 def _with_members(blob, order):
     """`blob` with block ENDO holding its members at the indices `order`."""
     block = _endomorphisms(blob)
-    return _with_block(
-        blob, ENDO,
-        rows=[r for k in order for r in block["rows"][4 * k:4 * k + 4]],
+    rows = block_rows(block)
+    return _with_rows(
+        blob, ENDO, [r for k in order for r in rows[4 * k:4 * k + 4]],
         words=[block["words"][k] for k in order],
         lengths=[block["lengths"][k] for k in order],
     )
@@ -656,10 +673,11 @@ def _with_members(blob, order):
 def _split(blob):
     """`blob` with block ENDO cut into two blocks of one shape."""
     block = _endomorphisms(blob)
-    first = {**block, "rows": block["rows"][:4], "words": block["words"][:1],
-             "lengths": block["lengths"][:1]}
-    rest = {**block, "rows": block["rows"][4:], "words": block["words"][1:],
-            "lengths": block["lengths"][1:]}
+    rows = block_rows(block)
+    first = with_block_rows({**block, "words": block["words"][:1],
+                             "lengths": block["lengths"][:1]}, rows[:4])
+    rest = with_block_rows({**block, "words": block["words"][1:],
+                            "lengths": block["lengths"][1:]}, rows[4:])
     blocks = blob["blocks"]
     return {**blob, "blocks": [*blocks[:ENDO], first, rest, *blocks[ENDO + 1:]]}
 
@@ -705,7 +723,7 @@ def _split(blob):
         (lambda blob: _with_block(blob, 0, rows=None), "lacks the field 'rows'"),
         (lambda blob: _with_block(blob, 0, rows="0,0"), "field 'rows' has the wrong type str"),
         (
-            lambda blob: _with_block(blob, ENDO, rows=_endomorphisms(blob)["rows"][:-1]),
+            lambda blob: _with_rows(blob, ENDO, block_rows(_endomorphisms(blob))[:-1]),
             "field 'rows' of block 3 has 95 rows, but 24 member(s) on codomain IV need 96",
         ),
         (
@@ -716,9 +734,9 @@ def _split(blob):
             lambda blob: _with_row(blob, 16),
             "field 'rows' of block 3 has a row that is negative or has bits outside domain IV",
         ),
-        (lambda blob: _with_row(blob, 1.0), "field 'rows' of block 3 holds 1.0, not an integer"),
-        (lambda blob: _with_row(blob, True), "field 'rows' of block 3 holds True, not an integer"),
-        (lambda blob: _with_row(blob, "1"), "field 'rows' of block 3 holds '1', not an integer"),
+        (lambda blob: _with_index(blob, 1.0), "field 'rows' of block 3 holds 1.0, not an integer"),
+        (lambda blob: _with_index(blob, True), "field 'rows' of block 3 holds True, not an integer"),
+        (lambda blob: _with_index(blob, "1"), "field 'rows' of block 3 holds '1', not an integer"),
         # (1, 4) == (True, 4) and (4,) == (4.0,) as dict keys: a shape seen
         # with dom [1, 4] or [4] must not let [True, 4] or [4.0] through
         (
@@ -754,7 +772,7 @@ def _split(blob):
             "block 0 has 2 words but 1 lengths",
         ),
         (
-            lambda blob: _with_block(blob, ENDO, rows=_endomorphisms(blob)["rows"] + [1, 2, 4, 8]),
+            lambda blob: _with_rows(blob, ENDO, block_rows(_endomorphisms(blob)) + [1, 2, 4, 8]),
             "field 'rows' of block 3 has 100 rows, but 24 member(s) on codomain IV need 96",
         ),
         (lambda blob: _with_block(blob, 0, words="id_I"), "field 'words' has the wrong type str"),
@@ -782,7 +800,7 @@ def _split(blob):
             "1000000000000 need 1000000000000",
         ),
         (
-            lambda blob: _with_block(blob, 2, dom=[10**12], rows=[-1]),
+            lambda blob: _with_rows(blob, 2, [-1], dom=[10**12]),
             "field 'rows' of block 2 has a row that is negative or has bits outside "
             "domain 1000000000000",
         ),
@@ -802,6 +820,45 @@ def _split(blob):
             }},
             "store file symbol 'wide' has shape IVxIVxIV -> I, outside arity cap 2",
         ),
+        # the row table of block ENDO, [1, 2, 4, 8]: its rows index every entry
+        # in order of first use, and its entries are distinct rows in the domain
+        (lambda blob: _with_index(blob, -1), UNINDEXED),
+        (lambda blob: _with_index(blob, 4), UNINDEXED),
+        (
+            lambda blob: _with_block(blob, ENDO, table=[1, 2, 4, 8, 3]),
+            "field 'rows' of block 3 does not index its 5 table entries in order of first use",
+        ),
+        (
+            lambda blob: _with_block(blob, ENDO, rows=[
+                {0: 1, 1: 0}.get(i, i) for i in _endomorphisms(blob)["rows"]
+            ]),
+            UNINDEXED,
+        ),
+        (
+            lambda blob: _with_block(blob, ENDO, table=[True, 2, 4, 8]),
+            "field 'table' of block 3 holds True, not an integer",
+        ),
+        (
+            lambda blob: _with_block(blob, ENDO, table=[1, 2, 4, 1]),
+            "field 'table' of block 3 repeats a row",
+        ),
+        (
+            lambda blob: _with_block(blob, ENDO, table=[1, 2, -4, 8]),
+            "field 'rows' of block 3 has a row that is negative or has bits outside domain IV",
+        ),
+        (
+            lambda blob: _with_block(blob, ENDO, table=[1, 2, 4, 16]),
+            "field 'rows' of block 3 has a row that is negative or has bits outside domain IV",
+        ),
+        (lambda blob: _with_block(blob, ENDO, table=None), "lacks the field 'table'"),
+        # a word has an atom, so at least a character, per unit of length:
+        # without this a small file could raise a length and `rounds_run`
+        # and make the derived growth a pair per round
+        (
+            lambda blob: {**_with_block(blob, 0, lengths=[10**6]), "rounds_run": 10**6,
+                          "config": {**blob["config"], "max_rounds": None}},
+            "store file block 0 has length 1000000 for the shorter word 'id_I'",
+        ),
     ],
     ids=["list", "no-config", "config-list", "word-int", "fixpoint-str",
          "length-outside-rounds", "length-zero", "rounds-run-past-twice-the-longest",
@@ -813,7 +870,10 @@ def _split(blob):
          "lengths-long", "words-long", "rows-long", "words-str", "lengths-int",
          "lengths-missing", "empty-block", "shape-split", "block-list", "blocks-dict",
          "members-out-of-order", "member-repeated", "cod-huge", "dom-huge",
-         "block-outside-cap", "symbol-outside-cap"],
+         "block-outside-cap", "symbol-outside-cap",
+         "index-negative", "index-past-table", "table-unused", "index-out-of-first-use",
+         "table-true", "table-repeated", "table-negative", "table-outside-domain",
+         "table-missing", "length-past-word"],
 )
 def test_cli_contains_names_a_malformed_store(tmp_path, capsys, mangle, message):
     store_path = tmp_path / "store.json"
