@@ -39,6 +39,7 @@ from .closure import (
     generate_closure,
     load_store,
     state_census,
+    store_json_chunks,
     store_to_json_str,
 )
 from .protocols import (
@@ -140,6 +141,24 @@ def _closure_generators(args) -> dict[str, Relation]:
     return spek_generator_symbols()
 
 
+def _write_replacing(path: str, chunks) -> None:
+    """Write the text `chunks` to a new file beside `path`, then move it over `path`.
+
+    The pieces are written as they come, so the whole text is never held.
+    A write that fails (out of memory, a full disk, Ctrl-C) removes the new
+    file and leaves an existing `path` as it was, not truncated.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def cmd_close(args):
     gens = _closure_generators(args)
     config = ClosureConfig(
@@ -148,14 +167,10 @@ def cmd_close(args):
         max_rounds=args.max_rounds,
     )
     store = generate_closure(gens, config)
-    # the whole string before the file is opened: a writer that fails (out
-    # of memory, Ctrl-C) leaves an existing file as it was, not truncated
-    text = store_to_json_str(store)
     if not args.out:  # the store string itself is the output, so no report
-        sys.stdout.write(text)
+        sys.stdout.write(store_to_json_str(store))
         return None, None, True
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write_replacing(args.out, store_json_chunks(store))
     summary = {
         "out": args.out,
         "morphisms": len(store),

@@ -92,21 +92,25 @@ candidate that is only a duplicate of one found earlier in the same round,
 such as a composite left entry of a product, could move it later in scan
 order and change a winning word.
 
-A store file (`toycat-store/6`) holds one block per shape, the hom-set of
+A store file (`toycat-store/7`) holds one block per shape, the hom-set of
 its morphisms, in shape order: the shape's factors once, its distinct
 rows once as its `table`, in order of first use, then its members' rows
-as one flat list of indices into the table, member after member in rows
-order, with their words and lengths. A store holds few distinct rows (543
-among the cap-3 round-3 store's 1,221,908), and an index below 257 is an
-int CPython caches, so the parse makes few int objects and every member
-of a block shares its table's. Writing builds no pairs, and reading builds
-each shape's objects once and a few lists per shape, not per morphism;
+as indices into the table, member after member in rows order, written as
+one lowercase hex string with each index big-endian in 1, 2 or 4 bytes
+as the table's length needs, with their words and lengths. A store holds
+few distinct rows (543 among the cap-3 round-3 store's 1,221,908), so
+nearly every index takes one byte; the parse makes one string per block,
+not one JSON number per row, and every member of a block shares its
+table's ints. Writing builds no pairs, and reading builds each shape's
+objects once and a few lists per shape, not per morphism;
 `store_from_json` lists what the reader checks. The file states each
 count once: a round's growth is the number of members of its length,
 derived on load, and the morphism count is the number of members.
-`store_to_json_str` is the one writer. It writes the text of `json.dumps`
-with sorted keys and no spaces, but builds no JSON tree: each block is
-formatted straight from its members' keys, with one lookup per row.
+`store_json_chunks` is the one writer: it yields the text of `json.dumps`
+with sorted keys and no spaces in pieces, but builds no JSON tree, each
+block formatted straight from its members' keys, with one lookup per
+row. `store_to_json_str` joins the pieces, and `toycat close --out`
+writes them as they come.
 `store_to_json` is the parse of that text.
 
 Objects are capped per side: every domain and codomain in the store, and in
@@ -153,6 +157,8 @@ from __future__ import annotations
 import gc
 import json
 import re
+import sys
+from array import array
 from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -194,16 +200,17 @@ __all__ = [
     "store_to_json",
     "store_from_json",
     "load_store",
+    "store_json_chunks",
     "store_to_json_str",
     "evaluate_word",
 ]
 
 
 # A store file holds one block per shape, the shapes in order, and each
-# block its distinct rows and its members' rows as indices into them, in
-# rows order, with their words and lengths; the version changes whenever
-# that order, the block form or the set of fields does.
-STORE_FORMAT = "toycat-store/6"
+# block its distinct rows and its members' rows as indices into them, one
+# hex string in rows order, with their words and lengths; the version
+# changes whenever that order, the block form or the set of fields does.
+STORE_FORMAT = "toycat-store/7"
 
 
 class GeneratorOutsideCapError(ValueError):
@@ -717,13 +724,29 @@ def state_census(store: MorphismStore, obj: FinObject) -> StateCensus:
 # -- serialization -------------------------------------------------------------
 
 class _Index(dict):
-    """Row integer -> the decimal text of its index in a block's table, by first use."""
+    """Row integer -> its index in a block's table, by first use."""
 
     __slots__ = ()
 
-    def __missing__(self, row: int) -> str:
-        text = self[row] = str(len(self))
-        return text
+    def __missing__(self, row: int) -> int:
+        k = self[row] = len(self)
+        return k
+
+
+def _width(entries: int) -> int:
+    """The bytes of each index into a table of `entries` rows: 1, 2 or 4."""
+    return 1 if entries <= 1 << 8 else 2 if entries <= 1 << 16 else 4
+
+
+# the `array` type code of the 2- and 4-byte index items
+_TYPECODES = {array(code).itemsize: code for code in "IH"}
+
+
+def _big_endian(indices: array) -> array:
+    """`indices` with each item's bytes in big-endian order, swapped in place."""
+    if sys.byteorder == "little":
+        indices.byteswap()
+    return indices
 
 
 def _json(value) -> str:
@@ -740,51 +763,64 @@ _length_of = attrgetter("length")
 _word_of = attrgetter("word")
 
 
-@_collector_paused()
-def store_to_json_str(store: MorphismStore) -> str:
-    """The store file text: one block per shape, the shapes in order.
+def store_json_chunks(store: MorphismStore) -> Iterator[str]:
+    """The store file text in pieces, the blocks one shape after another.
 
-    The bytes are those of `json.dumps(..., sort_keys=True, separators=(",",
+    The text is that of `json.dumps(..., sort_keys=True, separators=(",",
     ":"))` over the file's tree, but the tree is never built. `json.dumps`
     writes the small fields after `blocks`, and each block `{"cod", "dom",
-    "lengths", "rows", "table", "words"}` is one f-string written straight
-    from its members' rows keys, in key order, so no pairs are built: `rows`
-    holds the members' rows one member after the other, each as its index
-    in `table`, the block's distinct rows by first use, which one `_Index`
-    lookup per row finds. Words are escaped as `json.dumps` escapes them.
+    "lengths", "rows", "table", "words"}` is written straight from its
+    members' rows keys, in key order, so no pairs are built: `table` lists
+    the block's distinct rows by first use, which one `_Index` lookup per
+    row finds, and `rows` is one lowercase hex string of the members' rows
+    one member after the other, each as its index in `table`, big-endian in
+    `_width(len(table))` bytes. That string is a piece of its own, so it is
+    never copied into a larger one. Words are escaped as `json.dumps`
+    escapes them. The collector is paused while the generator runs, until
+    it ends or a caller that stops early closes or drops it.
     """
-    rest = _json({
-        "config": {
-            "max_arity": store.config.max_arity,
-            "max_morphisms": store.config.max_morphisms,
-            "max_rounds": store.config.max_rounds,
-        },
-        "fixpoint": store.fixpoint,
-        "format": STORE_FORMAT,
-        "rounds_run": store.rounds_run,
-        "symbols": {
-            name: {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors),
-                   "rows": list(rel.rows)}
-            for name, rel in store.symbols.items()
-        },
-    })
-    quote = encode_basestring_ascii
-    parts = ['{"blocks":[']
-    sep = ""
-    for (dom_f, cod_f), block in groupby(sorted(store.items.items()), _shape):
-        keys, entries = zip(*block)
-        index = _Index()
-        rows = ",".join(map(index.__getitem__, chain.from_iterable(map(_rows_of, keys))))
-        parts.append(
-            f'{sep}{{"cod":[{",".join(map(str, cod_f))}],'
-            f'"dom":[{",".join(map(str, dom_f))}],'
-            f'"lengths":[{",".join(map(str, map(_length_of, entries)))}],'
-            f'"rows":[{rows}],"table":[{",".join(map(str, index))}],'
-            f'"words":[{",".join(map(quote, map(_word_of, entries)))}]}}'
-        )
-        sep = ","
-    parts += ("],", rest[1:])
-    return "".join(parts)
+    with _collector_paused():
+        yield '{"blocks":['
+        sep = ""
+        for (dom_f, cod_f), block in groupby(sorted(store.items.items()), _shape):
+            keys, entries = zip(*block)
+            index = _Index()
+            rows = list(map(index.__getitem__, chain.from_iterable(map(_rows_of, keys))))
+            width = _width(len(index))
+            packed = bytes(rows) if width == 1 else _big_endian(array(_TYPECODES[width], rows))
+            del rows  # before the hex string is made
+            yield (
+                f'{sep}{{"cod":[{",".join(map(str, cod_f))}],'
+                f'"dom":[{",".join(map(str, dom_f))}],'
+                f'"lengths":[{",".join(map(str, map(_length_of, entries)))}],"rows":"'
+            )
+            yield memoryview(packed).hex()
+            yield (
+                f'","table":[{",".join(map(str, index))}],'
+                f'"words":[{",".join(map(encode_basestring_ascii, map(_word_of, entries)))}]}}'
+            )
+            sep = ","
+        yield "],"
+        yield _json({
+            "config": {
+                "max_arity": store.config.max_arity,
+                "max_morphisms": store.config.max_morphisms,
+                "max_rounds": store.config.max_rounds,
+            },
+            "fixpoint": store.fixpoint,
+            "format": STORE_FORMAT,
+            "rounds_run": store.rounds_run,
+            "symbols": {
+                name: {"dom": list(rel.dom.factors), "cod": list(rel.cod.factors),
+                       "rows": list(rel.rows)}
+                for name, rel in store.symbols.items()
+            },
+        })[1:]
+
+
+def store_to_json_str(store: MorphismStore) -> str:
+    """The store file text: the pieces of `store_json_chunks`, joined."""
+    return "".join(store_json_chunks(store))
 
 
 @_collector_paused()
@@ -848,27 +884,60 @@ def _objects(rec, where: str, cap: int) -> tuple[FinObject, FinObject]:
 def _rows(rec, members: int, dom: FinObject, cod: FinObject, where: str, indexed=False):
     """The rows of a symbol record or, `indexed`, a block of `members` members, checked.
 
-    `rows` holds one entry per codomain element for each member: a row, or
-    in a block its index in the block's `table` of distinct rows. Each row
-    is an int in [0, 2**|dom|). Only the lists are scanned: the count is
-    compared with the codomain's size before anything is cut or built by it,
-    and the range by bit length, so 2**|dom| is never built. The indices
-    must number the table by first use, each entry used: one C pass refuses
-    one that is negative, past the table or out of order. A block's rows are
-    a map through its table, so its members share the table's ints.
+    `rows` holds one entry per codomain element for each member: in a symbol
+    record a row, in a block its index in the block's `table` of distinct
+    rows, all the indices as one lowercase hex string, each big-endian in
+    `_width(len(table))` bytes. Each row is an int in [0, 2**|dom|). Only
+    the lists and the string are scanned: the count is compared with the
+    codomain's size before anything is decoded, cut or built by it, and the
+    range by bit length, so 2**|dom| is never built. The string must be the
+    one `bytes.hex` writes, so an uppercase digit or whitespace, which
+    `bytes.fromhex` takes, is refused by name. The indices must number the
+    table by first use, each entry used: one-byte indices are checked by C
+    scans of the bytes (`translate` drops every index below the table's
+    length, `find` gives each entry's first use), wider ones by one pass
+    over their ints, read through an `array`. A block's rows are a map through its table,
+    so its members share the table's ints.
     """
-    rows = table = _typed_list(rec, "rows", int, where)
     n = cod.cardinality
-    if len(rows) != members * n:
-        raise ValueError(
-            f"store file field 'rows' of {where} has {len(rows)} rows, but {members} "
-            f"member(s) on codomain {cod} need {members * n}, one per element"
-        )
-    if indexed:
-        table = _typed_list(rec, "table", int, where)
-        if list(dict.fromkeys(rows)) != list(range(len(table))):
+    if not indexed:
+        rows = table = _typed_list(rec, "rows", int, where)
+        if len(rows) != members * n:
             raise ValueError(
-                f"store file field 'rows' of {where} does not index its {len(table)} "
+                f"store file field 'rows' of {where} has {len(rows)} rows, but {members} "
+                f"member(s) on codomain {cod} need {members * n}, one per element"
+            )
+    else:
+        text = _typed(rec, "rows", str)
+        table = _typed_list(rec, "table", int, where)
+        t = len(table)
+        width = _width(t)
+        if len(text) != 2 * width * members * n:
+            raise ValueError(
+                f"store file field 'rows' of {where} has {len(text)} hex digits, but {members} "
+                f"member(s) on codomain {cod} need {members * n} indices of {2 * width} "
+                "digits, one per element"
+            )
+        try:
+            packed = bytes.fromhex(text)
+        except ValueError:
+            packed = None
+        if packed is None or packed.hex() != text:  # fromhex takes uppercase and whitespace
+            bad = re.search("[^0-9a-f]", text)[0]
+            raise ValueError(
+                f"store file field 'rows' of {where} holds {bad!r}, not a lowercase hex digit"
+            )
+        if width == 1:  # each entry used, first after the one before, and none past the table
+            rows = packed
+            firsts = [-1, *map(packed.find, range(t))]
+            past = packed.translate(None, bytes(range(t)))
+            ordered = not past and all(map(lt, firsts, firsts[1:]))
+        else:
+            rows = _big_endian(array(_TYPECODES[width], packed))
+            ordered = list(dict.fromkeys(rows)) == list(range(t))
+        if not ordered:
+            raise ValueError(
+                f"store file field 'rows' of {where} does not index its {t} "
                 "table entries in order of first use, each used"
             )
         if len(set(table)) < len(table):
@@ -899,13 +968,14 @@ def store_from_json(data: Mapping) -> MorphismStore:
     strictly increasing rows order; so a parsed store writes back the same
     bytes and no morphism repeats. No block or symbol may exceed `max_arity`
     on a side, and symbol names are term identifiers. Each block is checked
-    with C-level scans of its lists, so the loop per member only builds and
-    inserts it; its rows index its table (`_rows`), whose ints its members
-    share. Every length lies in rounds 1 to `rounds_run` and is at most its
-    word's character count, as a word has an atom per length, and the
-    growth is derived from them, one `(round, members of that length)` pair
-    per round. A `fixpoint` flag must fit the growth: `rounds_run` is one
-    past the longest length. Then `rounds_run` is at most twice the longest
+    with C-level scans of its lists and its rows string, so the loop per
+    member only builds and inserts it; its rows are a hex string of indices
+    into its table (`_rows`), whose ints its members share. Every length
+    lies in rounds 1 to `rounds_run` and is at most its word's character
+    count, as a word has an atom per length, and the growth is derived
+    from them, one `(round, members of that length)` pair per round. A
+    `fixpoint` flag must fit the growth: `rounds_run` is one past the
+    longest length. Then `rounds_run` is at most twice the longest
     length, as a build ends by then (module docstring). The record must fit
     the config's bounds (`_check_bounds`), and a flag the certificate too
     (`_check_closed`, `_check_words`); nothing is replayed.

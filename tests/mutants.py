@@ -42,6 +42,7 @@ HUGE_TERM = "tests/test_terms_cli.py::test_cli_eval_refuses_a_huge_subterm_befor
 TENSOR_KERNEL = "tests/test_relcore.py::test_tensor_kernel_matches_oracle"
 COMPOSE_KERNEL = "tests/test_relcore.py::test_run_composer_matches_oracle"
 DROP_MASKS = "tests/test_closure.py::test_interchange_drop_masks_match_the_oracle"
+WIDTH = "tests/test_closure.py::test_a_block_index_takes_one_byte_up_to_256_table_entries"
 
 # (id, file under src/, old text, new text, node ids that must fail)
 ROWS = [
@@ -226,13 +227,38 @@ ROWS = [
      "if not all(map(le, lengths, map(len, words))):",
      "if False:",
      [f"{MALFORMED}[length-past-word]"]),
+    # a block's rows are the hex string `bytes.hex` writes, its length checked
+    # before it is decoded, and its indices as wide as its table needs
+    ("load-skips-the-hex-length", CLOSURE,
+     "if len(text) != 2 * width * members * n:",
+     "if False:",
+     [f"{MALFORMED}[rows-short]", f"{MALFORMED}[rows-long]", f"{MALFORMED}[rows-odd-length]",
+      f"{MALFORMED}[cod-huge]"]),
+    ("load-takes-any-hex", CLOSURE,
+     "if packed is None or packed.hex() != text:",
+     "if packed is None:",
+     [f"{MALFORMED}[rows-uppercase]", f"{MALFORMED}[rows-whitespace]"]),
+    ("write-one-byte-indices", CLOSURE,
+     "return 1 if entries <= 1 << 8 else 2 if entries <= 1 << 16 else 4",
+     "return 1",
+     [f"{WIDTH}[257-4]",
+      "tests/test_closure.py::test_a_loaded_cap3_round3_store_shares_its_row_ints"]),
     # a block's rows index its table: in order of first use, every entry used
-    # (a count of distinct indices lets them run out of order), the entries
-    # distinct and each a row within the domain
+    # (a count of distinct indices lets them run out of order), none past it,
+    # the entries distinct and each a row within the domain; one-byte indices
+    # by `find` and `translate`, wider ones by one pass over their ints
     ("load-counts-the-indices", CLOSURE,
-     "if list(dict.fromkeys(rows)) != list(range(len(table))):",
-     "if len(set(rows)) != len(table):",
-     [f"{MALFORMED}[index-out-of-first-use]"]),
+     "ordered = list(dict.fromkeys(rows)) == list(range(t))",
+     "ordered = len(set(rows)) == t",
+     [f"{WIDTH}[257-4]"]),
+    ("load-counts-the-byte-indices", CLOSURE,
+     "ordered = not past and all(map(lt, firsts, firsts[1:]))",
+     "ordered = not past and -1 not in firsts[1:]",
+     [f"{MALFORMED}[index-out-of-first-use]", f"{WIDTH}[256-2]"]),
+    ("load-skips-the-byte-index-range", CLOSURE,
+     "ordered = not past and all(map(lt, firsts, firsts[1:]))",
+     "ordered = all(map(lt, firsts, firsts[1:]))",
+     [f"{MALFORMED}[index-past-table]", f"{WIDTH}[256-2]"]),
     ("load-skips-the-table-range", CLOSURE,
      "if min(table) < 0 or max(table).bit_length() > dom.cardinality:",
      "if not indexed and (min(table) < 0 or max(table).bit_length() > dom.cardinality):",

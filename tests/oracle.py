@@ -7,11 +7,12 @@ here imports the matrix code paths beyond the public data types, except
 `first_wins_words_oracle`: it pins the closure's scan order, not its
 arithmetic, and calls the public `compose` and `tensor` pair by pair.
 `store_tree_oracle` and `store_block_tree_oracle` are the `toycat-store/3`
-and `toycat-store/6` files written the plain way, as the dict trees that
+and `toycat-store/7` files written the plain way, as the dict trees that
 `json.dumps` encodes; the `/3` one renders a store for the digests pinned
-before the block form. `block_rows` and `with_block_rows` decode a `/6`
+before the block form. `block_rows` and `with_block_rows` decode a `/7`
 block's rows to their values and encode values back, so a test edits rows,
-not indices.
+not indices; `hex_indices` and `indices_hex` do the same for the indices
+and their hex string, one `format` or `int` call per index.
 """
 
 from __future__ import annotations
@@ -397,25 +398,47 @@ def store_tree_oracle(store) -> dict:
     }
 
 
+def index_digits(entries: int) -> int:
+    """The hex digits of each index into a table of `entries` rows: two per
+    byte, one byte up to 256 entries, two up to 65,536, else four."""
+    return 2 if entries <= 256 else 4 if entries <= 65536 else 8
+
+
+def hex_indices(text: str, entries: int) -> list[int]:
+    """The indices that the `rows` string `text` of a block whose table has
+    `entries` rows holds, read `index_digits(entries)` digits at a time."""
+    d = index_digits(entries)
+    return [int(text[i:i + d], 16) for i in range(0, len(text), d)]
+
+
+def indices_hex(indices: list[int], entries: int) -> str:
+    """The `rows` string of `indices` into a table of `entries` rows: each
+    index in `index_digits(entries)` lowercase hex digits, zero-padded."""
+    d = index_digits(entries)
+    return "".join(format(k, f"0{d}x") for k in indices)
+
+
 def block_rows(block: dict) -> list[int]:
-    """The rows of a `toycat-store/6` block, member after member: each index
+    """The rows of a `toycat-store/7` block, member after member: each index
     in its `rows` looked up in its `table`."""
-    return [block["table"][i] for i in block["rows"]]
+    table = block["table"]
+    return [table[k] for k in hex_indices(block["rows"], len(table))]
 
 
 def with_block_rows(block: dict, rows: list) -> dict:
     """`block` with the row values `rows`, encoded the plain way: `table`
     lists each distinct value once, in order of first use, and `rows` holds
-    the index of each value in it."""
+    the index of each value in it, as `indices_hex` writes them."""
     table: list = []
     for row in rows:
         if row not in table:
             table.append(row)
-    return {**block, "rows": [table.index(row) for row in rows], "table": table}
+    indices = [table.index(row) for row in rows]
+    return {**block, "rows": indices_hex(indices, len(table)), "table": table}
 
 
 def store_block_tree_oracle(store) -> dict:
-    """The `toycat-store/6` file of `store` as a JSON tree, field by field.
+    """The `toycat-store/7` file of `store` as a JSON tree, field by field.
 
     The `/3` tree with its morphism records gathered into one block per
     shape, in key order: the block's members' rows one after the other,
@@ -435,12 +458,12 @@ def store_block_tree_oracle(store) -> dict:
         block["rows"] += rec["rows"]
         block["words"].append(rec["word"])
         block["lengths"].append(rec["length"])
-    return {**tree, "format": "toycat-store/6",
+    return {**tree, "format": "toycat-store/7",
             "blocks": [with_block_rows(block, block["rows"]) for block in blocks.values()]}
 
 
 def store_without_member(tree: dict, length: int) -> tuple[dict, dict]:
-    """A `toycat-store/6` tree less its first member of word length `length`.
+    """A `toycat-store/7` tree less its first member of word length `length`.
 
     The member's rows, word and length leave its block, whose rows are
     encoded again, so a table entry only the member used goes too. Returns

@@ -456,7 +456,7 @@ def test_cap3_round4_spek_store_bytes_are_pinned(spek_store_r4):
     # not a criterion: pins every word, order and growth count of the
     # largest build the tests make, so a pair-scan change that alters one shows
     assert [n for _, n in spek_store_r4.growth] == [34, 941, 22463, 121287]
-    # the `toycat-store/6` text, and the `/3` rendering of the store read
+    # the `toycat-store/7` text, and the `/3` rendering of the store read
     # back from it, which is pinned by the digest taken before the block form;
     # the read-back has the built store's items and record, its growth derived
     text = store_to_json_str(spek_store_r4)
@@ -467,7 +467,7 @@ def test_cap3_round4_spek_store_bytes_are_pinned(spek_store_r4):
     )
     v3 = json.dumps(store_tree_oracle(loaded), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c4c283ace08ca0e198e0b4d62fecfe6b342cab51d835de77bafa5c1b40708436"
+        "792b7941961fc1a545dd3010288b7c4c833ed989ec4b6f84dbebe81a67ed5c9a"
     )
     assert hashlib.sha256(v3.encode()).hexdigest() == (
         "88e763c1dd5f0acf6d27db7a6f5d5e9698e81796b67697efb80c477eb7abe488"

@@ -85,14 +85,14 @@ def test_cli_output_matches_the_pinned_digests(capsys, cap2_r3_store):
     rel.write_text(json.dumps(SIGMA_24))
     got = run_golden(capsys, {STORE: str(cap2_r3_store), REL: str(rel)})
     # the `/3` rendering of the store read back from the file pins the
-    # digest taken before the block form; the file's own bytes are `/6`
+    # digest taken before the block form; the file's own bytes are `/7`
     v3 = json.dumps(store_tree_oracle(load_store(cap2_r3_store)), sort_keys=True,
                     separators=(",", ":"))
     got["store bytes: close --max-arity 2 --max-rounds 3"] = {
         "exit": 0,
         "sha256": hashlib.sha256(v3.encode()).hexdigest(),
     }
-    got["store file toycat-store/6: close --max-arity 2 --max-rounds 3"] = {
+    got["store file toycat-store/7: close --max-arity 2 --max-rounds 3"] = {
         "exit": 0,
         "sha256": hashlib.sha256(cap2_r3_store.read_bytes()).hexdigest(),
     }

@@ -23,6 +23,7 @@ from toycat.closure import (
     load_store,
     state_census,
     store_from_json,
+    store_json_chunks,
     store_to_json,
     store_to_json_str,
 )
@@ -53,6 +54,8 @@ from oracle import (
     closure_rounds_oracle,
     compose_oracle,
     first_wins_words_oracle,
+    hex_indices,
+    indices_hex,
     store_block_tree_oracle,
     store_tree_oracle,
     store_without_member,
@@ -353,7 +356,7 @@ def test_words_match_the_first_wins_scan(fixture, request):
 #
 # The sha256 of the store file of several builds, so a change to the pair scan
 # that alters any word, order or growth count shows as a changed digest.
-# Each store has two pins: its `toycat-store/6` text, and the `toycat-store/3`
+# Each store has two pins: its `toycat-store/7` text, and the `toycat-store/3`
 # rendering of the store read back from that text, which is pinned by the
 # digest taken before the block form: as that rendering holds the growth
 # and the morphism count, its pin shows the derived ones unchanged too.
@@ -390,7 +393,7 @@ def test_cap2_round4_spek_store_bytes_are_pinned(spek_cap2_r4):
     store = spek_cap2_r4
     assert [n for _, n in store.growth] == [31, 737, 1603, 2955]
     assert _store_digests(store) == (
-        "6d3a2e375de1b6cc3b0fd6f0454d722acd461be9af9a4616b00b25e2de176b73",
+        "ddb33f32e0515bca7d11b505665461aa8818fd48a9a01d7dacefdf638253a6d9",
         "895036c9a40f01e7d3d8ff85def991c0f64e4306e9bbd39f436ceffe0c8f6519",
     )
 
@@ -417,7 +420,7 @@ def test_morphism_cap_cuts_a_later_round_inside_a_shape(spek_cap2_r4):
         (e.word, e.length) == (full[k].word, full[k].length) for k, e in store.items.items()
     )
     assert _store_digests(store) == (
-        "2d0dea731b0405d46567850dc13862b3fe98df0b7d1a1c27ee490bca27c4f8a3",
+        "6d76371689fbee31615e981501d80053add477f8c92dbb99ab492207548ccea4",
         "4919cdc876e91c475613adf21c1a26e965e8d83c4eb7812f36ae0ded2e769dc6",
     )
 
@@ -430,7 +433,7 @@ def test_cap2_round5_spek_store_bytes_are_pinned():
     )
     assert [n for _, n in store.growth] == [31, 737, 1603, 2955, 7056]
     assert _store_digests(store) == (
-        "ac711125b2f84fd5e736fa5513f0d505cdb647dceba87e4cfff92d4025b38e22",
+        "78df5fc26a8dbed520ca876138cc60bc6407a85c995f81b968f3ce0895826221",
         "0a09d0c22c813cf91fcee6dbc9cc3620d2ce5740a4ad0e9105524a99704cf803",
     )
 
@@ -439,7 +442,7 @@ def test_cap3_round3_spek_store_bytes_are_pinned_and_words_first_win(spek_bounde
     # products of products and composites of composites are most common here
     assert [n for _, n in spek_bounded.growth] == [34, 941, 22463]
     assert _store_digests(spek_bounded) == (
-        "4da2635d5cfa7cfbec0a14b380b67d1104a235e49c29159d1b0c338b9dd3f28d",
+        "1167bf477cd8056afd9ca0b3be2ebcb5c62af009cb0ba21c09432b9b76932e8d",
         "a853134041aaed61edc5a54d7b716f31f7ed390df9f971fd84cd85d5a57b25d8",
     )
     assert {k: (e.word, e.length) for k, e in spek_bounded.items.items()} == (
@@ -502,7 +505,7 @@ def test_wide_row_store_matches_the_reference_closure_and_is_pinned():
     _assert_matches_the_oracles(store)
     assert [n for _, n in store.growth] == [10, 38, 83, 106]
     assert _store_digests(store) == (
-        "41ad286f56c4a96de96274dfbf812d0271288d9fb454ef5c13ff3d72a82d19ea",
+        "c45f08b0c71d820f44ebb964f391249da1c32fa513d6b8b5c53156fdfcb2563b",
         "876c6917d3de31916d665552b3d40d851bdecfa8df8a5b8592ffa2d1d590f283",
     )
 
@@ -1143,7 +1146,7 @@ def test_mixed_factor_fixpoints_load_and_refuse_a_lost_member(gens, cap, rng):
 
 def test_store_lists_morphisms_in_rows_key_order(qubit_store):
     blob = store_to_json(qubit_store)
-    assert blob["format"] == "toycat-store/6"
+    assert blob["format"] == "toycat-store/7"
     # each count is the lengths': no field states it again
     assert "growth" not in blob and "morphism_count" not in blob
     keys = []
@@ -1162,11 +1165,11 @@ def test_store_lists_morphisms_in_rows_key_order(qubit_store):
 
 def test_store_from_json_rejects_version_1(arity1_store):
     for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3", "toycat-store/4",
-                "toycat-store/5"):
+                "toycat-store/5", "toycat-store/6"):
         blob = store_to_json(arity1_store)
         blob["format"] = old
         with pytest.raises(ValueError, match=rf"^unsupported store format '{old}'; "
-                                             "expected 'toycat-store/6'$"):
+                                             "expected 'toycat-store/7'$"):
             store_from_json(blob)
 
 
@@ -1182,6 +1185,45 @@ def shaped_relations(draw):
     row = st.integers(min_value=0, max_value=(1 << dom.cardinality) - 1)
     rows = draw(st.lists(row, min_size=cod.cardinality, max_size=cod.cardinality))
     return Relation(dom, cod, tuple(rows))
+
+
+UNINDEXED_BLOCK = "^store file field 'rows' of block 0 does not index its {} table entries in order"
+
+
+@pytest.mark.parametrize("entries, digits", [(256, 2), (257, 4)])
+def test_a_block_index_takes_one_byte_up_to_256_table_entries(entries, digits):
+    # one block IX -> II whose members (k, 0) make a table of the rows 0 to
+    # entries - 1, so each index is one byte up to 256 entries and two past
+    items = {}
+    for k in range(entries):
+        rel = Relation(FinObject(9), II, (k, 0))
+        items[rel.key] = StoredMorphism(rel, f"w{k}", 1)
+    store = MorphismStore(config=ClosureConfig(max_arity=1), symbols={}, items=items,
+                          rounds_run=1, growth=[(1, entries)])
+    text = store_to_json_str(store)
+    assert text == _reference_text(store)
+    blob = json.loads(text)
+    [block] = blob["blocks"]
+    assert block["table"] == list(range(entries))
+    assert len(block["rows"]) == 2 * entries * digits
+    loaded = store_from_json(blob)
+    _assert_same_record(loaded, store)
+    assert store_to_json_str(loaded) == text
+
+    def refused(edited: dict, table: int) -> None:
+        with pytest.raises(ValueError, match=UNINDEXED_BLOCK.format(table)):
+            store_from_json({**blob, "blocks": [{**block, **edited}]})
+
+    indices = hex_indices(block["rows"], entries)
+    # an index equal to the table's length: at 256 entries, after the table
+    # loses its last entry (one byte still), and at 257, in place of the last
+    if entries == 256:
+        refused({"table": block["table"][:-1]}, 255)
+    else:
+        refused({"rows": indices_hex([*indices[:-1], entries], entries)}, entries)
+    # the first two entries first used in the other order
+    swapped = [{0: 1, 1: 0}.get(k, k) for k in indices]
+    refused({"rows": indices_hex(swapped, entries)}, entries)
 
 
 @given(shaped_relations())
@@ -1291,6 +1333,11 @@ def test_store_io_leaves_the_collector_as_it_found_it(arity1_store, enabled, tmp
         assert gc.isenabled() is enabled
         with pytest.raises(ValueError):
             load_store(bad_path)
+        assert gc.isenabled() is enabled
+        chunks = store_json_chunks(arity1_store)  # a writer stopped partway
+        next(chunks)
+        assert not gc.isenabled()
+        chunks.close()
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -38,7 +39,7 @@ from toycat.terms import (
     signature_of,
 )
 
-from oracle import block_rows, store_without_member, with_block_rows
+from oracle import block_rows, hex_indices, indices_hex, store_without_member, with_block_rows
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +269,7 @@ def test_cli_suite_qubit_passes(capsys):
 def test_cli_suite_qubit_does_not_read_the_store(tmp_path, capsys):
     # the qubit battery uses no store, so a malformed one must not matter
     path = tmp_path / "store.json"
-    path.write_text(json.dumps({"format": "toycat-store/6"}))
+    path.write_text(json.dumps({"format": "toycat-store/7"}))
     expected = run_cli(capsys, "suite", "qubit")
     assert run_cli(capsys, "suite", "qubit", "--store", str(path)) == expected
     assert expected[0] == 0
@@ -607,15 +608,15 @@ def test_cli_contains_rejects_version_1_store(tmp_path, capsys):
     )
     assert code == 0
     blob = json.loads(store_path.read_text())
-    assert blob["format"] == "toycat-store/6"
+    assert blob["format"] == "toycat-store/7"
     for old in ("toycat-store/1", "toycat-store/2", "toycat-store/3", "toycat-store/4",
-                "toycat-store/5"):
+                "toycat-store/5", "toycat-store/6"):
         store_path.write_text(json.dumps({**blob, "format": old}))
         code, out, err = run_cli(
             capsys, "contains", "--store", str(store_path), "--term", "sigma_12", "--model", "spek"
         )
         assert code == 2 and out == ""
-        assert f"'{old}'" in err and "'toycat-store/6'" in err
+        assert f"'{old}'" in err and "'toycat-store/7'" in err
         assert "Traceback" not in err
 
 
@@ -654,9 +655,23 @@ def _with_row(blob, row):
     return _with_rows(blob, ENDO, [row, *block_rows(_endomorphisms(blob))[1:]])
 
 
-def _with_index(blob, index):
-    """`blob` with the first entry of block ENDO's `rows` replaced by `index`."""
-    return _with_block(blob, ENDO, rows=[index, *_endomorphisms(blob)["rows"][1:]])
+def _with_indices(blob, edit):
+    """`blob` with block ENDO's indices replaced by `edit` of their list."""
+    indices = edit(hex_indices(_endomorphisms(blob)["rows"], 4))
+    return _with_block(blob, ENDO, rows=indices_hex(indices, 4))
+
+
+def _with_index(blob, index, at=0):
+    """`blob` with entry `at` of block ENDO's indices replaced by `index`."""
+    def edit(indices):
+        indices[at] = index
+        return indices
+    return _with_indices(blob, edit)
+
+
+def _with_hex(blob, index, edit):
+    """`blob` with block `index`'s `rows` string replaced by `edit` of it."""
+    return _with_block(blob, index, rows=edit(blob["blocks"][index]["rows"]))
 
 
 def _with_members(blob, order):
@@ -721,10 +736,17 @@ def _split(blob):
             "max_rounds must be None or >= 1",
         ),
         (lambda blob: _with_block(blob, 0, rows=None), "lacks the field 'rows'"),
-        (lambda blob: _with_block(blob, 0, rows="0,0"), "field 'rows' has the wrong type str"),
+        # the `toycat-store/6` form of `rows`, and a comma-joined string of indices
+        (lambda blob: _with_block(blob, 0, rows=[0]), "field 'rows' has the wrong type list"),
+        (
+            lambda blob: _with_block(blob, 0, rows="0,0"),
+            "field 'rows' of block 0 has 3 hex digits, but 1 member(s) on codomain I "
+            "need 1 indices of 2 digits, one per element",
+        ),
         (
             lambda blob: _with_rows(blob, ENDO, block_rows(_endomorphisms(blob))[:-1]),
-            "field 'rows' of block 3 has 95 rows, but 24 member(s) on codomain IV need 96",
+            "field 'rows' of block 3 has 190 hex digits, but 24 member(s) on codomain IV "
+            "need 96 indices of 2 digits",
         ),
         (
             lambda blob: _with_row(blob, -1),
@@ -734,9 +756,26 @@ def _split(blob):
             lambda blob: _with_row(blob, 16),
             "field 'rows' of block 3 has a row that is negative or has bits outside domain IV",
         ),
-        (lambda blob: _with_index(blob, 1.0), "field 'rows' of block 3 holds 1.0, not an integer"),
-        (lambda blob: _with_index(blob, True), "field 'rows' of block 3 holds True, not an integer"),
-        (lambda blob: _with_index(blob, "1"), "field 'rows' of block 3 holds '1', not an integer"),
+        # the string is the one `bytes.hex` writes: `bytes.fromhex` would
+        # take uppercase digits and whitespace too (block 6's table has 16
+        # entries, so its string holds the digits a to f)
+        (
+            lambda blob: _with_hex(blob, ENDO, lambda rows: "g" + rows[1:]),
+            "field 'rows' of block 3 holds 'g', not a lowercase hex digit",
+        ),
+        (
+            lambda blob: _with_hex(blob, 6, str.upper),
+            "field 'rows' of block 6 holds 'A', not a lowercase hex digit",
+        ),
+        (
+            lambda blob: _with_hex(blob, ENDO, lambda rows: rows[:2] + "  " + rows[4:]),
+            "field 'rows' of block 3 holds ' ', not a lowercase hex digit",
+        ),
+        (
+            lambda blob: _with_hex(blob, ENDO, lambda rows: rows[:-1]),
+            "field 'rows' of block 3 has 191 hex digits, but 24 member(s) on codomain IV "
+            "need 96 indices of 2 digits",
+        ),
         # (1, 4) == (True, 4) and (4,) == (4.0,) as dict keys: a shape seen
         # with dom [1, 4] or [4] must not let [True, 4] or [4.0] through
         (
@@ -773,7 +812,8 @@ def _split(blob):
         ),
         (
             lambda blob: _with_rows(blob, ENDO, block_rows(_endomorphisms(blob)) + [1, 2, 4, 8]),
-            "field 'rows' of block 3 has 100 rows, but 24 member(s) on codomain IV need 96",
+            "field 'rows' of block 3 has 200 hex digits, but 24 member(s) on codomain IV "
+            "need 96 indices of 2 digits",
         ),
         (lambda blob: _with_block(blob, 0, words="id_I"), "field 'words' has the wrong type str"),
         (lambda blob: _with_block(blob, 0, lengths=1), "field 'lengths' has the wrong type int"),
@@ -796,8 +836,8 @@ def _split(blob):
         # objects far too large to hold: only counts and bit lengths are compared
         (
             lambda blob: _with_block(blob, 1, cod=[10**12]),
-            "field 'rows' of block 1 has 4 rows, but 1 member(s) on codomain "
-            "1000000000000 need 1000000000000",
+            "field 'rows' of block 1 has 8 hex digits, but 1 member(s) on codomain "
+            "1000000000000 need 1000000000000 indices of 2 digits",
         ),
         (
             lambda blob: _with_rows(blob, 2, [-1], dom=[10**12]),
@@ -821,17 +861,20 @@ def _split(blob):
             "store file symbol 'wide' has shape IVxIVxIV -> I, outside arity cap 2",
         ),
         # the row table of block ENDO, [1, 2, 4, 8]: its rows index every entry
-        # in order of first use, and its entries are distinct rows in the domain
-        (lambda blob: _with_index(blob, -1), UNINDEXED),
-        (lambda blob: _with_index(blob, 4), UNINDEXED),
+        # in order of first use, and its entries are distinct rows in the
+        # domain; a negative index has no hex digits, and one past the table
+        # comes last, after each entry's first use
+        (
+            lambda blob: _with_index(blob, -1),
+            "field 'rows' of block 3 holds '-', not a lowercase hex digit",
+        ),
+        (lambda blob: _with_index(blob, 4, at=-1), UNINDEXED),
         (
             lambda blob: _with_block(blob, ENDO, table=[1, 2, 4, 8, 3]),
             "field 'rows' of block 3 does not index its 5 table entries in order of first use",
         ),
         (
-            lambda blob: _with_block(blob, ENDO, rows=[
-                {0: 1, 1: 0}.get(i, i) for i in _endomorphisms(blob)["rows"]
-            ]),
+            lambda blob: _with_indices(blob, lambda indices: [{0: 1, 1: 0}.get(i, i) for i in indices]),
             UNINDEXED,
         ),
         (
@@ -864,8 +907,9 @@ def _split(blob):
          "length-outside-rounds", "length-zero", "rounds-run-past-twice-the-longest",
          "rounds-run-true",
          "max-arity-true", "max-rounds-true", "length-true", "max-rounds-zero",
-         "rows-missing", "rows-str", "rows-short", "row-negative", "row-outside-domain",
-         "row-float", "row-bool", "row-str", "dom-true-after-1", "dom-float-after-int",
+         "rows-missing", "rows-list", "rows-str", "rows-short", "row-negative",
+         "row-outside-domain", "rows-non-hex", "rows-uppercase", "rows-whitespace",
+         "rows-odd-length", "dom-true-after-1", "dom-float-after-int",
          "out-of-order", "repeated",
          "lengths-long", "words-long", "rows-long", "words-str", "lengths-int",
          "lengths-missing", "empty-block", "shape-split", "block-list", "blocks-dict",
@@ -1079,20 +1123,29 @@ def test_cli_close_out_file_holds_the_store_string(tmp_path, capsys):
     )
     assert code == 0
     assert path.read_text() == store_to_json_str(load_store(path))
+    assert list(tmp_path.iterdir()) == [path]  # the file it was written to was moved there
 
 
 @pytest.mark.parametrize("failure", [MemoryError, KeyboardInterrupt])
 def test_cli_close_out_keeps_the_old_file_when_the_writer_fails(
     tmp_path, capsys, monkeypatch, failure
 ):
+    # the writer fails partway: the opening and the first two blocks are
+    # written to the new file before it raises
     import toycat.cli
 
+    chunks = toycat.cli.store_json_chunks
+    written = []
+
     def failing(store):
+        for chunk in itertools.islice(chunks(store), 3):
+            written.append(chunk)
+            yield chunk
         raise failure
 
     path = tmp_path / "store.json"
     path.write_text("the old store")
-    monkeypatch.setattr(toycat.cli, "store_to_json_str", failing)
+    monkeypatch.setattr(toycat.cli, "store_json_chunks", failing)
     argv = ("close", "--max-arity", "2", "--max-rounds", "1", "--out", str(path))
     if failure is MemoryError:
         code, _, err = run_cli(capsys, *argv)
@@ -1100,7 +1153,9 @@ def test_cli_close_out_keeps_the_old_file_when_the_writer_fails(
     else:
         with pytest.raises(failure):
             run_cli(capsys, *argv)
+    assert len(written) == 3
     assert path.read_text() == "the old store"
+    assert list(tmp_path.iterdir()) == [path]  # the new file is gone too
 
 
 def test_cli_suite_negative_control_with_injected_diagonal(tmp_path, capsys):
